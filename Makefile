@@ -4,8 +4,7 @@
 GO ?= go
 
 .PHONY: all build vet fmt fmt-check test race bench docs ci \
-	lint integration integration-race fuzz-smoke obs-smoke \
-	bench-scale bench-scale-smoke bench-durability bench-flow
+	lint integration integration-race fuzz-smoke obs-smoke
 
 all: build test
 
@@ -26,56 +25,22 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# bench/ is a module of its own that imports internal/; its fast tests
+# are the only thing here that compiles it, so a refactor that breaks
+# the wall-clock benchmark fails now instead of at the next benchmark
+# run.
 test:
 	$(GO) test ./...
+	bash bench/run.sh test
 
 race:
 	$(GO) test -race ./...
 
+# Smoke: every benchmark once, so the report-only benchmarks stay
+# runnable. The gates on the same scenarios are tests (`make test`;
+# `go test -v -run 'MessageBudget|Scale' .` prints the measured values).
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
-	$(GO) test -run NONE -bench 'TopK|TimeToFirstResult|IndexJoin|PagedScan' -benchtime 5x .
-
-# Machine-readable benchmark record: msgs / sim-ms / ttfr-ms / bytes
-# for the topk, index-join (baseline vs warm routing cache), paged
-# full-scan, churn top-k (single-owner vs replica-balanced reads, 10%
-# dead peers) and group-by aggregation (peer-side pushdown vs
-# centralized fallback) scenarios. Fails if the fast path, the churn
-# failover or the aggregation pushdown regresses (see cmd/benchjson).
-# CI uploads the file as an artifact.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_PR5.json
-
-# The scale harness record: msgs-per-routed-lookup at 128..1024 peers
-# with a log-linear fit (fails if the largest point exceeds 2x the
-# log-extrapolation), Zipf hot-shard load spread with replica-balanced
-# vs pinned reads, two-cluster WAN latency scenario, and a live
-# join/split/merge churn run that must stay exact. CI runs the smoke
-# variant on PRs and the full sweep nightly (see bench-scale in
-# .github/workflows/ci.yml).
-bench-scale:
-	$(GO) run ./cmd/benchjson -scale -out BENCH_SCALE.json
-
-bench-scale-smoke:
-	$(GO) run ./cmd/benchjson -scale -sizes 128,256 -out BENCH_SCALE.json
-
-# The durability record: one restart-rejoin run on a WAL-backed simnet
-# peer — kill -9, recover, catch up by digest delta — against the
-# empty-disk full-sync baseline. Fails if recovery loses an acked
-# write, a rejoined replica misses exactness, or the delta catch-up
-# stops being cheaper than full sync on messages or bytes. Simnet
-# benches run fsync-off (see docs/architecture.md); the fsync cost is
-# a real-disk property the simulated network cannot price.
-bench-durability:
-	$(GO) run ./cmd/benchjson -durability -out BENCH_PR8.json
-
-# The flow-control record: the slow-replica mixed workload with credit
-# windows on and off, plus the fsync-always group-commit comparison.
-# Fails if flow control stops lowering the per-peer in-flight byte
-# peak, worsens the throttled replica's tail stall, dents exactness in
-# either variant, or group commit stops beating one fsync per write.
-bench-flow:
-	$(GO) run ./cmd/benchjson -flow -out BENCH_PR9.json
 
 # The docs job: broken intra-repo markdown links fail, sources stay
 # vetted and formatted.

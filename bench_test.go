@@ -1,5 +1,7 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (E1–E12).
-// Each benchmark drives the same harness as cmd/unibench at a reduced
+// Benchmarks regenerating every experiment E1–E12 of
+// internal/experiments (the record of the reproduction; cmd/unibench
+// prints its tables — no EXPERIMENTS.md is generated yet, see ROADMAP
+// item H). Each benchmark drives that harness at a reduced
 // scale and reports the experiment's headline quantity as a custom
 // metric, so `go test -bench=.` provides the whole reproduction in one
 // run. Wall-clock ns/op is the simulator's cost, not the system's —
@@ -326,8 +328,8 @@ func BenchmarkTopKStreaming(b *testing.B)     { benchTopK(b, false) }
 // (routing cache disabled — every probe pays the full routed path, the
 // pre-fast-path baseline) and warm (caches learned the partition map
 // from a first execution; probes batch per responsible peer). The
-// msgs metric is the headline: cmd/benchjson records the same
-// scenarios into BENCH_PR5.json for trend tracking.
+// msgs metric is the headline; TestMessageBudgetIndexJoinWarm runs the
+// same pair and fails when the warm join stops saving 30% of it.
 
 func benchIndexJoin(b *testing.B, disableCache bool) {
 	c := benchscen.IndexJoin(disableCache)
@@ -415,8 +417,8 @@ func BenchmarkChurnTopKReplicaBalanced(b *testing.B) { benchChurnTopK(b, false) 
 // benchGroupByAgg measures the in-network aggregation scenario: the
 // venue/count GROUP BY over ~600 publication rows, with the strategy
 // pinned to peer-side partial states (pushdown) or rows-to-the-
-// coordinator (centralized). cmd/benchjson records the same pair into
-// BENCH_PR5.json and fails CI when pushdown stops winning.
+// coordinator (centralized). TestMessageBudgetGroupByAgg runs the same
+// pair and fails when pushdown stops winning on messages or bytes.
 func benchGroupByAgg(b *testing.B, pushdown bool) {
 	c, _ := benchscen.GroupByAgg(pushdown)
 	var msgs, bytes, simMS float64

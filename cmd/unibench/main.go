@@ -1,6 +1,8 @@
 // Command unibench regenerates the reproduction's experiment tables
-// (EXPERIMENTS.md, E1–E12): it builds simulated UniStore clusters,
-// runs each experiment's workload, and prints the measured table.
+// (E1–E12 of internal/experiments): it builds simulated UniStore
+// clusters, runs each experiment's workload, and prints the measured
+// table. Its output is the record of the reproduction until ROADMAP
+// item H generates an EXPERIMENTS.md from it.
 //
 // Usage:
 //

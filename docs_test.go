@@ -1,6 +1,7 @@
-// Documentation checks: every intra-repo markdown link must resolve.
-// CI's docs job runs this alongside go vet and gofmt, so the docs tree
-// cannot rot silently as files move.
+// Documentation checks: every intra-repo markdown link must resolve,
+// and the architecture doc's package map must list every internal/
+// package. CI's docs job runs this alongside go vet and gofmt, so the
+// docs tree cannot rot silently as files move.
 package unistore_test
 
 import (
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -92,5 +94,40 @@ func TestDocsTreeExists(t *testing.T) {
 		if !strings.Contains(string(readme), link) {
 			t.Errorf("README.md does not link %s", link)
 		}
+	}
+}
+
+// statedPackages matches the sentence introducing the package map.
+var statedPackages = regexp.MustCompile("The (\\d+) `internal/` packages")
+
+// TestDocsPackageMapCurrent: the package count docs/architecture.md
+// states must equal the number of directories under internal/, and
+// the map must link each of them.
+func TestDocsPackageMapCurrent(t *testing.T) {
+	doc, err := os.ReadFile("docs/architecture.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := statedPackages.FindSubmatch(doc)
+	if m == nil {
+		t.Fatalf("docs/architecture.md no longer states %q", statedPackages)
+	}
+	stated, _ := strconv.Atoi(string(m[1]))
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := 0
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		dirs++
+		if link := "(../internal/" + e.Name() + ")"; !strings.Contains(string(doc), link) {
+			t.Errorf("docs/architecture.md's package map does not link %s", link)
+		}
+	}
+	if stated != dirs {
+		t.Errorf("docs/architecture.md states %d internal/ packages, internal/ holds %d", stated, dirs)
 	}
 }

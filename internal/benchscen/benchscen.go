@@ -1,10 +1,11 @@
-// Package benchscen defines the message-layer benchmark scenarios in
-// ONE place: cmd/benchjson (the BENCH_PR5.json trend record), the
-// bench_test.go benchmarks, and the msgbudget_test.go CI regression
-// guard all build their clusters and plans here, so the budgets
-// calibrated against the recorded numbers measure the same workload by
-// construction — a seed or dataset tweak cannot silently drift one
-// copy away from the others.
+// Package benchscen defines the simulated-measurement scenarios in ONE
+// place: the root msgbudget_test.go / scale_test.go gates (budgets and
+// fast-path-vs-baseline inequalities, run by plain `go test`), the
+// churn and aggregation equivalence suites, and the report-only
+// bench_test.go benchmarks all build their clusters and plans here, so
+// every consumer measures the same workload by construction — a seed
+// or dataset tweak cannot silently drift one copy away from the
+// others.
 package benchscen
 
 import (
@@ -127,7 +128,6 @@ type ChurnResult struct {
 	Rows     int
 	Dead     int
 	Msgs     int
-	Bytes    int
 	SimMS    float64
 	TtfrMS   float64
 	Bindings []algebra.Binding
@@ -189,7 +189,6 @@ func ChurnRun(c *core.Cluster, plan *physical.Plan) (ChurnResult, error) {
 		Rows:     len(ex.Result()),
 		Dead:     dead,
 		Msgs:     after.MessagesSent - before.MessagesSent,
-		Bytes:    after.BytesSent - before.BytesSent,
 		SimMS:    float64(ex.Elapsed().Microseconds()) / 1000,
 		TtfrMS:   float64(ex.TimeToFirst().Microseconds()) / 1000,
 		Bindings: ex.Result(),

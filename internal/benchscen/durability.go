@@ -3,7 +3,6 @@ package benchscen
 import (
 	"fmt"
 	"reflect"
-	"time"
 
 	"unistore/internal/core"
 	"unistore/internal/keys"
@@ -35,27 +34,22 @@ const (
 type DurabilityResult struct {
 	// AckedAtKill is the victim's fact count when it died; Recovered is
 	// what WAL recovery rebuilt — the two must match exactly.
-	AckedAtKill int `json:"acked_at_kill"`
-	Recovered   int `json:"recovered"`
-	// Replayed is the number of log records recovery replayed.
-	Replayed int `json:"replayed"`
-	// RecoveryMS is the wall-clock WAL recovery time (reported, not
-	// gated: it is host-dependent).
-	RecoveryMS float64 `json:"recovery_ms"`
+	AckedAtKill int
+	Recovered   int
 	// DeltaMsgs/DeltaBytes is the network cost of restart-rejoin
 	// catch-up; FullMsgs/FullBytes the empty-disk full-sync baseline.
-	DeltaMsgs  int `json:"delta_msgs"`
-	DeltaBytes int `json:"delta_bytes"`
-	FullMsgs   int `json:"full_msgs"`
-	FullBytes  int `json:"full_bytes"`
+	DeltaMsgs  int
+	DeltaBytes int
+	FullMsgs   int
+	FullBytes  int
 	// DeltaExact/FullExact report whether each rejoined peer converged
 	// to the exact fact set of its live sibling.
-	DeltaExact bool `json:"delta_exact"`
-	FullExact  bool `json:"full_exact"`
+	DeltaExact bool
+	FullExact  bool
 }
 
 // DurabilityRun builds the cluster, runs both restart variants, and
-// measures them. Deterministic apart from RecoveryMS.
+// measures them. Deterministic.
 func DurabilityRun() (DurabilityResult, error) {
 	var res DurabilityResult
 	fs := wal.NewMemFS()
@@ -128,16 +122,11 @@ func DurabilityRun() (DurabilityResult, error) {
 	// catch up by digest delta.
 	net := c.Net()
 	before := net.Stats()
-	var info wal.RecoveryInfo
-	start := time.Now()
 	idx, err := c.RejoinPeer(sibIdx, func(p *pgrid.Peer) error {
-		db2, err := wal.Open("victim", p.Store(), wal.Options{FS: fs, Sync: wal.SyncOff})
-		if err != nil {
+		if _, err := wal.Open("victim", p.Store(), wal.Options{FS: fs, Sync: wal.SyncOff}); err != nil {
 			return err
 		}
-		info = db2.Info()
 		res.Recovered = p.Store().FactCount()
-		res.RecoveryMS = float64(time.Since(start).Microseconds()) / 1000
 		return nil
 	})
 	if err != nil {
@@ -145,7 +134,6 @@ func DurabilityRun() (DurabilityResult, error) {
 	}
 	net.Settle()
 	after := net.Stats()
-	res.Replayed = info.Replayed
 	res.DeltaMsgs = after.MessagesSent - before.MessagesSent
 	res.DeltaBytes = after.BytesSent - before.BytesSent
 	res.DeltaExact = sameFactSet(c.Peers()[idx], sibling)

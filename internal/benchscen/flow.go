@@ -3,14 +3,12 @@ package benchscen
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"unistore/internal/core"
 	"unistore/internal/keys"
 	"unistore/internal/pgrid"
 	"unistore/internal/physical"
-	"unistore/internal/store"
 	"unistore/internal/store/wal"
 	"unistore/internal/triple"
 	"unistore/internal/workload"
@@ -58,21 +56,18 @@ type FlowVariant struct {
 	// the backlog bound flow control exists to enforce. SlowStallMS is
 	// the longest any message waited in the throttled node's service
 	// queue (its tail stall).
-	MaxInflightBytes int     `json:"max_inflight_bytes"`
-	SlowStallMS      float64 `json:"slow_stall_ms"`
-	Msgs             int     `json:"msgs"`
-	Bytes            int     `json:"bytes"`
+	MaxInflightBytes int
+	SlowStallMS      float64
 	// FlowBulkSends/FlowStalls aggregate the peers' credit-gate
 	// counters (zero with flow control disabled).
-	FlowBulkSends int `json:"flow_bulk_sends"`
-	FlowStalls    int `json:"flow_stalls"`
+	FlowBulkSends int
+	FlowStalls    int
 	// CatchupExact reports whether the throttled rejoiner converged to
 	// its live sibling's exact fact set.
-	CatchupExact bool `json:"catchup_exact"`
+	CatchupExact bool
 	// Rows is the sorted final quiescent scan — the exactness surface
-	// the two variants must agree on. RowCount is its length.
-	Rows     []string `json:"-"`
-	RowCount int      `json:"rows"`
+	// the two variants must agree on.
+	Rows []string
 }
 
 // FlowRun builds the slow-replica cluster and drives the measured mix.
@@ -188,8 +183,6 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 		}
 	}
 	res.SlowStallMS = float64(after.MaxStall[slowID].Microseconds()) / 1000
-	res.Msgs = after.MessagesSent
-	res.Bytes = after.BytesSent
 	for _, p := range c.Peers() {
 		st := p.Stats()
 		res.FlowBulkSends += st.FlowBulkSends
@@ -207,139 +200,5 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 		res.Rows = append(res.Rows, fmt.Sprint(row))
 	}
 	sort.Strings(res.Rows)
-	res.RowCount = len(res.Rows)
 	return res, nil
-}
-
-// The WAL group-commit measurement: concurrent fsync-always appenders
-// against a simulated 1ms-fsync disk (an in-memory FS whose Sync
-// sleeps), with and without the shared commit queue. The simulated
-// disk makes the measurement host-independent: CI machines sit on
-// filesystems whose fsync ranges from microseconds (tmpfs, where
-// batching is unobservable) to tens of milliseconds, and the claim
-// under test — one flush covers a batch — needs a flush that costs
-// something.
-const (
-	// GroupCommitWriters/GroupCommitPerWriter size the append load.
-	GroupCommitWriters   = 8
-	GroupCommitPerWriter = 25
-	// GroupCommitSyncDelay is the simulated disk's per-fsync cost.
-	GroupCommitSyncDelay = time.Millisecond
-)
-
-// slowDiskFS wraps a wal.FS so every file fsync pays a fixed delay.
-type slowDiskFS struct {
-	wal.FS
-	delay time.Duration
-}
-
-func (f slowDiskFS) Create(name string) (wal.File, error) {
-	w, err := f.FS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return slowDiskFile{File: w, delay: f.delay}, nil
-}
-
-func (f slowDiskFS) Append(name string) (wal.File, error) {
-	w, err := f.FS.Append(name)
-	if err != nil {
-		return nil, err
-	}
-	return slowDiskFile{File: w, delay: f.delay}, nil
-}
-
-type slowDiskFile struct {
-	wal.File
-	delay time.Duration
-}
-
-func (f slowDiskFile) Sync() error {
-	time.Sleep(f.delay)
-	return f.File.Sync()
-}
-
-// GroupCommitResult reports writes-per-second with the commit queue on
-// (group) and off (baseline), plus the fsync counts that explain the
-// difference. WPS values are wall-clock and host-dependent; the
-// durable gate is the ratio.
-type GroupCommitResult struct {
-	Writes        int     `json:"writes"`
-	BaselineWPS   float64 `json:"baseline_wps"`
-	GroupWPS      float64 `json:"group_wps"`
-	BaselineSyncs int64   `json:"baseline_syncs"`
-	GroupSyncs    int64   `json:"group_syncs"`
-	Speedup       float64 `json:"speedup"`
-}
-
-// GroupCommitRun measures both fsync-always variants on the simulated
-// slow disk.
-func GroupCommitRun() (GroupCommitResult, error) {
-	var res GroupCommitResult
-	res.Writes = GroupCommitWriters * GroupCommitPerWriter
-	baseline, bSyncs, err := groupCommitVariant(true)
-	if err != nil {
-		return res, err
-	}
-	grouped, gSyncs, err := groupCommitVariant(false)
-	if err != nil {
-		return res, err
-	}
-	res.BaselineWPS = float64(res.Writes) / baseline.Seconds()
-	res.GroupWPS = float64(res.Writes) / grouped.Seconds()
-	res.BaselineSyncs = bSyncs
-	res.GroupSyncs = gSyncs
-	if baseline > 0 {
-		res.Speedup = float64(baseline) / float64(grouped)
-	}
-	return res, nil
-}
-
-func groupCommitVariant(noGroup bool) (elapsed time.Duration, syncs int64, err error) {
-	db, err := wal.Open("d", store.New(), wal.Options{
-		FS:   slowDiskFS{FS: wal.NewMemFS(), delay: GroupCommitSyncDelay},
-		Sync: wal.SyncAlways, NoGroupCommit: noGroup,
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("benchscen: open wal: %w", err)
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, GroupCommitWriters)
-	for w := 0; w < GroupCommitWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < GroupCommitPerWriter; i++ {
-				tr := triple.Triple{
-					OID:  fmt.Sprintf("oid-%d-%d", w, i),
-					Attr: "name",
-					Val:  triple.S(fmt.Sprintf("v-%d-%d", w, i)),
-				}
-				e := store.Entry{
-					Kind:    triple.AllIndexKinds[0],
-					Key:     triple.IndexKey(tr, triple.AllIndexKinds[0]),
-					Triple:  tr,
-					Version: uint64(w*GroupCommitPerWriter + i + 1),
-				}
-				if aerr := db.LogApply(e); aerr != nil {
-					errCh <- aerr
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed = time.Since(start)
-	syncs = db.Syncs()
-	cerr := db.Close()
-	select {
-	case werr := <-errCh:
-		return elapsed, syncs, fmt.Errorf("benchscen: wal append: %w", werr)
-	default:
-	}
-	if cerr != nil {
-		return elapsed, syncs, fmt.Errorf("benchscen: wal close: %w", cerr)
-	}
-	return elapsed, syncs, nil
 }

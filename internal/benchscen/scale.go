@@ -1,17 +1,16 @@
 package benchscen
 
 // Scale scenarios: parameterized peer counts up to 1024, Zipf-skewed
-// hot keys and hot queries, live join/leave churn, and WAN-vs-LAN
-// latency topologies. cmd/benchjson -scale records them into
-// BENCH_SCALE.json and the CI curve gate fails when routed-lookup cost
-// stops growing logarithmically; the root scale_test.go asserts the
-// same scenarios stay exact and within message budgets.
+// hot keys and hot queries, and live join/leave churn. The root
+// scale_test.go runs them under plain `go test` and fails when
+// routed-lookup cost stops growing logarithmically, replica spreading
+// stops relieving the hot shard, or a scan under live churn loses
+// exactness.
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"unistore/internal/core"
@@ -22,16 +21,15 @@ import (
 	"unistore/internal/workload"
 )
 
-// ScaleSizes are the peer counts the full scale sweep measures. CI's
-// PR smoke run covers the first two; the nightly run covers all four.
+// ScaleSizes are the peer counts the routing-curve sweep measures.
 var ScaleSizes = []int{128, 256, 512, 1024}
 
 // ScalePoint is one measured routing-curve point: the mean message and
 // hop cost of a cold routed lookup on an N-peer overlay.
 type ScalePoint struct {
-	Peers         int     `json:"peers"`
-	MsgsPerLookup float64 `json:"msgs_per_lookup"`
-	MeanHops      float64 `json:"mean_hops"`
+	Peers         int
+	MsgsPerLookup float64
+	MeanHops      float64
 }
 
 // scaleProbes is how many routed lookups each curve point averages.
@@ -85,36 +83,7 @@ func RoutingCurve(sizes []int) []ScalePoint {
 	return out
 }
 
-// LogFit least-squares fits msgs = a + b·log2(peers) to the curve —
-// the growth exponent b is the headline scalability number (O(log N)
-// routing means b stays a small constant while peers double).
-func LogFit(pts []ScalePoint) (a, b float64) {
-	n := float64(len(pts))
-	if n < 2 {
-		if n == 1 {
-			return pts[0].MsgsPerLookup, 0
-		}
-		return 0, 0
-	}
-	var sx, sy, sxx, sxy float64
-	for _, p := range pts {
-		x := math.Log2(float64(p.Peers))
-		y := p.MsgsPerLookup
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return sy / n, 0
-	}
-	b = (n*sxy - sx*sy) / den
-	a = (sy - b*sx) / n
-	return a, b
-}
-
-// CurveOK is the CI gate: the largest measured size must cost at most
+// CurveOK is the curve gate: the largest measured size must cost at most
 // twice the log-linear extrapolation from the two smallest sizes. A
 // routing regression to O(N) behaviour (linear scans, cache-less
 // flooding) overshoots immediately; log growth passes with slack.
@@ -136,25 +105,15 @@ func CurveOK(pts []ScalePoint) bool {
 	return last.MsgsPerLookup <= 2*extrap
 }
 
-// HotShardResult summarizes per-peer serve load under hot-query skew.
-type HotShardResult struct {
-	Peers        int     `json:"peers"`
-	ReadReplicas int     `json:"read_replicas"`
-	MedianLoad   int     `json:"median_load"`
-	P99Load      int     `json:"p99_load"`
-	MaxLoad      int     `json:"max_load"`
-	P99OverMed   float64 `json:"p99_over_median"`
-}
-
 // hotShardProbes is the lookup count of the hot-shard scenario.
 const hotShardProbes = 400
 
 // HotShard runs a Zipf-hot query workload against an n-node overlay
-// (n/2 partitions × 2 replicas) and reports the per-peer serve-load
-// distribution. readReplicas=1 pins every probe of the hot value to
-// one owner (the hot shard); 0 lets the replica-balanced read path
-// spread it over the whole group.
-func HotShard(n, readReplicas int, zipfS float64) HotShardResult {
+// (n/2 partitions × 2 replicas) and returns the hottest peer's serve
+// load. readReplicas=1 pins every probe of the hot value to one owner
+// (the hot shard); 0 lets the replica-balanced read path spread it
+// over the whole group.
+func HotShard(n, readReplicas int, zipfS float64) (maxLoad int) {
 	parts := n / 2
 	net := simnet.New(simnet.Config{
 		Latency: simnet.ConstantLatency(time.Millisecond), Seed: 41,
@@ -193,55 +152,10 @@ func HotShard(n, readReplicas int, zipfS float64) HotShardResult {
 		origin.LookupSync(triple.ByVal, valKey[hot.Next()])
 	}
 	net.Settle()
-	loads := make([]int, len(peers))
 	for i, p := range peers {
-		loads[i] = p.Stats().Delivered - before[i]
+		maxLoad = max(maxLoad, p.Stats().Delivered-before[i])
 	}
-	sort.Ints(loads)
-	med := loads[len(loads)/2]
-	p99 := loads[(len(loads)*99)/100]
-	maxL := loads[len(loads)-1]
-	ratio := 0.0
-	if med > 0 {
-		ratio = float64(p99) / float64(med)
-	} else {
-		ratio = float64(p99)
-	}
-	return HotShardResult{
-		Peers: n, ReadReplicas: readReplicas,
-		MedianLoad: med, P99Load: p99, MaxLoad: maxL, P99OverMed: ratio,
-	}
-}
-
-// LatencyScenarioResult is one latency-topology measurement.
-type LatencyScenarioResult struct {
-	Profile string  `json:"profile"`
-	Peers   int     `json:"peers"`
-	SimMS   float64 `json:"sim_ms"`
-	Msgs    int     `json:"msgs"`
-}
-
-// LatencyScenario runs the ranked top-k on an n-peer cluster under the
-// given latency profile — uniform LAN vs the two-cluster WAN topology
-// exercises simnet's per-pair delay models at scale.
-func LatencyScenario(profile core.LatencyProfile, n int) LatencyScenarioResult {
-	c := core.NewCluster(core.Config{
-		Peers: n, Seed: 51, Latency: profile,
-		RangeShards: 8, ProbeParallelism: 2, PageSize: ScanPageSize,
-	})
-	ds := workload.Generate(workload.Options{Seed: 52, Persons: 100})
-	c.BulkInsert(ds.Triples...)
-	before := c.Net().Stats().MessagesSent
-	res, err := c.QueryFrom(0, TopKQuery)
-	if err != nil {
-		panic(fmt.Sprintf("benchscen: latency scenario: %v", err))
-	}
-	c.Net().Settle()
-	return LatencyScenarioResult{
-		Profile: string(profile), Peers: n,
-		SimMS: float64(res.Elapsed.Microseconds()) / 1000,
-		Msgs:  c.Net().Stats().MessagesSent - before,
-	}
+	return maxLoad
 }
 
 // ChurnScaleResult is the live join/leave churn scenario outcome: a
@@ -249,11 +163,11 @@ func LatencyScenario(profile core.LatencyProfile, n int) LatencyScenarioResult {
 // another merges mid-flight, and the row set must equal the loaded
 // dataset exactly.
 type ChurnScaleResult struct {
-	Peers         int  `json:"peers"`
-	Rows          int  `json:"rows"`
-	Expected      int  `json:"expected"`
-	Exact         bool `json:"exact"`
-	Invalidations int  `json:"route_cache_invalidations"`
+	Peers         int
+	Rows          int
+	Expected      int
+	Exact         bool
+	Invalidations int
 }
 
 // ChurnScale builds an n-node cluster (n/2 partitions × 2 replicas),

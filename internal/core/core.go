@@ -72,8 +72,6 @@ type Config struct {
 	EnableQGram bool
 	// Optimizer tunes plan selection; zero value = DefaultOptions.
 	Optimizer optimizer.Options
-	// DisableOptimizer executes plans exactly as compiled.
-	DisableOptimizer bool
 	// AntiEntropyInterval is the period of digest-based replica
 	// reconciliation: replicas exchange per-prefix version summaries
 	// and pull only the differing buckets, in PageSize-bounded pages.
@@ -161,9 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.Optimizer == (optimizer.Options{}) {
 		c.Optimizer = optimizer.DefaultOptions()
 	}
-	if c.DisableOptimizer {
-		c.Optimizer.Disabled = true
-	}
 	return c
 }
 
@@ -200,15 +195,19 @@ type Cluster struct {
 	reg *trace.Registry
 }
 
-// lockedReopt adapts the optimizer's Rechoose to the cluster's stats
-// lock: hosted-plan re-optimization runs on network worker goroutines
-// and must not race with concurrent ingest updating the statistics.
-type lockedReopt struct{ c *Cluster }
+// lockedReopt adapts the optimizer's Rechoose to its host's stats
+// lock (Cluster's or Node's): hosted-plan re-optimization runs on
+// network worker goroutines and must not race with concurrent ingest
+// updating the statistics.
+type lockedReopt struct {
+	mu  *sync.RWMutex
+	opt *optimizer.Optimizer
+}
 
 func (l lockedReopt) Rechoose(steps []physical.Step, tail physical.Tail, bindingCount int, peer *pgrid.Peer) []physical.Step {
-	l.c.statsMu.RLock()
-	defer l.c.statsMu.RUnlock()
-	return l.c.opt.Rechoose(steps, tail, bindingCount, peer)
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.opt.Rechoose(steps, tail, bindingCount, peer)
 }
 
 // NewCluster builds and wires a cluster.
@@ -266,7 +265,7 @@ func NewCluster(cfg Config) *Cluster {
 		setCounter(r, "net.bytes_sent", int64(st.BytesSent))
 	})
 	for _, p := range peers {
-		eng := physical.NewEngine(p, lockedReopt{c})
+		eng := physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt})
 		eng.SetParallelism(cfg.ProbeParallelism)
 		eng.SetRangeShards(cfg.RangeShards)
 		c.engines = append(c.engines, eng)
@@ -496,6 +495,21 @@ type Result struct {
 	Trace *trace.QueryTrace
 }
 
+// newResult fills a Result from a finished execution; Messages is the
+// caller's to set (a simnet counter delta on a Cluster, trace totals on
+// a Node).
+func newResult(q *vql.Query, plan *physical.Plan, bs []algebra.Binding, ex *physical.Exec) *Result {
+	return &Result{
+		Bindings:    bs,
+		Vars:        resultVars(q),
+		Elapsed:     ex.Elapsed(),
+		TimeToFirst: ex.TimeToFirst(),
+		Hops:        ex.MaxHops(),
+		Plan:        plan.String(),
+		Trace:       ex.Trace(),
+	}
+}
+
 // Rows renders the bindings as string rows following Vars order — the
 // demo UI's result tab.
 func (r *Result) Rows() [][]string {
@@ -555,15 +569,7 @@ func (c *Cluster) execQueryCtx(ctx context.Context, peerIdx int, q *vql.Query) (
 		before = c.net.Stats().MessagesSent
 	}
 	bs, ex := eng.RunPlanCtx(ctx, plan)
-	res := &Result{
-		Bindings:    bs,
-		Vars:        resultVars(q),
-		Elapsed:     ex.Elapsed(),
-		TimeToFirst: ex.TimeToFirst(),
-		Hops:        ex.MaxHops(),
-		Plan:        plan.String(),
-		Trace:       ex.Trace(),
-	}
+	res := newResult(q, plan, bs, ex)
 	if !concurrent {
 		res.Messages = c.net.Stats().MessagesSent - before
 	}
@@ -906,7 +912,7 @@ func (c *Cluster) JoinPeer(targetIdx int) int {
 	p := pgrid.NewPeer(c.net, c.pcfg)
 	p.Join(target.ID())
 	c.settle()
-	eng := physical.NewEngine(p, lockedReopt{c})
+	eng := physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt})
 	eng.SetParallelism(c.cfg.ProbeParallelism)
 	eng.SetRangeShards(c.cfg.RangeShards)
 	c.peers = append(c.peers, p)
@@ -931,7 +937,7 @@ func (c *Cluster) RejoinPeer(targetIdx int, prepare func(*pgrid.Peer) error) (in
 	}
 	p.Rejoin(target.ID())
 	c.settle()
-	eng := physical.NewEngine(p, lockedReopt{c})
+	eng := physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt})
 	eng.SetParallelism(c.cfg.ProbeParallelism)
 	eng.SetRangeShards(c.cfg.RangeShards)
 	c.peers = append(c.peers, p)

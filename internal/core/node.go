@@ -114,16 +114,6 @@ type Node struct {
 	tlog *trace.TraceLog
 }
 
-// nodeReopt adapts hosted-plan re-optimization to the node's stats
-// lock, mirroring the cluster's lockedReopt.
-type nodeReopt struct{ n *Node }
-
-func (l nodeReopt) Rechoose(steps []physical.Step, tail physical.Tail, bindingCount int, peer *pgrid.Peer) []physical.Step {
-	l.n.statsMu.RLock()
-	defer l.n.statsMu.RUnlock()
-	return l.n.opt.Rechoose(steps, tail, bindingCount, peer)
-}
-
 // NewNode plans the cluster-wide overlay, instantiates this process's
 // peers on a freshly bound TCP transport, and starts the transport
 // (announcing to the seeds). It returns once the local half is up;
@@ -186,7 +176,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n.recoverSeq()
 	n.opt = optimizer.New(stats, optimizer.DefaultOptions())
 	for _, p := range peers {
-		n.engines = append(n.engines, physical.NewEngine(p, nodeReopt{n}))
+		n.engines = append(n.engines, physical.NewEngine(p, lockedReopt{&n.statsMu, n.opt}))
 	}
 	n.reg = trace.NewRegistry()
 	n.tlog = trace.NewTraceLog(0)
@@ -324,15 +314,7 @@ func (n *Node) Query(src string) (*Result, error) {
 	start := time.Now()
 	bs, ex := eng.RunPlanCtx(context.Background(), plan)
 	wall := time.Since(start)
-	res := &Result{
-		Bindings:    bs,
-		Vars:        resultVars(q),
-		Elapsed:     ex.Elapsed(),
-		TimeToFirst: ex.TimeToFirst(),
-		Hops:        ex.MaxHops(),
-		Plan:        plan.String(),
-		Trace:       ex.Trace(),
-	}
+	res := newResult(q, plan, bs, ex)
 	if res.Trace != nil {
 		msgs, bytes := res.Trace.Totals()
 		res.Messages = msgs

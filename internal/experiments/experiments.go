@@ -1,7 +1,9 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in EXPERIMENTS.md (E1–E12), each returning the table
-// the paper's claim corresponds to. cmd/unibench prints these tables;
-// bench_test.go reports their headline numbers as benchmark metrics.
+// per experiment (E1–E12), each returning the table the paper's claim
+// corresponds to. cmd/unibench prints these tables — this package and
+// that command are the record of the reproduction until ROADMAP item H
+// generates an EXPERIMENTS.md from them; bench_test.go reports their
+// headline numbers as benchmark metrics.
 //
 // Because the demo paper's evaluation is a set of quantified claims
 // rather than numbered result tables, every experiment states its claim

@@ -194,6 +194,38 @@ func TestPlanetLabLatencyBounds(t *testing.T) {
 	}
 }
 
+// TestClusteredLatencyPicksModelBySite pins the two-site topology:
+// nodes are assigned to sites by NodeID modulo Clusters, same-site
+// pairs sample the intra-site (LAN) model, cross-site pairs the
+// inter-site (WAN) model, and Clusters <= 1 degenerates to Intra.
+func TestClusteredLatencyPicksModelBySite(t *testing.T) {
+	const (
+		lanMin, lanMax = 200 * time.Microsecond, 2 * time.Millisecond
+		wanMin, wanMax = 5 * time.Millisecond, 400 * time.Millisecond
+	)
+	for _, tc := range []struct {
+		name     string
+		model    LatencyModel
+		from, to NodeID
+		min, max time.Duration
+	}{
+		{"even-even", TwoClusterLatency(), 0, 2, lanMin, lanMax},
+		{"odd-odd", TwoClusterLatency(), 1, 7, lanMin, lanMax},
+		{"self", TwoClusterLatency(), 4, 4, lanMin, lanMax},
+		{"even-odd", TwoClusterLatency(), 0, 1, wanMin, wanMax},
+		{"odd-even", TwoClusterLatency(), 5, 2, wanMin, wanMax},
+		{"one site, cross parity", ClusteredLatency{Intra: LANLatency(), Inter: WANLatency(), Clusters: 1}, 0, 1, lanMin, lanMax},
+		{"zero sites, cross parity", ClusteredLatency{Intra: LANLatency(), Inter: WANLatency()}, 3, 8, lanMin, lanMax},
+	} {
+		rng := New(Config{Seed: 7}).Rand()
+		for i := 0; i < 1000; i++ {
+			if d := tc.model.Sample(rng, tc.from, tc.to); d < tc.min || d > tc.max {
+				t.Fatalf("%s: %d->%d sampled %v, outside [%v, %v]", tc.name, tc.from, tc.to, d, tc.min, tc.max)
+			}
+		}
+	}
+}
+
 func TestWireSizeAccounting(t *testing.T) {
 	n := New(Config{})
 	a, b := newEcho(n), newEcho(n)

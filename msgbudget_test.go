@@ -1,20 +1,27 @@
 // Message-budget regression guard: the ranked top-5, warm index-join,
-// paged full-scan and churn top-k scenarios (internal/benchscen — the
-// same constructors cmd/benchjson records into BENCH_PR5.json, so
-// budget and record measure identical workloads by construction) run
-// on the 64-peer simnet and fail if their message counts exceed the
-// checked-in budgets. The budgets sit ~25-40% above the measured
-// values, so a future change that makes the message layer chatty —
-// losing the routing-cache fast path, breaking probe batching, pulling
-// pages past an early-out, retrying replicas unboundedly — fails CI
-// instead of silently regressing.
+// paged full-scan, group-by, churn top-k, restart catch-up and
+// flow-control scenarios (internal/benchscen — the one set of
+// constructors every simulated measurement shares) run on the
+// deterministic simnet under plain `go test` and fail two ways: when a
+// message or byte count exceeds its checked-in budget, and when a fast
+// path stops beating the baseline it replaced (cache-off index join,
+// single-owner reads, centralized aggregation, full-state sync,
+// uncontrolled bulk streams). The budgets sit ~25-40% above the
+// measured values, so a future change that makes the message layer
+// chatty — losing the routing-cache fast path, breaking probe
+// batching, pulling pages past an early-out, retrying replicas
+// unboundedly — fails CI instead of silently regressing. The measured
+// values are the t.Logf lines of `go test -v -run MessageBudget .`.
 package unistore_test
 
 import (
+	"slices"
 	"testing"
 
 	"unistore/internal/benchscen"
 	"unistore/internal/core"
+	"unistore/internal/pgrid"
+	"unistore/internal/physical"
 )
 
 // Checked-in budgets (messages per query, deterministic 64-peer
@@ -45,10 +52,11 @@ const (
 	budgetFlowInflightBytes = 72 << 10
 )
 
-// measure runs one query and returns its settled message count.
-func measure(t *testing.T, c *core.Cluster, src string) int {
+// measure runs one query and returns its settled message and byte
+// counts.
+func measure(t *testing.T, c *core.Cluster, src string) (msgs, bytes int) {
 	t.Helper()
-	before := c.Net().Stats().MessagesSent
+	before := c.Net().Stats()
 	res, err := c.QueryFrom(0, src)
 	if err != nil {
 		t.Fatal(err)
@@ -57,66 +65,105 @@ func measure(t *testing.T, c *core.Cluster, src string) int {
 		t.Fatalf("%q returned nothing", src)
 	}
 	c.Net().Settle()
-	return c.Net().Stats().MessagesSent - before
+	after := c.Net().Stats()
+	return after.MessagesSent - before.MessagesSent, after.BytesSent - before.BytesSent
 }
 
 func TestMessageBudgetRankedTopK(t *testing.T) {
-	msgs := measure(t, benchscen.TopK(), benchscen.TopKQuery)
+	msgs, _ := measure(t, benchscen.TopK(), benchscen.TopKQuery)
 	if msgs > budgetTopK {
 		t.Errorf("ranked top-5 sent %d messages, budget %d", msgs, budgetTopK)
 	}
 	t.Logf("ranked top-5: %d messages (budget %d)", msgs, budgetTopK)
 }
 
+// runIndexJoin executes the pinned index-join plan once and returns its
+// settled message count.
+func runIndexJoin(t *testing.T, c *core.Cluster, plan *physical.Plan) int {
+	t.Helper()
+	before := c.Net().Stats().MessagesSent
+	bs, _ := c.Engine(0).RunPlan(plan)
+	c.Net().Settle()
+	if len(bs) == 0 {
+		t.Fatal("index join returned nothing")
+	}
+	return c.Net().Stats().MessagesSent - before
+}
+
+// TestMessageBudgetIndexJoinWarm is the routing-cache budget: once the
+// origin has learned the partition map of the probed OIDs, the join
+// probes direct, batched per responsible peer — within the budget and
+// at least 30% below the cache-off baseline that routes every probe
+// hop by hop.
 func TestMessageBudgetIndexJoinWarm(t *testing.T) {
-	c := benchscen.IndexJoin(false)
 	plan, err := benchscen.IndexJoinPlan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the origin's routing cache, then measure.
-	c.Engine(0).RunPlan(plan)
-	c.Net().Settle()
-	before := c.Net().Stats().MessagesSent
-	bs, _ := c.Engine(0).RunPlan(plan)
-	c.Net().Settle()
-	msgs := c.Net().Stats().MessagesSent - before
-	if len(bs) == 0 {
-		t.Fatal("index join returned nothing")
-	}
+	base := runIndexJoin(t, benchscen.IndexJoin(true), plan)
+	c := benchscen.IndexJoin(false)
+	runIndexJoin(t, c, plan) // warm the origin's routing cache
+	msgs := runIndexJoin(t, c, plan)
 	if msgs > budgetIndexJoinWarm {
 		t.Errorf("warm index join sent %d messages, budget %d", msgs, budgetIndexJoinWarm)
 	}
-	t.Logf("warm index join: %d messages (budget %d)", msgs, budgetIndexJoinWarm)
+	if 10*msgs > 7*base {
+		t.Errorf("warm index join sent %d messages, cache-off baseline %d — need at least 30%% fewer", msgs, base)
+	}
+	t.Logf("warm index join: %d messages (budget %d; cache-off baseline %d)", msgs, budgetIndexJoinWarm, base)
 }
 
+// TestMessageBudgetPagedScan is the paging budget: the exhaustive scan
+// at page size 8 stays within its message budget, and no single
+// response grows past the byte ceiling a page of the dataset's largest
+// entries can reach — a peer that stops honoring the page bound ships
+// a whole partition in one message and trips the second check.
 func TestMessageBudgetPagedScan(t *testing.T) {
-	c, _ := benchscen.Scan()
-	msgs := measure(t, c, benchscen.ScanQuery)
+	c, triples := benchscen.Scan()
+	c.Net().ResetStats() // max-size tracking starts at the measured query
+	msgs, _ := measure(t, c, benchscen.ScanQuery)
 	if msgs > budgetPagedScan {
 		t.Errorf("paged full scan sent %d messages, budget %d", msgs, budgetPagedScan)
 	}
-	t.Logf("paged full scan: %d messages (budget %d)", msgs, budgetPagedScan)
+	maxResp := c.Net().Stats().MaxSizePerKind[pgrid.KindResponse]
+	bound := benchscen.PageBound(triples, benchscen.ScanPageSize)
+	if maxResp > bound {
+		t.Errorf("largest paged response %dB exceeds the page bound %dB", maxResp, bound)
+	}
+	t.Logf("paged full scan: %d messages (budget %d), largest response %dB (page bound %dB)",
+		msgs, budgetPagedScan, maxResp, bound)
 }
 
 // TestMessageBudgetGroupByAgg is the in-network aggregation budget:
 // the pushed-down GROUP BY must keep shipping group states, not rows —
-// losing the pushdown (or paging group pages past need) trips it. The
-// centralized fallback on the same data measures ~5× more messages, so
-// the budget also implicitly guards the strategy choice.
+// losing the pushdown (or paging group pages past need) trips it — and
+// must move fewer messages AND fewer bytes than the centralized
+// fallback pinned on the same data.
 func TestMessageBudgetGroupByAgg(t *testing.T) {
 	c, _ := benchscen.GroupByAgg(true)
-	msgs := measure(t, c, benchscen.GroupByAggQuery)
+	msgs, bytes := measure(t, c, benchscen.GroupByAggQuery)
 	if msgs > budgetGroupByAgg {
 		t.Errorf("pushed-down group-by sent %d messages, budget %d", msgs, budgetGroupByAgg)
 	}
-	t.Logf("pushed-down group-by: %d messages (budget %d)", msgs, budgetGroupByAgg)
+	central, _ := benchscen.GroupByAgg(false)
+	cMsgs, cBytes := measure(t, central, benchscen.GroupByAggQuery)
+	if msgs >= cMsgs {
+		t.Errorf("pushed-down group-by sent %d messages, centralized %d — pushdown must send fewer", msgs, cMsgs)
+	}
+	if bytes >= cBytes {
+		t.Errorf("pushed-down group-by moved %dB, centralized %dB — pushdown must move fewer", bytes, cBytes)
+	}
+	t.Logf("pushed-down group-by: %d messages / %dB (budget %d; centralized %d messages / %dB)",
+		msgs, bytes, budgetGroupByAgg, cMsgs, cBytes)
 }
 
 // TestMessageBudgetChurnTopK is the replica-read budget: the ranked
 // top-5 with 10% of the nodes killed mid-flight must recover through
 // hedges and re-showers without blowing the message budget — failover
-// is a bounded handful of extra envelopes, not a broadcast storm.
+// is a bounded handful of extra envelopes, not a broadcast storm — and
+// must finish sooner in simulated time than the single-owner baseline,
+// which waits out the operation deadline on the branches churn
+// swallowed.
 func TestMessageBudgetChurnTopK(t *testing.T) {
 	cr, err := benchscen.ChurnTopKRun(benchscen.ChurnTopK(false))
 	if err != nil {
@@ -131,7 +178,16 @@ func TestMessageBudgetChurnTopK(t *testing.T) {
 	if cr.Msgs > budgetChurnTopK {
 		t.Errorf("churn top-5 sent %d messages, budget %d", cr.Msgs, budgetChurnTopK)
 	}
-	t.Logf("churn top-5: %d messages with %d dead peers (budget %d)", cr.Msgs, cr.Dead, budgetChurnTopK)
+	single, err := benchscen.ChurnTopKRun(benchscen.ChurnTopK(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cr.SimMS >= single.SimMS {
+		t.Errorf("replica-balanced churn top-5 took %.0f sim-ms, single-owner %.0f — failover must beat waiting",
+			cr.SimMS, single.SimMS)
+	}
+	t.Logf("churn top-5: %d messages with %d dead peers (budget %d), %.0f sim-ms (single-owner %.0f)",
+		cr.Msgs, cr.Dead, budgetChurnTopK, cr.SimMS, single.SimMS)
 }
 
 // TestMessageBudgetRejoinCatchup is the restart-recovery budget: a
@@ -140,7 +196,9 @@ func TestMessageBudgetChurnTopK(t *testing.T) {
 // hashes, and pages carrying only the writes it missed. Losing the
 // delta path (falling back to full-state sync, shipping whole buckets,
 // or re-pulling buckets the rejoiner is ahead on) costs hundreds of
-// messages on this scenario and trips the budget.
+// messages on this scenario and trips the budget; the empty-disk
+// full-state sync runs on the same cluster as the baseline the delta
+// must beat on messages AND bytes, and must itself converge exactly.
 func TestMessageBudgetRejoinCatchup(t *testing.T) {
 	r, err := benchscen.DurabilityRun()
 	if err != nil {
@@ -149,14 +207,23 @@ func TestMessageBudgetRejoinCatchup(t *testing.T) {
 	if !r.DeltaExact {
 		t.Fatal("rejoined replica did not converge to its sibling")
 	}
+	if !r.FullExact {
+		t.Fatal("empty-disk full-sync replica did not converge to its sibling")
+	}
 	if r.Recovered != r.AckedAtKill {
 		t.Fatalf("WAL recovery rebuilt %d facts, victim acked %d", r.Recovered, r.AckedAtKill)
 	}
 	if r.DeltaMsgs > budgetRejoinCatchup {
 		t.Errorf("rejoin catch-up sent %d messages, budget %d", r.DeltaMsgs, budgetRejoinCatchup)
 	}
-	t.Logf("rejoin catch-up: %d messages (budget %d; full sync moves %d)",
-		r.DeltaMsgs, budgetRejoinCatchup, r.FullMsgs)
+	if r.DeltaMsgs >= r.FullMsgs {
+		t.Errorf("delta catch-up sent %d messages, full sync %d — delta must send fewer", r.DeltaMsgs, r.FullMsgs)
+	}
+	if r.DeltaBytes >= r.FullBytes {
+		t.Errorf("delta catch-up moved %dB, full sync %dB — delta must move fewer", r.DeltaBytes, r.FullBytes)
+	}
+	t.Logf("rejoin catch-up: recovered %d/%d acked facts, %d messages / %dB (budget %d; full sync %d messages / %dB)",
+		r.Recovered, r.AckedAtKill, r.DeltaMsgs, r.DeltaBytes, budgetRejoinCatchup, r.FullMsgs, r.FullBytes)
 }
 
 // TestMessageBudgetFlowInflightBytes is the backpressure budget: under
@@ -165,24 +232,45 @@ func TestMessageBudgetRejoinCatchup(t *testing.T) {
 // flow control is on, and the throttled rejoiner must still converge
 // exactly. Losing credit gating on any bulk stream (gossip fan-out,
 // digest catch-up, paged scans) multiplies the peak several-fold and
-// trips this before it ships.
+// trips this before it ships. The same workload with credits disabled
+// is the baseline: flow control must lower the peak, must not lengthen
+// the slow replica's tail stall, and must change no answer.
 func TestMessageBudgetFlowInflightBytes(t *testing.T) {
 	res, err := benchscen.FlowRun(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := benchscen.FlowRun(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.CatchupExact {
 		t.Fatal("throttled rejoiner did not converge to its sibling")
 	}
-	if res.RowCount == 0 {
+	if !off.CatchupExact {
+		t.Fatal("throttled rejoiner did not converge with flow control off")
+	}
+	if len(res.Rows) == 0 {
 		t.Fatal("flow scenario returned no rows")
+	}
+	if !slices.Equal(res.Rows, off.Rows) {
+		t.Errorf("flow control changed query results (%d rows vs %d uncontrolled)", len(res.Rows), len(off.Rows))
 	}
 	if res.MaxInflightBytes > budgetFlowInflightBytes {
 		t.Errorf("peak in-flight %dB per peer, budget %dB", res.MaxInflightBytes, budgetFlowInflightBytes)
 	}
+	if res.MaxInflightBytes >= off.MaxInflightBytes {
+		t.Errorf("peak in-flight %dB with flow control, %dB without — credits must lower the peak",
+			res.MaxInflightBytes, off.MaxInflightBytes)
+	}
+	if res.SlowStallMS > off.SlowStallMS {
+		t.Errorf("slow replica's tail stall %.0fms with flow control, %.0fms without — credits must not worsen it",
+			res.SlowStallMS, off.SlowStallMS)
+	}
 	if res.FlowBulkSends == 0 {
 		t.Error("no credit-gated bulk sends fired; flow control is vacuous")
 	}
-	t.Logf("flow: peak in-flight %dB (budget %dB), tail stall %.0fms, %d bulk sends / %d stalls",
-		res.MaxInflightBytes, budgetFlowInflightBytes, res.SlowStallMS, res.FlowBulkSends, res.FlowStalls)
+	t.Logf("flow: peak in-flight %dB (budget %dB; uncontrolled %dB), tail stall %.0fms (uncontrolled %.0fms), %d rows, %d bulk sends / %d stalls",
+		res.MaxInflightBytes, budgetFlowInflightBytes, off.MaxInflightBytes,
+		res.SlowStallMS, off.SlowStallMS, len(res.Rows), res.FlowBulkSends, res.FlowStalls)
 }

@@ -3,8 +3,13 @@
 // and live churn schedule (joins that trigger splits, group merges) —
 // where the distributed result must equal the in-memory reference
 // executor even when the churn lands between the pulls of an open
-// stream. Plus the 1024-peer ranked-query bound: logarithmic message
-// budget and completion far under the overlay's operation deadline.
+// stream. Plus the 1024-peer ranked-query bound (logarithmic message
+// budget and completion far under the overlay's operation deadline)
+// and the scale gates over internal/benchscen's scenarios: the
+// routed-lookup cost curve at 128..1024 peers stays logarithmic,
+// replica spreading relieves the Zipf hot shard, and a paged scan
+// under live join + split + merge stays exact. Their measured values
+// are the t.Logf lines of `go test -v -run Scale .`.
 package unistore_test
 
 import (
@@ -180,4 +185,50 @@ func TestRanked1024PeersWithinBudget(t *testing.T) {
 		t.Errorf("ranked query took %v simulated at 1024 peers — approaching the operation deadline", res.Elapsed)
 	}
 	t.Logf("1024 peers: %d msgs, %d hops, %v simulated", res.Messages, res.Hops, res.Elapsed)
+}
+
+// TestScaleRoutingCurveLogarithmic: the mean cost of a cold routed
+// lookup (routing cache off) at 128/256/512/1024 peers must stay
+// inside twice the log-linear extrapolation from the two smallest
+// sizes — O(log N) routing passes with slack, a regression to linear
+// scans or cache-less flooding overshoots immediately.
+func TestScaleRoutingCurveLogarithmic(t *testing.T) {
+	curve := benchscen.RoutingCurve(benchscen.ScaleSizes)
+	for _, p := range curve {
+		t.Logf("%4d peers: %.2f msgs/lookup, %.2f hops", p.Peers, p.MsgsPerLookup, p.MeanHops)
+	}
+	if !benchscen.CurveOK(curve) {
+		last := curve[len(curve)-1]
+		t.Errorf("%d-peer lookups cost %.2f msgs, above 2x the log extrapolation from %d/%d peers (%.2f/%.2f)",
+			last.Peers, last.MsgsPerLookup, curve[0].Peers, curve[1].Peers,
+			curve[0].MsgsPerLookup, curve[1].MsgsPerLookup)
+	}
+}
+
+// TestScaleHotShardSpreading: under Zipf-hot lookups on 1024 nodes,
+// replica-balanced reads must leave the hottest peer with less load
+// than reads pinned to one owner per partition.
+func TestScaleHotShardSpreading(t *testing.T) {
+	const peers, zipfS = 1024, 1.1
+	pinned := benchscen.HotShard(peers, 1, zipfS)
+	spread := benchscen.HotShard(peers, 0, zipfS)
+	if spread >= pinned {
+		t.Errorf("hot shard's peak load %d spread vs %d pinned — replica spreading must lower it", spread, pinned)
+	}
+	t.Logf("hot shard @%d peers: max load %d pinned -> %d spread", peers, pinned, spread)
+}
+
+// TestScaleScanExactUnderLiveChurn: a paged scan on 128 nodes with a
+// join + split after the first rows and a merge further in must
+// return every row exactly once, and the churn must have invalidated
+// learned routing-cache entries (otherwise it missed the warm state).
+func TestScaleScanExactUnderLiveChurn(t *testing.T) {
+	r := benchscen.ChurnScale(benchscen.ScaleSizes[0])
+	if !r.Exact {
+		t.Errorf("scan under live join/split/merge lost exactness: %d rows, want %d", r.Rows, r.Expected)
+	}
+	if r.Invalidations == 0 {
+		t.Error("live churn invalidated no routing-cache entries")
+	}
+	t.Logf("churn @%d peers: %d/%d rows, %d cache invalidations", r.Peers, r.Rows, r.Expected, r.Invalidations)
 }

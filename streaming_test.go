@@ -65,6 +65,51 @@ func TestLimitAndTopKSendFewerMessages(t *testing.T) {
 	}
 }
 
+// TestRankedTopKMatchesFullSort: over ten seeded 64-peer clusters, the
+// ranked top-5 must be exactly the first five rows of the exhaustive
+// ORDER BY — with the default single shard, where the entries of one
+// shower arrive in peer-arrival order rather than key order, and with
+// eight shards, where a shard still spans several partitions.
+func TestRankedTopKMatchesFullSort(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  unistore.Config
+	}{
+		{"default_shards", unistore.Config{Peers: 64}},
+		{"eight_shards", unistore.Config{Peers: 64, RangeShards: 8, ProbeParallelism: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 10; seed++ {
+				cfg := tc.cfg
+				cfg.Seed = seed
+				c := unistore.New(cfg)
+				loadPersons(c, seed+100, 150)
+				c.Net().Settle()
+
+				names := func(src string) []string {
+					res, err := c.QueryFrom(0, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c.Net().Settle()
+					var out []string
+					for _, b := range res.Bindings {
+						out = append(out, b["n"].Lexical())
+					}
+					return out
+				}
+				want := names(`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n`)
+				want = want[:min(5, len(want))]
+				got := names(`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 5`)
+				sort.Strings(got)
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("seed %d: top-5 mismatch\n got %v\nwant %v", seed, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestDescendingTopKStreamsPages: a DESCENDING ranked top-k on a
 // paged, sharded cluster must return the exact reverse-order result
 // while sending strictly fewer messages than the exhaustive scan —

@@ -60,9 +60,12 @@ lint:
 # loopback-TCP cluster of real OS processes, and requires exact
 # equivalence with the in-process simnet reference (including the
 # kill -9 churn case). Gated behind UNISTORE_INTEGRATION so plain
-# `go test ./...` stays hermetic.
+# `go test ./...` stays hermetic. The benchmark's real-daemon smoke
+# then runs all four workloads at toy size against the simnet oracle —
+# the check that the daemon still speaks the bench's line protocol.
 integration:
 	UNISTORE_INTEGRATION=1 $(GO) test -v -timeout 10m ./integration/
+	BENCH_SMOKE=1 bash bench/run.sh test
 
 # Same suite with both the harness and the daemon binary built -race.
 integration-race:

@@ -17,23 +17,6 @@ import (
 	"unistore/internal/triple"
 )
 
-// daemonOptions carries the -listen mode flags.
-type daemonOptions struct {
-	listen     string
-	seeds      string
-	partitions int
-	replicas   int
-	procs      int
-	proc       int
-	seed       int64
-	pageSize   int
-	dataDir    string
-	fsync      string
-	debug      string
-	tracing    bool
-	slowQuery  time.Duration
-}
-
 // runDaemon runs one node process of a multi-process cluster. It
 // speaks a line protocol on stdin/stdout (the integration harness is
 // the client) and logs to stderr:
@@ -48,41 +31,31 @@ type daemonOptions struct {
 //
 // SIGTERM/SIGINT also trigger graceful shutdown: pending operations
 // drain, queued frames flush, and every goroutine joins before exit.
-func runDaemon(o daemonOptions) {
-	logger := log.New(os.Stderr, fmt.Sprintf("unistore[%d]: ", o.proc), log.Lmicroseconds)
-	var seeds []string
-	for _, s := range strings.Split(o.seeds, ",") {
+//
+// cfg carries the shape flags; seeds (comma-separated), fsync and the
+// debug listen address are parsed here.
+func runDaemon(cfg core.NodeConfig, seeds, fsync, debug string) {
+	logger := log.New(os.Stderr, fmt.Sprintf("unistore[%d]: ", cfg.ProcIndex), log.Lmicroseconds)
+	for _, s := range strings.Split(seeds, ",") {
 		if s = strings.TrimSpace(s); s != "" {
-			seeds = append(seeds, s)
+			cfg.Seeds = append(cfg.Seeds, s)
 		}
 	}
-	policy, err := wal.ParseSyncPolicy(o.fsync)
+	policy, err := wal.ParseSyncPolicy(fsync)
 	if err != nil {
 		logger.Printf("start: %v", err)
 		os.Exit(1)
 	}
-	n, err := core.NewNode(core.NodeConfig{
-		Listen:     o.listen,
-		Seeds:      seeds,
-		Partitions: o.partitions,
-		Replicas:   o.replicas,
-		Procs:      o.procs,
-		ProcIndex:  o.proc,
-		Seed:       o.seed,
-		PageSize:   o.pageSize,
-		DataDir:    o.dataDir,
-		Fsync:      policy,
-		Logf:       logger.Printf,
-		Tracing:    o.tracing,
-		SlowQuery:  o.slowQuery,
-	})
+	cfg.Fsync, cfg.Logf = policy, logger.Printf
+	c, err := core.NewNode(cfg)
 	if err != nil {
 		logger.Printf("start: %v", err)
 		os.Exit(1)
 	}
-	logger.Printf("listening on %s, hosting %d/%d peers", n.Addr(), len(n.Peers()), n.ClusterSize())
+	h := c.Health()
+	logger.Printf("listening on %s, hosting %d/%d peers", h.Addr, h.Peers, h.ClusterSize)
 	rejoin := false
-	for i, ri := range n.Recovery() {
+	for i, ri := range c.Recovery() {
 		logger.Printf("peer %d: recovered snapshot(gen=%d,%d entries) + %d log records, clean=%v torn=%dB",
 			i, ri.SnapshotGen, ri.SnapshotEntries, ri.Replayed, ri.Clean, ri.TornBytes)
 		if ri.HadState {
@@ -95,7 +68,7 @@ func runDaemon(o daemonOptions) {
 	go func() {
 		sig := <-sigCh
 		logger.Printf("%v: draining and shutting down", sig)
-		n.Close(10 * time.Second)
+		c.Close()
 		os.Exit(0)
 	}()
 
@@ -105,9 +78,9 @@ func runDaemon(o daemonOptions) {
 	// other processes to be up; the two-line handshake avoids the
 	// chicken-and-egg of gating the address on full convergence.
 	out := bufio.NewWriter(os.Stdout)
-	fmt.Fprintf(out, "ADDR %s\n", n.Addr())
-	if o.debug != "" {
-		dbgAddr, err := startDebug(n, o.debug)
+	fmt.Fprintf(out, "ADDR %s\n", c.Addr())
+	if debug != "" {
+		dbgAddr, err := startDebug(c, debug)
 		if err != nil {
 			logger.Printf("debug listener: %v", err)
 			os.Exit(1)
@@ -116,8 +89,8 @@ func runDaemon(o daemonOptions) {
 		fmt.Fprintf(out, "DEBUG %s\n", dbgAddr)
 	}
 	out.Flush()
-	if !n.WaitReady(60 * time.Second) {
-		logger.Printf("bootstrap timeout: routes=%v", n.Transport().Routes())
+	if !c.WaitReady(60 * time.Second) {
+		logger.Printf("bootstrap timeout: routes=%v", c.Transport().Routes())
 		os.Exit(1)
 	}
 	if rejoin {
@@ -125,9 +98,9 @@ func runDaemon(o daemonOptions) {
 		// pull the writes missed while down (digest delta — the recovered
 		// state makes a full-state stream unnecessary).
 		logger.Printf("recovered prior state: rejoining replica groups")
-		n.Rejoin()
+		c.Rejoin()
 	}
-	fmt.Fprintf(out, "READY %s\n", n.Addr())
+	fmt.Fprintf(out, "READY %s\n", c.Addr())
 	out.Flush()
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -137,15 +110,15 @@ func runDaemon(o daemonOptions) {
 		if line == "" {
 			continue
 		}
-		serveCommand(n, logger, out, line)
+		serveCommand(c, logger, out, line)
 		out.Flush()
 	}
 	// stdin closed: the harness is gone; shut down gracefully.
 	logger.Printf("stdin closed, shutting down")
-	n.Close(10 * time.Second)
+	c.Close()
 }
 
-func serveCommand(n *core.Node, logger *log.Logger, out io.Writer, line string) {
+func serveCommand(c *core.Cluster, logger *log.Logger, out io.Writer, line string) {
 	cmd, rest, _ := strings.Cut(line, " ")
 	switch strings.ToUpper(cmd) {
 	case "PING":
@@ -158,14 +131,16 @@ func serveCommand(n *core.Node, logger *log.Logger, out io.Writer, line string) 
 			return
 		}
 		tr := triple.Triple{OID: oid, Attr: attr, Val: parseValue(val)}
-		if err := n.Insert(tr, 30*time.Second); err != nil {
+		if err := c.InsertAcked(tr, 30*time.Second); err != nil {
 			logger.Printf("insert: %v", err)
 			fmt.Fprintf(out, "ERR %v\n", err)
 			return
 		}
 		fmt.Fprintln(out, "OK")
 	case "QUERY":
-		res, err := n.Query(rest)
+		// Queries originate at hosted peer 0, whose routing cache the
+		// preceding queries warmed.
+		res, err := c.QueryFrom(0, rest)
 		if err != nil {
 			logger.Printf("query: %v", err)
 			fmt.Fprintf(out, "ERR %v\n", strings.ReplaceAll(err.Error(), "\n", " "))
@@ -178,7 +153,7 @@ func serveCommand(n *core.Node, logger *log.Logger, out io.Writer, line string) 
 		}
 		fmt.Fprintln(out, ".")
 	case "BARRIER":
-		if n.Barrier(30 * time.Second) {
+		if c.Barrier(30 * time.Second) {
 			fmt.Fprintln(out, "OK")
 		} else {
 			fmt.Fprintln(out, "ERR timeout")
@@ -188,7 +163,7 @@ func serveCommand(n *core.Node, logger *log.Logger, out io.Writer, line string) 
 		if f, ok := out.(interface{ Flush() error }); ok {
 			f.Flush()
 		}
-		n.Close(10 * time.Second)
+		c.Close()
 		os.Exit(0)
 	default:
 		fmt.Fprintf(out, "ERR unknown command %q\n", cmd)

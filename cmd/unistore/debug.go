@@ -22,7 +22,7 @@ import (
 
 // startDebug binds the debug listener and serves it in the background,
 // returning the resolved address.
-func startDebug(n *core.Node, addr string) (string, error) {
+func startDebug(c *core.Cluster, addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
@@ -30,10 +30,10 @@ func startDebug(n *core.Node, addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = n.Registry().WritePrometheus(w)
+		_ = c.Registry().WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		h := n.Health()
+		h := c.Health()
 		w.Header().Set("Content-Type", "application/json")
 		if !h.OK {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -42,7 +42,7 @@ func startDebug(n *core.Node, addr string) (string, error) {
 	})
 	mux.HandleFunc("/trace/recent", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		recent := n.TraceLog().Recent()
+		recent := c.TraceLog().Recent()
 		if recent == nil {
 			recent = []*trace.QueryTrace{}
 		}

@@ -7,11 +7,12 @@
 //
 //	unistore [-peers 64] [-replicas 2] [-latency planetlab] [-qgram] [-demo]
 //
-// With -listen, unistore instead runs as one node daemon of a real
-// multi-process cluster over TCP (see daemon.go):
+// With -listen, unistore instead hosts one process's share of a real
+// multi-process cluster over TCP (see daemon.go; shape flags shown at
+// their defaults, which must match in every process):
 //
 //	unistore -listen 127.0.0.1:0 -procs 3 -proc 1 -seeds <addr> \
-//	         [-peers 8] [-replicas 2] [-page 64]
+//	         [-peers 32] [-replicas 1] [-page 0] [-seed 1]
 //
 // Commands at the prompt:
 //
@@ -61,21 +62,11 @@ func main() {
 	flag.Parse()
 
 	if *listen != "" {
-		runDaemon(daemonOptions{
-			listen:     *listen,
-			seeds:      *seeds,
-			partitions: *peers,
-			replicas:   *replicas,
-			procs:      *procs,
-			proc:       *proc,
-			seed:       *seed,
-			pageSize:   *page,
-			dataDir:    *data,
-			fsync:      *fsync,
-			debug:      *debug,
-			tracing:    *traceOn,
-			slowQuery:  *slowQuery,
-		})
+		runDaemon(core.NodeConfig{
+			Listen: *listen, Partitions: *peers, Replicas: *replicas,
+			Procs: *procs, ProcIndex: *proc, Seed: *seed, PageSize: *page,
+			DataDir: *data, Tracing: *traceOn, SlowQuery: *slowQuery,
+		}, *seeds, *fsync, *debug)
 		return
 	}
 

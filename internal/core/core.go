@@ -1,10 +1,13 @@
 // Package core assembles UniStore's triple storage layer (paper Fig. 1)
-// from its substrates: a simulated network (simnet), the P-Grid overlay
-// (pgrid), the per-peer storage service (store), the VQL analyzer
-// (vql + algebra), the query executor with mutant plans (physical), the
-// cost-based adaptive optimizer (optimizer), and schema mappings
-// (schema). A Cluster is a whole universal storage — the unit the
-// examples, tools and experiments drive.
+// from its substrates: the P-Grid overlay (pgrid) on a transport, the
+// per-peer storage service (store), the VQL analyzer (vql + algebra),
+// the query executor with mutant plans (physical), the cost-based
+// adaptive optimizer (optimizer), and schema mappings (schema). A
+// Cluster is one host of that stack — the unit the examples, tools,
+// experiments and the daemon drive. NewCluster hosts every peer on one
+// simulated network (simnet); NewNode hosts one process's share of a
+// multi-process cluster on real TCP (netx). Both end in the same
+// assembly, so the two differ only in the transport they are handed.
 package core
 
 import (
@@ -19,11 +22,14 @@ import (
 	"unistore/internal/algebra"
 	"unistore/internal/cost"
 	"unistore/internal/keys"
+	"unistore/internal/netx"
 	"unistore/internal/optimizer"
 	"unistore/internal/pgrid"
 	"unistore/internal/physical"
 	"unistore/internal/schema"
 	"unistore/internal/simnet"
+	"unistore/internal/store"
+	"unistore/internal/store/wal"
 	"unistore/internal/trace"
 	"unistore/internal/triple"
 	"unistore/internal/vql"
@@ -162,27 +168,54 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Cluster is a running universal storage: the simulated network, the
-// overlay peers, and a query engine per peer. With Config.Concurrent
-// set, Insert/Query may be called from multiple goroutines; call Close
-// when done to stop the network goroutines.
+// pgridConfig derives the overlay configuration from the host config.
+func (c Config) pgridConfig() pgrid.Config {
+	pcfg := pgrid.DefaultConfig()
+	if c.AntiEntropyInterval > 0 {
+		pcfg.AntiEntropyEvery = int64(c.AntiEntropyInterval)
+	}
+	pcfg.PageSize = c.PageSize
+	pcfg.DisableRouteCache = c.DisableRouteCache
+	pcfg.ReadReplicas = c.ReadReplicas
+	pcfg.HedgeAfter = int64(c.HedgeAfter)
+	pcfg.FlowWindowBytes = c.FlowWindowBytes
+	pcfg.FlowWindowMsgs = c.FlowWindowMsgs
+	pcfg.DisableFlowControl = c.DisableFlowControl
+	pcfg.Tracing = c.Tracing
+	return pcfg
+}
+
+// versionProcBits is the low-bit slice of every write version that
+// carries the issuing process index: version = seq<<bits | proc.
+// Versions from different processes can never collide, and within a
+// process they are strictly monotone — the store's last-writer-wins
+// rule stays total without any cross-process coordination.
+const versionProcBits = 10
+
+// Cluster is a running universal storage host: overlay peers on one
+// transport, a query engine per peer, and the optimizer, statistics,
+// write clock, metrics registry and trace log they share. A simnet
+// host (NewCluster) holds every peer; a TCP host (NewNode) holds this
+// process's share. With Config.Concurrent set, or on TCP, Insert/Query
+// may be called from multiple goroutines; call Close when done.
 type Cluster struct {
 	cfg     Config
 	pcfg    pgrid.Config
-	net     *simnet.Network
+	tr      pgrid.Transport
 	peers   []*pgrid.Peer
 	engines []*physical.Engine
 	opt     *optimizer.Optimizer
 	stats   *cost.Stats
 	// statsMu guards the optimizer statistics: ingest paths write them
 	// and query optimization (including per-host re-optimization of
-	// migrated plans) reads them, possibly from many goroutines in
-	// concurrent mode.
+	// migrated plans) reads them, possibly from many goroutines.
 	statsMu sync.RWMutex
-	clock   atomic.Uint64
+	// seq and proc are the write clock (see nextVersion).
+	seq  atomic.Uint64
+	proc uint64
 	// rates memoizes the O(peers) routing-cache counter aggregation so
 	// repeated compilations at large N don't rescan every peer; entries
-	// expire after rateWindow of simulated time.
+	// expire after rateWindow of transport time.
 	ratesMu   sync.Mutex
 	ratesOK   bool
 	ratesAt   time.Duration
@@ -190,15 +223,36 @@ type Cluster struct {
 	retryRate float64
 	probeRTT  time.Duration
 	pressure  float64
-	// reg is the cluster's unified metrics registry: peer and network
-	// counters surface there under stable dotted names at snapshot time.
-	reg *trace.Registry
+	// reg mirrors peer, transport and WAL counters under stable dotted
+	// names at snapshot time; tlog retains recent query traces.
+	reg  *trace.Registry
+	tlog *trace.TraceLog
+	// logf and slowQuery drive the slow-query log (NodeConfig.SlowQuery).
+	logf      func(format string, args ...any)
+	slowQuery time.Duration
+
+	// The substrate hooks each constructor installs: sent reads the
+	// transport's sent-message counter and whether a delta of it is
+	// attributable to one query, settle drains an ingest call's overlay
+	// work, close drains and releases the transport.
+	sent   func() (int, bool)
+	settle func()
+	close  func() error
+
+	// net is set on a simnet host only (Net, Kill, Revive).
+	net *simnet.Network
+	// tcp, procs, size and dbs are set on a TCP host only: the netx
+	// transport, the cluster's process count and peer count, and each
+	// hosted peer's WAL (nil without NodeConfig.DataDir).
+	tcp   *netx.Transport
+	procs int
+	size  int
+	dbs   []*wal.DB
 }
 
 // lockedReopt adapts the optimizer's Rechoose to its host's stats
-// lock (Cluster's or Node's): hosted-plan re-optimization runs on
-// network worker goroutines and must not race with concurrent ingest
-// updating the statistics.
+// lock: hosted-plan re-optimization runs on network worker goroutines
+// and must not race with concurrent ingest updating the statistics.
 type lockedReopt struct {
 	mu  *sync.RWMutex
 	opt *optimizer.Optimizer
@@ -210,7 +264,8 @@ func (l lockedReopt) Rechoose(steps []physical.Step, tail physical.Tail, binding
 	return l.opt.Rechoose(steps, tail, bindingCount, peer)
 }
 
-// NewCluster builds and wires a cluster.
+// NewCluster builds a simnet host: every peer of the overlay on one
+// simulated network.
 func NewCluster(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	net := simnet.New(simnet.Config{
@@ -218,18 +273,7 @@ func NewCluster(cfg Config) *Cluster {
 		LossRate: cfg.LossRate,
 		Seed:     cfg.Seed,
 	})
-	pcfg := pgrid.DefaultConfig()
-	if cfg.AntiEntropyInterval > 0 {
-		pcfg.AntiEntropyEvery = int64(cfg.AntiEntropyInterval)
-	}
-	pcfg.PageSize = cfg.PageSize
-	pcfg.DisableRouteCache = cfg.DisableRouteCache
-	pcfg.ReadReplicas = cfg.ReadReplicas
-	pcfg.HedgeAfter = int64(cfg.HedgeAfter)
-	pcfg.FlowWindowBytes = cfg.FlowWindowBytes
-	pcfg.FlowWindowMsgs = cfg.FlowWindowMsgs
-	pcfg.DisableFlowControl = cfg.DisableFlowControl
-	pcfg.Tracing = cfg.Tracing
+	pcfg := cfg.pgridConfig()
 	var peers []*pgrid.Peer
 	if cfg.AdaptiveSamples != nil {
 		peers = pgrid.BuildAdaptive(net, cfg.Peers, cfg.Replicas, cfg.AdaptiveSamples, pcfg)
@@ -248,37 +292,74 @@ func NewCluster(cfg Config) *Cluster {
 			panic(err)
 		}
 	}
-	stats := cost.DefaultStats(cfg.Peers)
-	stats.Replicas = cfg.Replicas
-	stats.TotalTriples = 0
-	stats.PageSize = cfg.PageSize
-	stats.ReadReplicas = effectiveReadReplicas(cfg)
-	opt := optimizer.New(stats, cfg.Optimizer)
-	c := &Cluster{cfg: cfg, pcfg: pcfg, net: net, peers: peers, opt: opt, stats: stats}
-	c.reg = trace.NewRegistry()
-	registerPeerMetrics(c.reg, func() []*pgrid.Peer { return c.peers })
+	c := newCluster(cfg, pcfg, net, peers, 0)
+	c.net = net
+	c.sent = func() (int, bool) {
+		if net.Concurrent() {
+			return 0, false // overlapping queries and timers share the counter
+		}
+		return net.Stats().MessagesSent, true
+	}
+	c.settle = func() { net.Settle() }
+	c.close = func() error {
+		net.Stop()
+		return nil
+	}
 	c.reg.OnCollect(func(r *trace.Registry) {
-		st := c.net.Stats()
+		st := net.Stats()
 		setCounter(r, "net.messages_sent", int64(st.MessagesSent))
 		setCounter(r, "net.messages_delivered", int64(st.MessagesDelivered))
 		setCounter(r, "net.messages_dropped", int64(st.MessagesDropped))
 		setCounter(r, "net.bytes_sent", int64(st.BytesSent))
 	})
-	for _, p := range peers {
-		eng := physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt})
-		eng.SetParallelism(cfg.ProbeParallelism)
-		eng.SetRangeShards(cfg.RangeShards)
-		c.engines = append(c.engines, eng)
-	}
 	if cfg.Concurrent {
 		net.StartConcurrent(cfg.TimeDilation)
 	}
 	return c
 }
 
-// Close stops the network goroutines of a concurrent cluster (no-op in
-// deterministic mode). The cluster must not be used afterwards.
-func (c *Cluster) Close() { c.net.Stop() }
+// newCluster is the one assembly both constructors end in: the
+// statistics and optimizer, an engine per hosted peer, the write clock
+// (resumed past any version this process wrote before a restart), the
+// metrics registry with its peer collector, and the trace log. The
+// caller installs the substrate hooks.
+func newCluster(cfg Config, pcfg pgrid.Config, tr pgrid.Transport, peers []*pgrid.Peer, proc int) *Cluster {
+	stats := cost.DefaultStats(cfg.Peers)
+	stats.Replicas = cfg.Replicas
+	stats.TotalTriples = 0
+	stats.PageSize = cfg.PageSize
+	stats.ReadReplicas = effectiveReadReplicas(cfg)
+	c := &Cluster{
+		cfg: cfg, pcfg: pcfg, tr: tr, proc: uint64(proc),
+		stats: stats, opt: optimizer.New(stats, cfg.Optimizer),
+		reg: trace.NewRegistry(), tlog: trace.NewTraceLog(0),
+	}
+	for _, p := range peers {
+		c.addPeer(p)
+	}
+	c.recoverSeq()
+	registerPeerMetrics(c.reg, func() []*pgrid.Peer { return c.peers })
+	return c
+}
+
+// addPeer hosts p: it gets a query engine wired to the shared optimizer.
+func (c *Cluster) addPeer(p *pgrid.Peer) int {
+	eng := physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt})
+	eng.SetParallelism(c.cfg.ProbeParallelism)
+	eng.SetRangeShards(c.cfg.RangeShards)
+	c.peers = append(c.peers, p)
+	c.engines = append(c.engines, eng)
+	return len(c.peers) - 1
+}
+
+// Close releases the host: a simnet host stops its network goroutines
+// (a no-op in deterministic mode); a TCP host drains pending operations
+// (up to drainTimeout), closes the transport — flushing queued frames,
+// canceling timers, joining every goroutine — and only then closes the
+// WALs, fsyncing the tail and writing each clean-shutdown marker (no
+// mutation can arrive once the transport is down). The host must not
+// be used afterwards.
+func (c *Cluster) Close() error { return c.close() }
 
 // Engine exposes the query engine attached to one peer (benchmarks and
 // tests tune fan-out windows through it).
@@ -286,25 +367,54 @@ func (c *Cluster) Engine(peerIdx int) *physical.Engine {
 	return c.engines[peerIdx%len(c.engines)]
 }
 
-// Net exposes the simulated network (experiment instrumentation).
+// Net exposes the simulated network (experiment instrumentation; simnet
+// host only).
 func (c *Cluster) Net() *simnet.Network { return c.net }
 
-// Peers returns the overlay peers.
+// Peers returns the hosted overlay peers.
 func (c *Cluster) Peers() []*pgrid.Peer { return c.peers }
 
 // Stats returns the optimizer's statistics snapshot.
 func (c *Cluster) Stats() *cost.Stats { return c.stats }
 
-// Registry returns the cluster's unified metrics registry. Snapshot it
-// for point-in-time values, or take before/after Snapshot.Sub deltas
-// around a query for per-query attribution.
+// Registry returns the host's unified metrics registry. Snapshot it for
+// point-in-time values, or take before/after Snapshot.Sub deltas around
+// a query for per-query attribution.
 func (c *Cluster) Registry() *trace.Registry { return c.reg }
 
-// Size returns the number of peers.
+// TraceLog returns the bounded buffer of recently completed query
+// traces (always non-nil; empty unless tracing is on).
+func (c *Cluster) TraceLog() *trace.TraceLog { return c.tlog }
+
+// Size returns the number of hosted peers.
 func (c *Cluster) Size() int { return len(c.peers) }
 
-// nextVersion issues a cluster-wide write version.
-func (c *Cluster) nextVersion() uint64 { return c.clock.Add(1) }
+// anyPeer draws a random hosted origin from the transport's seeded
+// randomness.
+func (c *Cluster) anyPeer() int { return int(c.tr.Int63()) % len(c.peers) }
+
+// nextVersion issues a write version unique across the cluster: the
+// host's sequence in the high bits, its process index (0 on simnet) in
+// the low bits.
+func (c *Cluster) nextVersion() uint64 {
+	return c.seq.Add(1)<<versionProcBits | c.proc
+}
+
+// recoverSeq resumes the write sequence past every version this process
+// issued before a restart (identified by the proc bits), so recovered
+// writes are never reissued with stale — hence losing — versions.
+func (c *Cluster) recoverSeq() {
+	mask := uint64(1)<<versionProcBits - 1
+	var top uint64
+	for _, p := range c.peers {
+		p.Store().FactsEach(func(e store.Entry) {
+			if e.Version&mask == c.proc && e.Version>>versionProcBits > top {
+				top = e.Version >> versionProcBits
+			}
+		})
+	}
+	c.seq.Store(top)
+}
 
 // --- Data ingestion ---------------------------------------------------------
 
@@ -312,7 +422,7 @@ func (c *Cluster) nextVersion() uint64 { return c.clock.Add(1) }
 // (all index entries and replicas placed). Statistics update so the
 // optimizer sees real attribute cardinalities.
 func (c *Cluster) Insert(ts ...triple.Triple) {
-	c.InsertFrom(int(c.net.Int63())%len(c.peers), ts...)
+	c.InsertFrom(c.anyPeer(), ts...)
 }
 
 // InsertFrom stores triples entering the system at a specific peer.
@@ -320,13 +430,24 @@ func (c *Cluster) InsertFrom(peerIdx int, ts ...triple.Triple) {
 	p := c.peers[peerIdx%len(c.peers)]
 	v := c.nextVersion()
 	for _, tr := range ts {
-		p.InsertTriple(tr, v)
-		if c.cfg.EnableQGram {
-			physical.InsertGrams(p, tr, v)
-		}
+		c.insertAt(p, tr, v)
 	}
 	c.noteInserted(ts)
-	c.net.Settle()
+	c.settle()
+}
+
+// InsertAcked stores one triple through the acked write path and blocks
+// until every index entry reached a responsible peer, or fails after
+// timeout (replica push stays asynchronous; a TCP host's Barrier covers
+// it). Origins rotate over the hosted peers with the write clock.
+func (c *Cluster) InsertAcked(tr triple.Triple, timeout time.Duration) error {
+	p := c.peers[int(c.seq.Load())%len(c.peers)]
+	h := p.InsertTripleAcked(tr, c.nextVersion(), nil)
+	if res := h.Wait(timeout); !res.Complete {
+		return fmt.Errorf("core: insert %s/%s not acked within %v", tr.OID, tr.Attr, timeout)
+	}
+	c.noteInserted([]triple.Triple{tr})
+	return nil
 }
 
 // noteInserted updates the optimizer statistics for freshly ingested
@@ -361,13 +482,13 @@ func (c *Cluster) BulkInsert(ts ...triple.Triple) {
 	if loaders > bulkLoaders {
 		loaders = bulkLoaders
 	}
-	if !c.net.Concurrent() || loaders <= 1 {
+	if !c.tr.Concurrent() || loaders <= 1 {
 		// Deterministic mode: issue everything fire-and-forget from
 		// round-robin origins, then drain the network once.
 		for i, tr := range ts {
 			c.insertAt(c.peers[i%len(c.peers)], tr, v)
 		}
-		c.net.Settle()
+		c.settle()
 		return
 	}
 	var wg sync.WaitGroup
@@ -391,7 +512,7 @@ func (c *Cluster) BulkInsert(ts ...triple.Triple) {
 		}(w, ts[lo:hi])
 	}
 	wg.Wait()
-	c.net.Quiesce()
+	c.settle()
 }
 
 // BulkInsertAcked loads triples through the acked, replica-aware write
@@ -408,7 +529,7 @@ func (c *Cluster) BulkInsertAcked(ts ...triple.Triple) {
 	}
 	var live []*pgrid.Peer
 	for _, p := range c.peers {
-		if c.net.Alive(p.ID()) {
+		if c.tr.Alive(p.ID()) {
 			live = append(live, p)
 		}
 	}
@@ -452,16 +573,16 @@ func (c *Cluster) InsertTuple(tp *triple.Tuple) {
 // Update overwrites fact (oid, attr) with a new value at a fresh
 // version; replicas converge by gossip/anti-entropy.
 func (c *Cluster) Update(tr triple.Triple) {
-	p := c.peers[int(c.net.Int63())%len(c.peers)]
+	p := c.peers[c.anyPeer()]
 	c.insertAt(p, tr, c.nextVersion())
-	c.net.Settle()
+	c.settle()
 }
 
 // Delete tombstones fact (oid, attr).
 func (c *Cluster) Delete(oid, attr string) {
-	p := c.peers[int(c.net.Int63())%len(c.peers)]
+	p := c.peers[c.anyPeer()]
 	p.DeleteTriple(oid, attr, c.nextVersion())
-	c.net.Settle()
+	c.settle()
 }
 
 // AddMapping publishes an attribute correspondence into the overlay.
@@ -480,10 +601,11 @@ type Result struct {
 	// available from the streaming pipeline (equal to Elapsed for
 	// blocking tails such as skyline and full sorts).
 	TimeToFirst time.Duration
-	// Messages is the network-wide message traffic attributed to this
-	// query. It is measured as a counter delta, which is only
-	// meaningful when queries run one at a time — in concurrent mode
-	// (overlapping queries, background timers) it reports 0.
+	// Messages is the overlay message traffic attributed to this query:
+	// on a deterministic simnet host the simulator's sent-counter delta;
+	// otherwise (concurrent simnet, TCP — overlapping queries and
+	// background timers share every counter) the assembled trace's
+	// totals when the query was traced, and 0 when it was not.
 	Messages int
 	Hops     int
 	Plan     string
@@ -496,8 +618,7 @@ type Result struct {
 }
 
 // newResult fills a Result from a finished execution; Messages is the
-// caller's to set (a simnet counter delta on a Cluster, trace totals on
-// a Node).
+// caller's to set.
 func newResult(q *vql.Query, plan *physical.Plan, bs []algebra.Binding, ex *physical.Exec) *Result {
 	return &Result{
 		Bindings:    bs,
@@ -528,7 +649,7 @@ func (r *Result) Rows() [][]string {
 
 // Query parses and executes VQL from a random peer.
 func (c *Cluster) Query(src string) (*Result, error) {
-	return c.QueryFrom(int(c.net.Int63())%len(c.peers), src)
+	return c.QueryFrom(c.anyPeer(), src)
 }
 
 // QueryFrom executes VQL originating at a specific peer.
@@ -541,7 +662,7 @@ func (c *Cluster) QueryFrom(peerIdx int, src string) (*Result, error) {
 // and shards are never sent, pending overlay operations are released —
 // and returns the rows produced so far.
 func (c *Cluster) QueryCtx(ctx context.Context, src string) (*Result, error) {
-	return c.QueryFromCtx(ctx, int(c.net.Int63())%len(c.peers), src)
+	return c.QueryFromCtx(ctx, c.anyPeer(), src)
 }
 
 // QueryFromCtx is QueryCtx originating at a specific peer.
@@ -553,25 +674,38 @@ func (c *Cluster) QueryFromCtx(ctx context.Context, peerIdx int, src string) (*R
 	return c.execQueryCtx(ctx, peerIdx, q)
 }
 
-func (c *Cluster) execQuery(peerIdx int, q *vql.Query) (*Result, error) {
-	return c.execQueryCtx(context.Background(), peerIdx, q)
-}
-
+// execQueryCtx is the one query path: compile, run at the origin peer,
+// build the Result. Traced queries land in the trace log, and — past
+// the slow-query threshold — in the slow-query log with the optimizer's
+// estimate beside what the query actually cost.
 func (c *Cluster) execQueryCtx(ctx context.Context, peerIdx int, q *vql.Query) (*Result, error) {
 	plan, err := c.compile(q)
 	if err != nil {
 		return nil, err
 	}
 	eng := c.engines[peerIdx%len(c.engines)]
-	concurrent := c.net.Concurrent()
-	before := 0
-	if !concurrent {
-		before = c.net.Stats().MessagesSent
-	}
+	before, counted := c.sent()
+	start := time.Now()
 	bs, ex := eng.RunPlanCtx(ctx, plan)
+	wall := time.Since(start)
 	res := newResult(q, plan, bs, ex)
-	if !concurrent {
-		res.Messages = c.net.Stats().MessagesSent - before
+	if counted {
+		after, _ := c.sent()
+		res.Messages = after - before
+	} else if res.Trace != nil {
+		res.Messages, _ = res.Trace.Totals()
+	}
+	if res.Trace == nil {
+		return res, nil
+	}
+	c.tlog.Add(res.Trace)
+	if c.slowQuery > 0 && wall >= c.slowQuery && c.logf != nil {
+		c.statsMu.RLock()
+		est := c.opt.EstimatePlan(plan)
+		c.statsMu.RUnlock()
+		msgs, bytes := res.Trace.Totals()
+		c.logf("slow query (%v wall, %v simulated): estimate %.0f msgs / %v latency, observed %d msgs / %d bytes\nplan: %s\n%s",
+			wall, res.Elapsed, est.Messages, est.Latency, msgs, bytes, res.Plan, res.Trace.String())
 	}
 	return res, nil
 }
@@ -630,7 +764,7 @@ func (c *Cluster) compile(q *vql.Query) (*physical.Plan, error) {
 const rateWindow = 5 * time.Millisecond
 
 func (c *Cluster) routeCacheRates() (hitRate, retryRate float64, probeRTT time.Duration, pressure float64) {
-	now := c.net.Now()
+	now := c.tr.Now()
 	c.ratesMu.Lock()
 	if c.ratesOK && now >= c.ratesAt && now-c.ratesAt < rateWindow {
 		hitRate, retryRate, probeRTT, pressure = c.hitRate, c.retryRate, c.probeRTT, c.pressure
@@ -698,7 +832,7 @@ type Stream struct {
 // QueryStream opens a VQL query from a random peer and returns a pull
 // cursor over its result stream. The caller must exhaust or Close it.
 func (c *Cluster) QueryStream(ctx context.Context, src string) (*Stream, error) {
-	return c.QueryStreamFrom(ctx, int(c.net.Int63())%len(c.peers), src)
+	return c.QueryStreamFrom(ctx, c.anyPeer(), src)
 }
 
 // QueryStreamFrom is QueryStream originating at a specific peer.
@@ -748,8 +882,8 @@ func (c *Cluster) QueryWithMappings(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	peerIdx := int(c.net.Int63()) % len(c.peers)
-	mapRes, err := c.execQuery(peerIdx, schema.MappingQuery())
+	peerIdx := c.anyPeer()
+	mapRes, err := c.execQueryCtx(context.Background(), peerIdx, schema.MappingQuery())
 	if err != nil {
 		return nil, err
 	}
@@ -796,7 +930,7 @@ func (c *Cluster) QueryWithMappings(src string) (*Result, error) {
 	union := &Result{Vars: resultVars(q)}
 	seen := map[string]bool{}
 	for _, v := range variants {
-		r, err := c.execQuery(peerIdx, v)
+		r, err := c.execQueryCtx(context.Background(), peerIdx, v)
 		if err != nil {
 			return nil, err
 		}
@@ -875,18 +1009,9 @@ func (c *Cluster) StorageLoad() []int {
 	return out
 }
 
-// Kill and Revive drive churn experiments.
+// Kill and Revive drive churn experiments (simnet host only).
 func (c *Cluster) Kill(peerIdx int)   { c.net.Kill(c.peers[peerIdx%len(c.peers)].ID()) }
 func (c *Cluster) Revive(peerIdx int) { c.net.Revive(c.peers[peerIdx%len(c.peers)].ID()) }
-
-// settle drains the network in whichever mode it runs.
-func (c *Cluster) settle() {
-	if c.net.Concurrent() {
-		c.net.Quiesce()
-	} else {
-		c.net.Settle()
-	}
-}
 
 // samePathGroup returns every live peer sharing peers[idx]'s partition
 // path — the replica group the membership operations act on.
@@ -909,15 +1034,10 @@ func (c *Cluster) samePathGroup(idx int) []*pgrid.Peer {
 // partitions. Returns the new peer's index.
 func (c *Cluster) JoinPeer(targetIdx int) int {
 	target := c.peers[targetIdx%len(c.peers)]
-	p := pgrid.NewPeer(c.net, c.pcfg)
+	p := pgrid.NewPeer(c.tr, c.pcfg)
 	p.Join(target.ID())
 	c.settle()
-	eng := physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt})
-	eng.SetParallelism(c.cfg.ProbeParallelism)
-	eng.SetRangeShards(c.cfg.RangeShards)
-	c.peers = append(c.peers, p)
-	c.engines = append(c.engines, eng)
-	return len(c.peers) - 1
+	return c.addPeer(p)
 }
 
 // RejoinPeer boots a replacement peer into the running cluster via the
@@ -929,7 +1049,7 @@ func (c *Cluster) JoinPeer(targetIdx int) int {
 // to the full-state join sync. Returns the new peer's index.
 func (c *Cluster) RejoinPeer(targetIdx int, prepare func(*pgrid.Peer) error) (int, error) {
 	target := c.peers[targetIdx%len(c.peers)]
-	p := pgrid.NewPeer(c.net, c.pcfg)
+	p := pgrid.NewPeer(c.tr, c.pcfg)
 	if prepare != nil {
 		if err := prepare(p); err != nil {
 			return -1, err
@@ -937,12 +1057,7 @@ func (c *Cluster) RejoinPeer(targetIdx int, prepare func(*pgrid.Peer) error) (in
 	}
 	p.Rejoin(target.ID())
 	c.settle()
-	eng := physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt})
-	eng.SetParallelism(c.cfg.ProbeParallelism)
-	eng.SetRangeShards(c.cfg.RangeShards)
-	c.peers = append(c.peers, p)
-	c.engines = append(c.engines, eng)
-	return len(c.peers) - 1, nil
+	return c.addPeer(p), nil
 }
 
 // SplitGroup performs a live P-Grid split of peers[peerIdx]'s replica

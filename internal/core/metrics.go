@@ -3,9 +3,9 @@ package core
 // Unified metrics plumbing. Peers, the network and the WAL each keep
 // their own counters; the registry mirrors them under stable dotted
 // names at snapshot time via OnCollect collectors, so the hot paths
-// never touch the registry. Cluster (simnet) and Node (real TCP)
-// register the same peer collector — /metrics looks identical in both
-// worlds.
+// never touch the registry. Every host registers the same peer
+// collector (newCluster) and its constructor adds one for its
+// transport — /metrics looks identical on simnet and on real TCP.
 
 import (
 	"unistore/internal/pgrid"

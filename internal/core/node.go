@@ -1,23 +1,14 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"unistore/internal/cost"
 	"unistore/internal/netx"
-	"unistore/internal/optimizer"
 	"unistore/internal/pgrid"
-	"unistore/internal/physical"
-	"unistore/internal/store"
 	"unistore/internal/store/wal"
 	"unistore/internal/trace"
-	"unistore/internal/triple"
-	"unistore/internal/vql"
 )
 
 // NodeConfig parameterizes one process of a multi-process cluster. The
@@ -87,45 +78,25 @@ func (c NodeConfig) withDefaults() (NodeConfig, error) {
 	return c, nil
 }
 
-// versionProcBits is the low-bit slice of every write version that
-// carries the issuing process index: version = seq<<bits | proc.
-// Versions from different processes can never collide, and within a
-// process they are strictly monotone — the store's last-writer-wins
-// rule stays total without any cross-process coordination.
-const versionProcBits = 10
+// drainTimeout bounds how long a TCP host's Close, and the settle
+// after an ingest call, wait for local quiescence.
+const drainTimeout = 10 * time.Second
 
-// Node is one process's share of a multi-process UniStore cluster: a
-// netx transport, the overlay peers this process hosts, and a query
-// engine per peer. It is the daemon-side counterpart of Cluster.
-type Node struct {
-	cfg     NodeConfig
-	tr      *netx.Transport
-	specs   []pgrid.NodeSpec
-	peers   []*pgrid.Peer
-	engines []*physical.Engine
-	opt     *optimizer.Optimizer
-	stats   *cost.Stats
-	statsMu sync.RWMutex
-	seq     atomic.Uint64
-	dbs     []*wal.DB
-	// reg mirrors peer/transport/WAL counters under stable dotted
-	// names; tlog retains recent query traces for introspection.
-	reg  *trace.Registry
-	tlog *trace.TraceLog
-}
-
-// NewNode plans the cluster-wide overlay, instantiates this process's
-// peers on a freshly bound TCP transport, and starts the transport
-// (announcing to the seeds). It returns once the local half is up;
+// NewNode builds a TCP host: it plans the cluster-wide overlay,
+// instantiates this process's share of the peers on a freshly bound
+// netx transport, recovers their WALs, and starts the transport
+// (announcing to the seeds). It returns once the local share is up;
 // WaitReady blocks until the whole cluster's routes are known.
-func NewNode(cfg NodeConfig) (*Node, error) {
+func NewNode(cfg NodeConfig) (*Cluster, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	pcfg := pgrid.DefaultConfig()
-	pcfg.PageSize = cfg.PageSize
-	pcfg.Tracing = cfg.Tracing
+	ccfg := Config{
+		Peers: cfg.Partitions, Replicas: cfg.Replicas, Seed: cfg.Seed,
+		PageSize: cfg.PageSize, Tracing: cfg.Tracing,
+	}.withDefaults()
+	pcfg := ccfg.pgridConfig()
 	specs := pgrid.BalancedSpecs(cfg.Partitions, cfg.Replicas, pcfg, cfg.Seed)
 	var hosted []pgrid.NodeSpec
 	for _, s := range specs {
@@ -168,21 +139,23 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			dbs = append(dbs, db)
 		}
 	}
-	stats := cost.DefaultStats(cfg.Partitions)
-	stats.Replicas = cfg.Replicas
-	stats.TotalTriples = 0
-	stats.PageSize = cfg.PageSize
-	n := &Node{cfg: cfg, tr: tr, specs: specs, peers: peers, stats: stats, dbs: dbs}
-	n.recoverSeq()
-	n.opt = optimizer.New(stats, optimizer.DefaultOptions())
-	for _, p := range peers {
-		n.engines = append(n.engines, physical.NewEngine(p, lockedReopt{&n.statsMu, n.opt}))
+	c := newCluster(ccfg, pcfg, tr, peers, cfg.ProcIndex)
+	c.tcp, c.procs, c.size, c.dbs = tr, cfg.Procs, len(specs), dbs
+	c.logf, c.slowQuery = cfg.Logf, cfg.SlowQuery
+	c.sent = func() (int, bool) { return 0, false }
+	c.settle = func() { c.Barrier(drainTimeout) }
+	c.close = func() error {
+		c.Barrier(drainTimeout)
+		err := tr.Close()
+		for _, db := range dbs {
+			if cerr := db.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
+		return err
 	}
-	n.reg = trace.NewRegistry()
-	n.tlog = trace.NewTraceLog(0)
-	registerPeerMetrics(n.reg, func() []*pgrid.Peer { return n.peers })
-	n.reg.OnCollect(func(r *trace.Registry) {
-		st := n.tr.Stats()
+	c.reg.OnCollect(func(r *trace.Registry) {
+		st := tr.Stats()
 		setCounter(r, "net.frames_out", st.FramesOut)
 		setCounter(r, "net.frames_in", st.FramesIn)
 		setCounter(r, "net.bytes_out", st.BytesOut)
@@ -195,7 +168,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		setCounter(r, "net.drops.inbox", st.DropsInbox)
 		setCounter(r, "net.bad_frames", st.BadFrames)
 		var syncs, logBytes int64
-		for _, db := range n.dbs {
+		for _, db := range dbs {
 			syncs += db.Syncs()
 			logBytes += db.LogSize()
 		}
@@ -203,33 +176,16 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		r.Gauge("wal.log_bytes").Set(float64(logBytes))
 	})
 	tr.Start()
-	return n, nil
+	return c, nil
 }
 
-// recoverSeq resumes the process-local version sequence past every
-// version this process issued before the restart (identified by the
-// proc-index bits), so recovered writes are never reissued with stale —
-// hence losing — versions.
-func (n *Node) recoverSeq() {
-	mask := uint64(1)<<versionProcBits - 1
-	var top uint64
-	for _, p := range n.peers {
-		p.Store().FactsEach(func(e store.Entry) {
-			if e.Version&mask == uint64(n.cfg.ProcIndex) && e.Version>>versionProcBits > top {
-				top = e.Version >> versionProcBits
-			}
-		})
-	}
-	if top > 0 {
-		n.seq.Store(top)
-	}
-}
+// The methods below exist on a TCP host only.
 
 // Recovery reports what each hosted peer's WAL recovery found, in
 // Peers() order (nil when the node runs without a DataDir).
-func (n *Node) Recovery() []wal.RecoveryInfo {
+func (c *Cluster) Recovery() []wal.RecoveryInfo {
 	var out []wal.RecoveryInfo
-	for _, db := range n.dbs {
+	for _, db := range c.dbs {
 		out = append(out, db.Info())
 	}
 	return out
@@ -240,10 +196,10 @@ func (n *Node) Recovery() []wal.RecoveryInfo {
 // (cost ∝ missed writes); an empty one falls back to full-state sync.
 // Fire-and-forget — convergence is observable via Barrier plus the
 // stores themselves. Single-process clusters have nowhere to rejoin to.
-func (n *Node) Rejoin() {
-	for _, p := range n.peers {
+func (c *Cluster) Rejoin() {
+	for _, p := range c.peers {
 		for _, r := range p.Replicas() {
-			if int(r.ID)%n.cfg.Procs != n.cfg.ProcIndex {
+			if int(r.ID)%c.procs != int(c.proc) {
 				p.Rejoin(r.ID)
 				break
 			}
@@ -253,87 +209,16 @@ func (n *Node) Rejoin() {
 
 // Addr returns the transport's resolved listen address — what other
 // processes pass as a seed.
-func (n *Node) Addr() string { return n.tr.Addr() }
-
-// Peers returns the locally hosted overlay peers.
-func (n *Node) Peers() []*pgrid.Peer { return n.peers }
+func (c *Cluster) Addr() string { return c.tcp.Addr() }
 
 // Transport exposes the underlying netx transport.
-func (n *Node) Transport() *netx.Transport { return n.tr }
-
-// ClusterSize returns the cluster-wide peer count.
-func (n *Node) ClusterSize() int { return len(n.specs) }
+func (c *Cluster) Transport() *netx.Transport { return c.tcp }
 
 // WaitReady blocks until this process knows a route to every peer in
 // the cluster (bootstrap converged) or the timeout elapses.
-func (n *Node) WaitReady(timeout time.Duration) bool {
-	return n.tr.WaitRoutes(len(n.specs), timeout)
+func (c *Cluster) WaitReady(timeout time.Duration) bool {
+	return c.tcp.WaitRoutes(c.size, timeout)
 }
-
-// nextVersion issues a write version unique across the cluster: the
-// process-local sequence in the high bits, the process index in the
-// low bits.
-func (n *Node) nextVersion() uint64 {
-	return n.seq.Add(1)<<versionProcBits | uint64(n.cfg.ProcIndex)
-}
-
-// Insert stores one triple through the acked write path and blocks
-// until every index entry reached a responsible peer (replica push is
-// asynchronous; Barrier covers it).
-func (n *Node) Insert(tr triple.Triple, timeout time.Duration) error {
-	p := n.peers[int(n.seq.Load())%len(n.peers)]
-	h := p.InsertTripleAcked(tr, n.nextVersion(), nil)
-	if res := h.Wait(timeout); !res.Complete {
-		return fmt.Errorf("core: insert %s/%s not acked within %v", tr.OID, tr.Attr, timeout)
-	}
-	n.statsMu.Lock()
-	n.stats.TriplesPerAttr[tr.Attr]++
-	n.stats.TotalTriples++
-	n.statsMu.Unlock()
-	return nil
-}
-
-// Query parses and executes VQL from a local peer. Traced queries
-// land in the node's trace log, and — past the SlowQuery threshold —
-// in the slow-query log with the optimizer's estimate alongside what
-// the query actually cost.
-func (n *Node) Query(src string) (*Result, error) {
-	q, err := vql.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := physical.CompileQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	n.statsMu.RLock()
-	n.opt.Optimize(plan)
-	est := n.opt.EstimatePlan(plan)
-	n.statsMu.RUnlock()
-	eng := n.engines[0]
-	start := time.Now()
-	bs, ex := eng.RunPlanCtx(context.Background(), plan)
-	wall := time.Since(start)
-	res := newResult(q, plan, bs, ex)
-	if res.Trace != nil {
-		msgs, bytes := res.Trace.Totals()
-		res.Messages = msgs
-		n.tlog.Add(res.Trace)
-		if n.cfg.SlowQuery > 0 && wall >= n.cfg.SlowQuery && n.cfg.Logf != nil {
-			n.cfg.Logf("slow query (%v wall, %v simulated): estimate %.0f msgs / %v latency, observed %d msgs / %d bytes\nplan: %s\n%s",
-				wall, res.Elapsed, est.Messages, est.Latency, msgs, bytes, res.Plan, res.Trace.String())
-		}
-	}
-	return res, nil
-}
-
-// Registry returns the node's unified metrics registry (peer overlay
-// counters, transport counters, WAL counters — collected at snapshot).
-func (n *Node) Registry() *trace.Registry { return n.reg }
-
-// TraceLog returns the bounded buffer of recently completed query
-// traces (always non-nil; empty unless NodeConfig.Tracing).
-func (n *Node) TraceLog() *trace.TraceLog { return n.tlog }
 
 // NodeHealth is the liveness summary served by /healthz.
 type NodeHealth struct {
@@ -353,16 +238,16 @@ type NodeHealth struct {
 
 // Health reports process liveness: the transport must know a route to
 // the whole cluster and every hosted WAL must be writable.
-func (n *Node) Health() NodeHealth {
+func (c *Cluster) Health() NodeHealth {
 	h := NodeHealth{
-		Addr:        n.tr.Addr(),
-		Peers:       len(n.peers),
-		ClusterSize: len(n.specs),
-		RoutesKnown: len(n.tr.Routes()),
+		Addr:        c.tcp.Addr(),
+		Peers:       len(c.peers),
+		ClusterSize: c.size,
+		RoutesKnown: len(c.tcp.Routes()),
 	}
-	for i, db := range n.dbs {
+	for i, db := range c.dbs {
 		if err := db.Err(); err != nil {
-			h.WALErrors = append(h.WALErrors, fmt.Sprintf("peer-%04d: %v", n.peers[i].ID(), err))
+			h.WALErrors = append(h.WALErrors, fmt.Sprintf("peer-%04d: %v", c.peers[i].ID(), err))
 		}
 	}
 	h.OK = h.RoutesKnown >= h.ClusterSize && len(h.WALErrors) == 0
@@ -374,39 +259,23 @@ func (n *Node) Health() NodeHealth {
 // reports whether quiescence was reached within the timeout. A
 // cluster-wide barrier is every process's Barrier passing — the
 // integration harness calls it on each daemon in turn.
-func (n *Node) Barrier(timeout time.Duration) bool {
+func (c *Cluster) Barrier(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		rest := time.Until(deadline)
 		if rest <= 0 {
 			return false
 		}
-		if !n.tr.Flush(rest) {
+		if !c.tcp.Flush(rest) {
 			return false
 		}
 		pending := 0
-		for _, p := range n.peers {
+		for _, p := range c.peers {
 			pending += p.PendingOps()
 		}
-		if pending == 0 && n.tr.Flush(50*time.Millisecond) {
+		if pending == 0 && c.tcp.Flush(50*time.Millisecond) {
 			return true
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-// Close shuts the node down gracefully: drains pending operations (up
-// to the timeout), closes the transport — which flushes queued frames,
-// cancels timers, and joins every goroutine — and only then closes the
-// WALs, fsyncing the tail and writing each clean-shutdown marker (no
-// mutation can arrive once the transport is down).
-func (n *Node) Close(timeout time.Duration) error {
-	n.Barrier(timeout)
-	err := n.tr.Close()
-	for _, db := range n.dbs {
-		if cerr := db.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

@@ -6,14 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"unistore/internal/triple"
 	"unistore/internal/workload"
 )
 
 // startNodes launches an in-process multi-"process" cluster: several
-// core.Nodes, each with its own netx transport on loopback TCP.
-func startNodes(t *testing.T, procs, parts, replicas int) []*Node {
+// TCP hosts, each with its own netx transport on loopback.
+func startNodes(t *testing.T, procs, parts, replicas int) []*Cluster {
 	t.Helper()
-	nodes := make([]*Node, 0, procs)
+	nodes := make([]*Cluster, 0, procs)
 	var seeds []string
 	for pi := 0; pi < procs; pi++ {
 		n, err := NewNode(NodeConfig{
@@ -36,10 +37,31 @@ func startNodes(t *testing.T, procs, parts, replicas int) []*Node {
 	}
 	t.Cleanup(func() {
 		for _, n := range nodes {
-			n.Close(5 * time.Second)
+			n.Close()
 		}
 	})
 	return nodes
+}
+
+// loadNodes inserts ts through nodes[0]'s acked write path and waits
+// for every process to quiesce.
+func loadNodes(t *testing.T, nodes []*Cluster, ts []triple.Triple) {
+	t.Helper()
+	for _, tr := range ts {
+		if err := nodes[0].InsertAcked(tr, 30*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	barrier(t, nodes)
+}
+
+func barrier(t *testing.T, nodes []*Cluster) {
+	t.Helper()
+	for _, n := range nodes {
+		if !n.Barrier(10 * time.Second) {
+			t.Fatal("barrier did not quiesce")
+		}
+	}
 }
 
 func sortedRows(r *Result) []string {
@@ -52,9 +74,10 @@ func sortedRows(r *Result) []string {
 }
 
 // TestNodeMatchesSimnetCluster loads the same workload into a
-// multi-transport Node cluster and a single-process simnet Cluster and
-// requires identical answers for lookups, range filters, and
-// aggregations — the tentpole's equivalence claim in miniature.
+// multi-transport TCP cluster and a single-process simnet Cluster and
+// requires identical answers for lookups, range filters, aggregations
+// and ranked top-k (LIMIT early termination over netx) — the
+// equivalence claim in miniature — with no pending op left behind.
 func TestNodeMatchesSimnetCluster(t *testing.T) {
 	const procs, parts, replicas = 2, 4, 2
 	ds := workload.Generate(workload.Options{Seed: 42, Persons: 25})
@@ -63,23 +86,15 @@ func TestNodeMatchesSimnetCluster(t *testing.T) {
 	ref.Insert(ds.Triples...)
 
 	nodes := startNodes(t, procs, parts, replicas)
-	w := nodes[0]
-	for _, tr := range ds.Triples {
-		if err := w.Insert(tr, 30*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range nodes {
-		if !n.Barrier(10 * time.Second) {
-			t.Fatal("barrier did not quiesce")
-		}
-	}
+	loadNodes(t, nodes, ds.Triples)
 
 	queries := []string{
 		`SELECT ?n WHERE {(?p,'name',?n)}`,
 		`SELECT ?n,?a WHERE {(?p,'name',?n) (?p,'age',?a) FILTER ?a < 30}`,
 		`SELECT count(?a) AS ?cnt WHERE {(?p,'age',?a)}`,
 		`SELECT ?conf, count(*) AS ?cnt WHERE {(?u,'published_in',?conf)} GROUP BY ?conf`,
+		`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 5`,
+		`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n DESC LIMIT 5`,
 	}
 	for _, q := range queries {
 		want, err := ref.Query(q)
@@ -89,7 +104,7 @@ func TestNodeMatchesSimnetCluster(t *testing.T) {
 		// Query from every process: answers must agree regardless of
 		// which side of the TCP split originates the plan.
 		for ni, n := range nodes {
-			got, err := n.Query(q)
+			got, err := n.QueryFrom(0, q)
 			if err != nil {
 				t.Fatalf("%s: node %d: %v", q, ni, err)
 			}
@@ -99,6 +114,49 @@ func TestNodeMatchesSimnetCluster(t *testing.T) {
 					q, ni, len(w), strings.Join(w, "\n"), len(g), strings.Join(g, "\n"))
 			}
 		}
+	}
+	barrier(t, nodes)
+	for ni, n := range nodes {
+		for _, p := range n.Peers() {
+			if ops := p.PendingOps(); ops != 0 {
+				t.Errorf("node %d peer %d: %d pending ops leaked past the barrier", ni, p.ID(), ops)
+			}
+		}
+	}
+}
+
+// TestNodeOptimizerSeesObservedStats: the TCP host's optimizer must
+// price probes from the same refreshed inputs as the simnet host's —
+// the observed routing-cache hit rate and the replica fan-out reads
+// actually use — not the cold, single-owner defaults.
+func TestNodeOptimizerSeesObservedStats(t *testing.T) {
+	const procs, parts, replicas = 2, 4, 2
+	ds := workload.Generate(workload.Options{Seed: 42, Persons: 25})
+	nodes := startNodes(t, procs, parts, replicas)
+	loadNodes(t, nodes, ds.Triples)
+	n := nodes[0]
+	lookup := func(origin int) {
+		t.Helper()
+		if _, err := n.QueryFrom(origin, `SELECT ?a WHERE {('person-00001','age',?a)}`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Point lookups from every hosted origin: the ones remote from the
+	// key's partition miss once, then probe directly from the cache.
+	for round := 0; round < 3; round++ {
+		for origin := range n.Peers() {
+			lookup(origin)
+		}
+	}
+	// compile refreshes its memoized rates once rateWindow has passed.
+	time.Sleep(rateWindow)
+	lookup(0)
+	st := n.Stats()
+	if st.CacheHitRate <= 0 {
+		t.Errorf("optimizer CacheHitRate = %v after warm queries, want > 0", st.CacheHitRate)
+	}
+	if st.ReadReplicas != st.Replicas {
+		t.Errorf("optimizer ReadReplicas = %d, want Replicas = %d", st.ReadReplicas, st.Replicas)
 	}
 }
 
@@ -113,16 +171,7 @@ func TestNodeSurvivesPeerProcessDeath(t *testing.T) {
 	ref.Insert(ds.Triples...)
 
 	nodes := startNodes(t, procs, parts, replicas)
-	for _, tr := range ds.Triples {
-		if err := nodes[0].Insert(tr, 30*time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range nodes {
-		if !n.Barrier(10 * time.Second) {
-			t.Fatal("barrier did not quiesce")
-		}
-	}
+	loadNodes(t, nodes, ds.Triples)
 	// Hard-kill process 1: no graceful drain, just sever the transport.
 	nodes[1].Transport().Close()
 
@@ -131,7 +180,7 @@ func TestNodeSurvivesPeerProcessDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := nodes[0].Query(q)
+	got, err := nodes[0].QueryFrom(0, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,14 +16,17 @@
 // migrate themselves through the overlay, re-optimized by a cost model
 // at every hosting peer.
 //
-// The physical substrate — the TCP/IP network and the PlanetLab
-// testbed of the paper's demonstration — is replaced by a
-// discrete-event simulator, so clusters of hundreds of peers run
-// in-process, repeatably, in milliseconds of wall time. The simulator
-// runs deterministically by default; Config.Concurrent switches it to
+// The storage stack runs over either of two transports. New hosts every
+// peer on a discrete-event simulator standing in for the paper's
+// PlanetLab testbed, so clusters of hundreds of peers run in-process,
+// repeatably, in milliseconds of wall time; the simulator runs
+// deterministically by default, and Config.Concurrent switches it to
 // goroutine-driven delivery, where peers handle messages in parallel,
 // queries can be issued from many goroutines at once, and batches load
-// through the parallel bulk-insert path.
+// through the parallel bulk-insert path. The same Cluster type also
+// runs as a multi-process daemon over real TCP (cmd/unistore -listen),
+// hosting one process's share of the peers — only the transport
+// differs.
 //
 // # Quickstart
 //
@@ -107,8 +110,9 @@ import (
 // overlay with constant 1ms links and the cost-based optimizer enabled.
 type Config = core.Config
 
-// Cluster is a running universal storage: a simulated network of
-// P-Grid peers, each with a triple store and a query engine.
+// Cluster is a running universal storage host: P-Grid peers on one
+// transport, each with a triple store and a query engine. New builds
+// it over the simulator.
 type Cluster = core.Cluster
 
 // Result is a completed query: bindings plus execution metrics

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench docs ci \
+.PHONY: all build vet fmt fmt-check test race bench ci \
 	lint integration integration-race fuzz-smoke obs-smoke
 
 all: build test
@@ -41,13 +41,6 @@ race:
 # `go test -v -run 'MessageBudget|Scale' .` prints the measured values).
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
-
-# The docs job: broken intra-repo markdown links fail, sources stay
-# vetted and formatted.
-docs:
-	$(GO) test -run 'TestDocs' -v .
-	$(GO) vet ./...
-	@$(MAKE) fmt-check
 
 # staticcheck with the checked-in staticcheck.conf. CI pins the tool
 # version (see .github/workflows/ci.yml); locally this expects
@@ -87,4 +80,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s ./internal/netx/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/store/wal/
 
-ci: fmt-check build vet test race bench docs integration integration-race obs-smoke fuzz-smoke
+ci: fmt-check build vet test race bench integration integration-race obs-smoke fuzz-smoke

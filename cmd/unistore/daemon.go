@@ -95,8 +95,8 @@ func runDaemon(cfg core.NodeConfig, seeds, fsync, debug string) {
 	}
 	if rejoin {
 		// This is a restart: re-register with the replica groups and
-		// pull the writes missed while down (digest delta — the recovered
-		// state makes a full-state stream unnecessary).
+		// pull the writes missed while down (the join's digest round
+		// ships only what drifted from the recovered state).
 		logger.Printf("recovered prior state: rejoining replica groups")
 		c.Rejoin()
 	}

@@ -1,7 +1,7 @@
 // Documentation checks: every intra-repo markdown link must resolve,
 // and the architecture doc's package map must list every internal/
-// package. CI's docs job runs this alongside go vet and gofmt, so the
-// docs tree cannot rot silently as files move.
+// package. Both run in plain `go test ./...`, so the docs tree cannot
+// rot silently as files move.
 package unistore_test
 
 import (

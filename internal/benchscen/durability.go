@@ -14,11 +14,11 @@ import (
 
 // The restart-rejoin scenario: a replicated simnet cluster with one
 // WAL-backed peer that is killed, misses writes, and comes back two
-// ways — restart-rejoin (recover the WAL, catch up by digest delta)
-// and the empty-disk fallback (full-state join sync). The benchmark's
-// claim is the tentpole's: recovery cost is proportional to the writes
-// MISSED, not to the store size, so the delta catch-up must stay
-// cheaper than the full sync on both messages and bytes.
+// ways through the same join — onto its recovered WAL (the digest pull
+// ships the delta) and onto an empty disk (it pulls every bucket). The
+// claim: recovery cost is proportional to the writes MISSED, not to the
+// store size, so the delta catch-up must stay cheaper than the full
+// sync on both messages and bytes.
 const (
 	// DurabilityPeers/DurabilityReplicas size the cluster.
 	DurabilityPeers    = 16
@@ -63,7 +63,7 @@ func DurabilityRun() (DurabilityResult, error) {
 	// Pick the victim by PREDICTED partition load (the WAL must attach
 	// before any write flows, so the choice cannot look at stores): the
 	// peer whose partition will hold the most entries — the case where
-	// full-state sync is at its most expensive and the delta claim has
+	// full sync is at its most expensive and the delta claim has
 	// to earn its keep. The order-preserving value hash skews entries
 	// across partitions, so some partition is always clearly loaded.
 	victimIdx, best := 0, -1
@@ -122,7 +122,7 @@ func DurabilityRun() (DurabilityResult, error) {
 	// catch up by digest delta.
 	net := c.Net()
 	before := net.Stats()
-	idx, err := c.RejoinPeer(sibIdx, func(p *pgrid.Peer) error {
+	idx, err := c.JoinPeer(sibIdx, func(p *pgrid.Peer) error {
 		if _, err := wal.Open("victim", p.Store(), wal.Options{FS: fs, Sync: wal.SyncOff}); err != nil {
 			return err
 		}
@@ -138,10 +138,10 @@ func DurabilityRun() (DurabilityResult, error) {
 	res.DeltaBytes = after.BytesSent - before.BytesSent
 	res.DeltaExact = sameFactSet(c.Peers()[idx], sibling)
 
-	// Empty-disk fallback: a blank peer joins the same group and pulls
+	// Empty disk: a blank peer joins the same group and pulls
 	// the whole partition.
 	before = net.Stats()
-	idx2, err := c.RejoinPeer(sibIdx, nil)
+	idx2, err := c.JoinPeer(sibIdx, nil)
 	if err != nil {
 		return res, fmt.Errorf("benchscen: full-sync rejoin: %w", err)
 	}

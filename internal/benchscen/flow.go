@@ -62,9 +62,9 @@ type FlowVariant struct {
 	// counters (zero with flow control disabled).
 	FlowBulkSends int
 	FlowStalls    int
-	// CatchupExact reports whether the throttled rejoiner converged to
+	// RejoinExact reports whether the throttled rejoiner converged to
 	// its live sibling's exact fact set.
-	CatchupExact bool
+	RejoinExact bool
 	// Rows is the sorted final quiescent scan — the exactness surface
 	// the two variants must agree on.
 	Rows []string
@@ -147,7 +147,7 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 	// delta catch-up streams into it: receiver-paced by its advertised
 	// window when flow control is on, dumped wholesale when off.
 	net.ResetStats()
-	idx, err := c.RejoinPeer(sibIdx, func(p *pgrid.Peer) error {
+	idx, err := c.JoinPeer(sibIdx, func(p *pgrid.Peer) error {
 		if _, werr := wal.Open("victim", p.Store(), wal.Options{FS: fs, Sync: wal.SyncOff}); werr != nil {
 			return werr
 		}
@@ -188,7 +188,7 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 		res.FlowBulkSends += st.FlowBulkSends
 		res.FlowStalls += st.FlowStalls
 	}
-	res.CatchupExact = sameFactSet(rejoined, sibling)
+	res.RejoinExact = sameFactSet(rejoined, sibling)
 
 	// The exactness surface: a quiescent final scan must agree across
 	// variants row for row (all rounds' writes applied everywhere).

@@ -217,7 +217,9 @@ func ChurnScale(n int) ChurnScaleResult {
 	if pull(5) {
 		// A new peer joins peer 1's group and the enlarged group splits
 		// live — mid-scan, with pages outstanding.
-		c.JoinPeer(1)
+		if _, err := c.JoinPeer(1, nil); err != nil {
+			panic(fmt.Sprintf("benchscen: churn scale join: %v", err))
+		}
 		if err := c.SplitGroup(1); err != nil {
 			panic(fmt.Sprintf("benchscen: churn scale split: %v", err))
 		}

@@ -1026,28 +1026,16 @@ func (c *Cluster) samePathGroup(idx int) []*pgrid.Peer {
 	return g
 }
 
-// JoinPeer boots a brand-new peer into the running cluster via the
-// overlay join protocol: it contacts the target, adopts its partition
-// path, routing refs and replica set, and receives the partition's
-// state by anti-entropy pages. The group grows by one replica; call
-// SplitGroup afterwards to divide the enlarged group into two deeper
-// partitions. Returns the new peer's index.
-func (c *Cluster) JoinPeer(targetIdx int) int {
-	target := c.peers[targetIdx%len(c.peers)]
-	p := pgrid.NewPeer(c.tr, c.pcfg)
-	p.Join(target.ID())
-	c.settle()
-	return c.addPeer(p)
-}
-
-// RejoinPeer boots a replacement peer into the running cluster via the
-// restart-rejoin protocol: prepare (when non-nil) runs before any
-// message flows — it is where the caller recovers the peer's store from
-// its WAL directory — and the peer then re-registers with the target's
-// replica group. With recovered state the catch-up is digest-delta
-// anti-entropy (cost ∝ missed writes); with an empty store it degrades
-// to the full-state join sync. Returns the new peer's index.
-func (c *Cluster) RejoinPeer(targetIdx int, prepare func(*pgrid.Peer) error) (int, error) {
+// JoinPeer boots a peer into the running cluster via the overlay join
+// protocol: prepare (when non-nil) runs before any message flows — it
+// is where a restarting peer recovers its store from its WAL directory
+// — and the peer then adopts the target's partition path, routing refs
+// and replica set, and pulls the partition's state by one digest round
+// paced by its own window. A fresh peer pulls everything; a recovered
+// one pulls only the writes it missed. The group grows by one replica;
+// call SplitGroup afterwards to divide the enlarged group into two
+// deeper partitions. Returns the new peer's index.
+func (c *Cluster) JoinPeer(targetIdx int, prepare func(*pgrid.Peer) error) (int, error) {
 	target := c.peers[targetIdx%len(c.peers)]
 	p := pgrid.NewPeer(c.tr, c.pcfg)
 	if prepare != nil {
@@ -1055,7 +1043,7 @@ func (c *Cluster) RejoinPeer(targetIdx int, prepare func(*pgrid.Peer) error) (in
 			return -1, err
 		}
 	}
-	p.Rejoin(target.ID())
+	p.Join(target.ID())
 	c.settle()
 	return c.addPeer(p), nil
 }

@@ -192,15 +192,16 @@ func (c *Cluster) Recovery() []wal.RecoveryInfo {
 }
 
 // Rejoin re-registers every hosted peer with its replica group after a
-// restart: a peer that recovered state asks for digest-delta catch-up
-// (cost ∝ missed writes); an empty one falls back to full-state sync.
-// Fire-and-forget — convergence is observable via Barrier plus the
-// stores themselves. Single-process clusters have nowhere to rejoin to.
+// restart by joining a replica hosted elsewhere: the join's digest
+// round pulls only what drifted from the recovered state (cost ∝
+// missed writes), and everything when the disk was empty. Fire-and-
+// forget — convergence is observable via Barrier plus the stores
+// themselves. Single-process clusters have nowhere to rejoin to.
 func (c *Cluster) Rejoin() {
 	for _, p := range c.peers {
 		for _, r := range p.Replicas() {
 			if int(r.ID)%c.procs != int(c.proc) {
-				p.Rejoin(r.ID)
+				p.Join(r.ID)
 				break
 			}
 		}

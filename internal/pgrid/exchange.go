@@ -179,8 +179,9 @@ func (p *Peer) becomeReplicaOf(msg exchangeMsg, from simnet.NodeID) {
 			p.addReplica(r)
 		}
 	}
-	// Reconcile data with the new replica.
-	p.net.Send(p.id, from, KindAntiEnt, antiEntropyMsg{Entries: p.store.Facts(), Reply: true})
+	// Reconcile data with the new replica: one digest round, both ways
+	// (see openDigestRound for the one case it leaves to the next).
+	p.openDigestRound(from)
 }
 
 // rehomeEntries re-inserts every entry the peer no longer covers; the

@@ -19,14 +19,15 @@ import (
 // on: updates reach available replicas quickly, unavailable replicas
 // converge when they return.
 //
-// The periodic rounds no longer ship full replica state both ways.
-// A round opens with a digest — per-bucket (index kind × key prefix)
-// version summaries, a few dozen bytes per bucket — and each side
-// pulls only the buckets whose summaries differ, delivered in pages of
-// at most Config.PageSize entries (the same bound the range-scan pager
-// enforces). Identical replicas exchange two digests and nothing else.
-// Full-state reconciliation survives only as the initial sync of a
-// freshly formed replica pair (becomeReplicaOf).
+// A digest round is the one way a replica receives state: the periodic
+// timer, a join (fresh or restarted) and a replica pair formed by
+// exchange all open one (openDigestRound). A round opens with a digest
+// — per-bucket (index kind × key prefix) version summaries, a few dozen
+// bytes per bucket — and each side pulls only the buckets whose
+// summaries differ, delivered in pages of at most Config.PageSize
+// entries (the same bound the range-scan pager enforces) and paced by
+// the puller's receive window. Identical replicas exchange two digests
+// and nothing else; an empty joiner pulls every bucket.
 
 func kindOf(i int) triple.IndexKind { return triple.IndexKind(i) }
 
@@ -187,9 +188,9 @@ func (p *Peer) flushGossipPending() {
 	}
 }
 
-// factKey is the replica layers' shared fact identity: one versioned
-// fact per index kind. Gossip dedup and anti-entropy suppression must
-// agree on it, so both go through factKeyOf.
+// factKey is the gossip layer's fact identity: one versioned fact per
+// index kind. Batch dedup and the pending buffer must agree on it, so
+// both go through factKeyOf.
 type factKey struct {
 	kind triple.IndexKind
 	oid  string
@@ -198,17 +199,6 @@ type factKey struct {
 
 func factKeyOf(e store.Entry) factKey {
 	return factKey{e.Kind, e.Triple.OID, e.Triple.Attr}
-}
-
-// latestByFact maps each fact in entries to the highest version seen.
-func latestByFact(entries []store.Entry) map[factKey]uint64 {
-	out := make(map[factKey]uint64, len(entries))
-	for _, e := range entries {
-		if v, ok := out[factKeyOf(e)]; !ok || e.Version > v {
-			out[factKeyOf(e)] = e.Version
-		}
-	}
-	return out
 }
 
 // dedupeEntries drops batch entries superseded by a later entry for
@@ -347,9 +337,21 @@ func (p *Peer) runAntiEntropy() {
 	if len(alive) == 0 {
 		return
 	}
-	r := alive[p.net.Intn(len(alive))]
+	p.openDigestRound(alive[p.net.Intn(len(alive))].ID)
+}
+
+// openDigestRound sends this peer's digest to one replica, which
+// answers with its own: each side then pulls the buckets it lacks.
+//
+// One round converges both ways except where a bucket holds unique
+// facts on both sides and one side leads on count and version there:
+// shouldPull defers the trailing side's facts to the next round. That
+// is harmless for a join, whose state is empty or a stale subset; a
+// replica pair formed by exchange (becomeReplicaOf) with such a bucket
+// needs the next periodic round for full convergence.
+func (p *Peer) openDigestRound(to simnet.NodeID) {
 	p.stats.digestRounds.Add(1)
-	p.net.Send(p.id, r.ID, KindDigest, digestMsg{Buckets: p.digest(), Reply: true})
+	p.net.Send(p.id, to, KindDigest, digestMsg{Buckets: p.digest(), Reply: true})
 }
 
 // shouldPull decides whether a bucket whose summaries differ is worth
@@ -382,44 +384,45 @@ func (p *Peer) handleDigest(msg digestMsg, from simnet.NodeID) {
 		p.stats.digestRounds.Add(1)
 	}
 	mine := p.digest()
-	want := make(map[string]bool)
+	var names []string
 	for b, theirs := range msg.Buckets {
 		if shouldPull(mine[b], theirs) {
-			want[b] = true
+			names = append(names, b)
 		}
 	}
 	// Buckets only this side holds are not pulled — the other side will
 	// request them off OUR digest (reply) or already did (we are the
 	// reply); entries flow toward whoever lacks them either way.
-	if len(want) > 0 {
-		names := make([]string, 0, len(want))
-		for b := range want {
-			names = append(names, b)
-		}
+	if len(names) > 0 {
 		sort.Strings(names) // deterministic pull order
-		wb, wm := p.advertiseWindow()
-		p.net.Send(p.id, from, KindDigestPull, digestPullMsg{
-			Buckets: names, Have: p.haveHashes(want),
-			WinBytes: wb, WinMsgs: wm,
-		})
+		p.pull(from, names, factPos{})
 	}
 	if msg.Reply {
 		p.net.Send(p.id, from, KindDigest, digestMsg{Buckets: mine, Reply: false})
 	}
 }
 
-// haveHashes builds the per-bucket identity-hash sets of this peer's
-// entries within the wanted buckets — the Have sets a digest pull
-// carries so the responder ships the exact set difference.
-func (p *Peer) haveHashes(want map[string]bool) map[string][]uint64 {
-	have := make(map[string][]uint64, len(want))
+// pull requests the named buckets from a replica, advertising this
+// peer's receive window. Have carries, per bucket, the identity hashes
+// of the entries held here, so the responder ships the exact set
+// difference. after resumes a window-cut transfer: the responder skips
+// the facts up to it in buckets[0], so their hashes stay home.
+func (p *Peer) pull(from simnet.NodeID, buckets []string, after factPos) {
+	want := make(map[string]bool, len(buckets))
+	for _, b := range buckets {
+		want[b] = true
+	}
+	have := make(map[string][]uint64, len(buckets))
 	depth := p.bucketDepth()
 	p.store.FactsEach(func(e store.Entry) {
-		if b := bucketID(e, depth); want[b] {
+		if b := bucketID(e, depth); want[b] && (b != buckets[0] || after.before(posOf(e))) {
 			have[b] = append(have[b], factHash(e))
 		}
 	})
-	return have
+	wb, wm := p.advertiseWindow()
+	p.net.Send(p.id, from, KindDigestPull, digestPullMsg{
+		Buckets: buckets, Have: have, After: after, WinBytes: wb, WinMsgs: wm,
+	})
 }
 
 // handleDigestPull answers a bucket pull with the entries the puller
@@ -436,11 +439,12 @@ func (p *Peer) haveHashes(want map[string]bool) map[string][]uint64 {
 //
 // The transfer is PULLER-paced: the pull's WinBytes/WinMsgs advertise
 // the puller's receive window, and the responder stops once the next
-// entry would overflow it (the first entry always ships), naming the
-// unfinished buckets in the final message's More list. The puller
-// re-pulls exactly those buckets with a refreshed Have set and a fresh
-// window (handleAntiEntropy), so a restart catch-up streams at the
-// restarted replica's pace instead of burying it.
+// entry would overflow it (the first entry always ships). The final
+// page then names the unfinished buckets (More) and the last fact
+// shipped from the first of them (After), and the puller re-pulls from
+// that cursor with a fresh window (handleAntiEntropy). Every round
+// ships at least one entry past the cursor, so the loop always ends,
+// and a catch-up streams at the puller's pace instead of burying it.
 func (p *Peer) handleDigestPull(msg digestPullMsg, from simnet.NodeID) {
 	p.stats.digestPulls.Add(1)
 	// Every advertised window is a credit sighting: fold the puller's
@@ -457,14 +461,14 @@ func (p *Peer) handleDigestPull(msg digestPullMsg, from simnet.NodeID) {
 			have[h] = true
 		}
 	}
-	// Group the puller's missing entries per bucket, in the pull's
-	// (sorted, deterministic) bucket order, so an exhausted window can
-	// name the unfinished buckets exactly.
+	// Group the puller's missing entries per bucket, each in store fact
+	// order (the order the cursor counts in), so an exhausted window can
+	// name the unfinished buckets and the cursor exactly.
 	depth := p.bucketDepth()
 	missing := make(map[string][]store.Entry, len(msg.Buckets))
 	for _, e := range p.store.Facts() {
 		b := bucketID(e, depth)
-		if !want[b] || have[factHash(e)] {
+		if !want[b] || have[factHash(e)] || (b == msg.Buckets[0] && !msg.After.before(posOf(e))) {
 			continue
 		}
 		missing[b] = append(missing[b], e)
@@ -473,74 +477,49 @@ func (p *Peer) handleDigestPull(msg digestPullMsg, from simnet.NodeID) {
 		pages     [][]store.Entry
 		batch     []store.Entry
 		more      []string
+		last      factPos // the last fact shipped from the current bucket
 		sentBytes int
-		stop      bool
 	)
-	flush := func() {
-		if len(batch) > 0 {
-			pages = append(pages, batch)
-			batch = nil
-		}
-	}
-	for bi, b := range msg.Buckets {
-		if stop {
+	for _, b := range msg.Buckets {
+		if len(more) > 0 {
 			if len(missing[b]) > 0 {
-				more = append(more, msg.Buckets[bi])
+				more = append(more, b)
 			}
 			continue
 		}
+		last = factPos{}
 		for _, e := range missing[b] {
 			sz := e.WireSize()
 			if (len(pages) > 0 || len(batch) > 0) &&
 				((msg.WinMsgs > 0 && len(pages) >= msg.WinMsgs) ||
 					(msg.WinBytes > 0 && sentBytes+sz > msg.WinBytes)) {
-				stop = true
 				more = append(more, b)
 				break
 			}
 			batch = append(batch, e)
+			last = posOf(e)
 			sentBytes += sz
 			if p.cfg.PageSize > 0 && len(batch) >= p.cfg.PageSize {
-				flush()
+				pages = append(pages, batch)
+				batch = nil
 			}
 		}
 	}
-	flush()
+	if len(batch) > 0 {
+		pages = append(pages, batch)
+	}
 	for i, pg := range pages {
 		m := antiEntropyMsg{Entries: pg}
-		if i == len(pages)-1 {
-			m.More = more
+		if i == len(pages)-1 && len(more) > 0 {
+			m.More, m.After = more, last
 		}
 		p.net.Send(p.id, from, KindAntiEnt, m)
 	}
-	if len(pages) == 0 && len(more) > 0 {
-		p.net.Send(p.id, from, KindAntiEnt, antiEntropyMsg{More: more})
-	}
 }
 
-// maxAePullRounds bounds one windowed anti-entropy catch-up's re-pull
-// loop. The received-hash memo guarantees per-round progress, so the
-// bound is a backstop; past it the next periodic digest round resumes
-// the catch-up from fresh divergent sums.
-const maxAePullRounds = 64
-
-// aePullState is the puller-side memo of one windowed catch-up: the
-// identity hashes of entries received so far — whether or not Apply
-// kept them, which is what makes each re-pull round strictly smaller —
-// and the round count.
-type aePullState struct {
-	extra  map[string][]uint64
-	rounds int
-}
-
-// handleAntiEntropy applies pushed replica state. For the full-state
-// form (Reply true — the initial sync of a fresh replica pair) it
-// answers with its own facts, SUPPRESSING the ones the incoming
-// message just proved the sender to hold at an equal or newer version:
-// entries are never echoed straight back to the peer they came from.
-// A More list marks a window-paced transfer the responder had to cut
-// short: the named buckets are re-pulled with a refreshed Have set and
-// a fresh window — the pull loop of puller-paced anti-entropy.
+// handleAntiEntropy applies the entries answering a digest pull. A More
+// list marks a transfer the responder cut at this peer's window: the
+// named buckets are re-pulled from its cursor with a fresh window.
 func (p *Peer) handleAntiEntropy(msg antiEntropyMsg, from simnet.NodeID) {
 	for _, e := range msg.Entries {
 		if p.store.Apply(e) {
@@ -548,79 +527,8 @@ func (p *Peer) handleAntiEntropy(msg antiEntropyMsg, from simnet.NodeID) {
 		}
 	}
 	if len(msg.More) > 0 {
-		p.repullBuckets(msg.More, msg.Entries, from)
-	} else {
-		p.mu.Lock()
-		delete(p.aePulls, from)
-		p.mu.Unlock()
+		p.pull(from, msg.More, msg.After)
 	}
-	if !msg.Reply {
-		return
-	}
-	theirs := latestByFact(msg.Entries)
-	var reply []store.Entry
-	suppressed := 0
-	for _, e := range p.store.Facts() {
-		if v, ok := theirs[factKeyOf(e)]; ok && v >= e.Version {
-			suppressed++
-			continue
-		}
-		reply = append(reply, e)
-	}
-	if suppressed > 0 {
-		p.stats.gossipSuppressed.Add(int64(suppressed))
-	}
-	p.net.Send(p.id, from, KindAntiEnt, antiEntropyMsg{Entries: reply})
-}
-
-// repullBuckets continues a window-paced anti-entropy transfer: the
-// responder cut the previous batch short at this peer's advertised
-// window, naming the unfinished buckets. The re-pull carries a Have
-// set refreshed from the store PLUS the memo of every hash received so
-// far — entries Apply rejected as stale would otherwise be re-shipped
-// each round and a tiny window could loop forever; with the memo, each
-// round's candidate set strictly shrinks, so the loop terminates.
-func (p *Peer) repullBuckets(buckets []string, received []store.Entry, from simnet.NodeID) {
-	want := make(map[string]bool, len(buckets))
-	for _, b := range buckets {
-		want[b] = true
-	}
-	depth := p.bucketDepth()
-	p.mu.Lock()
-	if p.aePulls == nil {
-		p.aePulls = make(map[simnet.NodeID]*aePullState)
-	}
-	st := p.aePulls[from]
-	if st == nil {
-		st = &aePullState{extra: make(map[string][]uint64)}
-		p.aePulls[from] = st
-	}
-	st.rounds++
-	if st.rounds > maxAePullRounds {
-		delete(p.aePulls, from)
-		p.mu.Unlock()
-		return
-	}
-	for _, e := range received {
-		if b := bucketID(e, depth); want[b] {
-			st.extra[b] = append(st.extra[b], factHash(e))
-		}
-	}
-	extra := make(map[string][]uint64, len(st.extra))
-	for b, hs := range st.extra {
-		if want[b] {
-			extra[b] = append([]uint64(nil), hs...)
-		}
-	}
-	p.mu.Unlock()
-	have := p.haveHashes(want)
-	for b, hs := range extra {
-		have[b] = append(have[b], hs...)
-	}
-	wb, wm := p.advertiseWindow()
-	p.net.Send(p.id, from, KindDigestPull, digestPullMsg{
-		Buckets: buckets, Have: have, WinBytes: wb, WinMsgs: wm,
-	})
 }
 
 // UpdateTriple writes a new value for fact (oid, attr) with a version

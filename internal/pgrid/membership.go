@@ -35,28 +35,22 @@ import (
 
 // --- Join -----------------------------------------------------------------
 
-// Join asks target to adopt this (fresh, pathless) peer into its
-// replica group. The target answers with its trie position and
-// membership plus a chunked full-state sync; once those land the
-// joiner is a live replica, and SplitGroup can deepen the partition.
+// Join asks target to adopt this peer into its replica group. The
+// target answers with its trie position and membership; the joiner
+// adopts them and opens one digest round with the target, so its state
+// arrives the way every replica's does — as a pull paced by its own
+// receive window (gossip.go). A fresh peer's digest is empty, so it
+// pulls every bucket; a peer that recovered its store from disk pulls
+// only what drifted while it was down, so a restart costs the writes it
+// missed, not the partition size. Once the sync lands the joiner is a
+// live replica, and SplitGroup can deepen the partition.
 func (p *Peer) Join(target simnet.NodeID) {
 	p.net.Send(p.id, target, KindJoin, joinReq{})
 }
 
-// Rejoin is Join for a peer that recovered its store from disk: it
-// re-registers with target's replica group but asks it to skip the
-// full-state stream when local state survived — the existing digest
-// anti-entropy then pulls only the buckets that drifted while the peer
-// was down (delta pages). An empty disk degrades to a plain Join, so
-// full-state sync remains the fallback.
-func (p *Peer) Rejoin(target simnet.NodeID) {
-	p.net.Send(p.id, target, KindJoin, joinReq{NoState: p.store.FactCount() > 0})
-}
-
 // handleJoinReq adopts a joining peer: reply with position and
-// membership, tell the existing replicas about the newcomer, and
-// stream the full local state over as anti-entropy pages.
-func (p *Peer) handleJoinReq(req joinReq, from simnet.NodeID) {
+// membership, and tell the existing replicas about the newcomer.
+func (p *Peer) handleJoinReq(from simnet.NodeID) {
 	p.mu.RLock()
 	path := p.path
 	refs := make([][]Ref, len(p.refs))
@@ -66,25 +60,18 @@ func (p *Peer) handleJoinReq(req joinReq, from simnet.NodeID) {
 	reps := append([]Ref(nil), p.replicas...)
 	p.mu.RUnlock()
 	ack := joinAck{Path: path, Refs: refs,
-		Replicas: append(append([]Ref(nil), reps...), Ref{ID: p.id, Path: path}),
-		Catchup:  req.NoState}
+		Replicas: append(append([]Ref(nil), reps...), Ref{ID: p.id, Path: path})}
 	p.net.Send(p.id, from, KindJoin, ack)
 	jref := Ref{ID: from, Path: path}
 	for _, r := range reps {
 		p.net.Send(p.id, r.ID, KindJoin, memberMsg{Member: jref})
 	}
 	p.addReplica(jref)
-	if req.NoState {
-		// The joiner recovered its store from disk; the digest round it
-		// runs on our ack pulls just the delta, so the full stream would
-		// be waste.
-		return
-	}
-	p.sendStateChunks(from, KindAntiEnt, p.store.Facts())
 }
 
-// handleJoinAck installs the adopted position at the joiner.
-func (p *Peer) handleJoinAck(ack joinAck) {
+// handleJoinAck installs the adopted position at the joiner and pulls
+// the partition's state from the peer that adopted it.
+func (p *Peer) handleJoinAck(ack joinAck, from simnet.NodeID) {
 	p.setPath(ack.Path)
 	for l, ls := range ack.Refs {
 		for _, r := range ls {
@@ -94,16 +81,12 @@ func (p *Peer) handleJoinAck(ack joinAck) {
 	for _, r := range ack.Replicas {
 		p.addReplica(r)
 	}
-	if ack.Catchup {
-		// Recovered-state rejoin: reconcile with the group by digest —
-		// only drifted buckets travel.
-		p.runAntiEntropy()
-	}
+	p.openDigestRound(from)
 }
 
 // sendStateChunks ships entries in pages of at most Config.PageSize
-// (everything at once when paging is off), wrapped per kind:
-// anti-entropy pages for a join sync, leave pages for a departure.
+// (everything at once when paging is off), as leave pages for a
+// departure or transfer pages for a merge.
 func (p *Peer) sendStateChunks(to simnet.NodeID, kind string, entries []store.Entry) {
 	ps := p.cfg.PageSize
 	if ps <= 0 {
@@ -121,13 +104,10 @@ func (p *Peer) sendStateChunks(to simnet.NodeID, kind string, entries []store.En
 			end = len(entries)
 		}
 		chunk := entries[i:end]
-		switch kind {
-		case KindLeave:
+		if kind == KindLeave {
 			p.net.Send(p.id, to, kind, leaveMsg{Entries: chunk})
-		case KindXferData:
+		} else {
 			p.net.Send(p.id, to, kind, xferMsg{Entries: chunk})
-		default:
-			p.net.Send(p.id, to, kind, antiEntropyMsg{Entries: chunk})
 		}
 	}
 }

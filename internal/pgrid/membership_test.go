@@ -1,9 +1,13 @@
 package pgrid
 
 import (
+	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"unistore/internal/keys"
+	"unistore/internal/simnet"
 	"unistore/internal/store"
 	"unistore/internal/triple"
 )
@@ -83,8 +87,8 @@ func TestJoinTriggersSplitMidScanExact(t *testing.T) {
 	if server == nil {
 		t.Fatal("no remote page server")
 	}
-	// The join: graceful entry into the serving group, state sync by
-	// pages, all while the scan's pulls keep flowing.
+	// The join: graceful entry into the serving group, state pulled by
+	// one digest round, all while the scan's pulls keep flowing.
 	nb := NewPeer(net, cfg)
 	nb.Join(server.ID())
 	for i := 0; i < 6000 && (nb.Path().Len() == 0 || nb.Store().Len() < server.Store().Len()); i++ {
@@ -122,6 +126,97 @@ func TestJoinTriggersSplitMidScanExact(t *testing.T) {
 	if q.PendingOps() != 0 {
 		t.Errorf("pending ops leaked: %d", q.PendingOps())
 	}
+}
+
+// TestJoinSyncRespectsWindow: a join's state sync is a digest pull paced
+// by the JOINER's advertised window. Under a one-message / 1 KiB window
+// the fresh peer needs well over a hundred re-pull rounds, must still
+// converge to the target's exact fact set, and must never have more
+// than the window plus one page in flight toward it.
+func TestJoinSyncRespectsWindow(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PageSize = 2
+	cfg.FlowWindowMsgs = 1
+	cfg.FlowWindowBytes = 1024
+	net, peers := loadReplicated(91, 4, 2, 400, cfg)
+	target := peers[0]
+	nb := NewPeer(net, cfg)
+	nb.Join(target.ID())
+	net.Settle()
+	want := target.Store().Facts()
+	if got := nb.Store().Facts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("joiner holds %d facts, target %d: the sync did not converge", len(got), len(want))
+	}
+	bySize := append([]store.Entry(nil), want...)
+	sort.Slice(bySize, func(i, j int) bool { return bySize[i].WireSize() > bySize[j].WireSize() })
+	bound := cfg.FlowWindowBytes + antiEntropyMsg{Entries: bySize[:cfg.PageSize]}.WireSize()
+	peak := net.Stats().MaxInflightBytes[nb.ID()]
+	if peak > bound {
+		t.Errorf("peak in flight toward the joiner %dB, want ≤ %dB (window + one page)", peak, bound)
+	}
+	t.Logf("join sync: %d facts, peak in flight %dB (bound %dB)", len(want), peak, bound)
+}
+
+// TestExchangeReplicaPairConverges: two peers meeting on one path at
+// MaxSplitDepth become replicas (becomeReplicaOf) and reconcile by one
+// digest round. Unique facts in different buckets converge in that
+// round; unique facts sharing a bucket, where one side is ahead on
+// both count and version, converge one way first (shouldPull defers
+// the trailing side's fact) and fully within a few periodic rounds.
+func TestExchangeReplicaPairConverges(t *testing.T) {
+	path := keys.FromBits("01101001110010110100")
+	if path.Len() != MaxSplitDepth {
+		t.Fatalf("path depth %d, want %d", path.Len(), MaxSplitDepth)
+	}
+	fact := func(oid, bucketBits string, v uint64) store.Entry {
+		tr := triple.TN(oid, "age", float64(v))
+		k := keys.FromBits(path.String() + bucketBits + "0101")
+		return store.Entry{Kind: triple.ByAV, Key: k, Triple: tr, Version: v}
+	}
+	pair := func(cfg Config) (*simnet.Network, *Peer, *Peer) {
+		net := newNet(94)
+		a, b := NewPeer(net, cfg), NewPeer(net, cfg)
+		a.setPath(path)
+		b.setPath(path)
+		return net, a, b
+	}
+	converged := func(a, b *Peer, n int) bool {
+		fa, fb := a.Store().Facts(), b.Store().Facts()
+		return len(fa) == n && reflect.DeepEqual(fa, fb)
+	}
+
+	t.Run("disjoint buckets", func(t *testing.T) {
+		net, a, b := pair(DefaultConfig())
+		a.store.Apply(fact("xa1", "0000", 1))
+		a.store.Apply(fact("xa2", "0001", 2))
+		b.store.Apply(fact("xb1", "1110", 1))
+		a.StartExchange(b.ID())
+		net.Settle()
+		if !converged(a, b, 3) {
+			t.Fatalf("pair did not converge in one round: a=%d b=%d facts", a.Store().FactCount(), b.Store().FactCount())
+		}
+	})
+
+	t.Run("one bucket", func(t *testing.T) {
+		cfg := DefaultConfig()
+		period := 2 * time.Second
+		cfg.AntiEntropyEvery = int64(period)
+		net, a, b := pair(cfg)
+		// b (the exchange responder, which opens the round) is ahead on
+		// count and version; a's older unique fact is deferred.
+		b.store.Apply(fact("xb1", "0110", 1))
+		b.store.Apply(fact("xb2", "0110", 3))
+		a.store.Apply(fact("xa1", "0110", 2))
+		a.StartExchange(b.ID())
+		net.Settle()
+		for i := 0; i < 3 && !converged(a, b, 3); i++ {
+			net.RunFor(period)
+			net.Settle()
+		}
+		if !converged(a, b, 3) {
+			t.Fatalf("pair did not converge within three periods: a=%d b=%d facts", a.Store().FactCount(), b.Store().FactCount())
+		}
+	})
 }
 
 // TestMergeDuringPagedPullResumesExact: a replica group retires while

@@ -361,25 +361,22 @@ type gossipAckMsg struct {
 func (gossipAckMsg) WireSize() int { return 20 }
 
 // antiEntropyMsg carries versioned replica state (facts and
-// tombstones) for reconciliation; Reply requests the receiver's state
-// back. The periodic digest protocol uses it only as the entry carrier
-// of pulled buckets (Reply false, chunked to Config.PageSize); the
-// full-state form survives as the initial sync of a freshly formed
-// replica pair (becomeReplicaOf).
+// tombstones) answering one digest pull, in pages of at most
+// Config.PageSize entries.
 type antiEntropyMsg struct {
 	Entries []store.Entry
-	Reply   bool
 	// More names the pulled buckets the responder did NOT finish
-	// flushing because the puller's advertised window filled up. The
-	// puller re-pulls exactly these buckets with a refreshed Have set
-	// (entries just received are in it, so they do not ship twice) and
-	// a fresh window — the pull loop of the windowed anti-entropy
-	// transfer. Set only on the last page of a window's batch.
-	More []string
+	// flushing because the puller's advertised window filled up, and
+	// After is the last fact it shipped from More[0] (zero if none). The
+	// puller re-pulls exactly these buckets from that cursor with a
+	// fresh window — the pull loop of the windowed transfer. Set only on
+	// the last page of a window's batch.
+	More  []string
+	After factPos
 }
 
 func (a antiEntropyMsg) WireSize() int {
-	s := 8
+	s := 8 + a.After.WireSize()
 	for _, e := range a.Entries {
 		s += e.WireSize()
 	}
@@ -388,6 +385,26 @@ func (a antiEntropyMsg) WireSize() int {
 	}
 	return s
 }
+
+// factPos is a fact's place in store fact order (store.Facts sorts by
+// kind, OID and attribute) within one digest bucket, whose name fixes
+// the kind: the cursor of a window-cut pull. The zero value precedes
+// every fact.
+type factPos struct {
+	OID, Attr string
+}
+
+func posOf(e store.Entry) factPos { return factPos{e.Triple.OID, e.Triple.Attr} }
+
+// before reports whether f sorts strictly before g.
+func (f factPos) before(g factPos) bool {
+	if f.OID != g.OID {
+		return f.OID < g.OID
+	}
+	return f.Attr < g.Attr
+}
+
+func (f factPos) WireSize() int { return len(f.OID) + len(f.Attr) }
 
 // bucketSum summarizes one digest bucket (a key-prefix slice of one
 // index) without shipping its entries: live+tombstone count, the
@@ -437,10 +454,14 @@ type digestPullMsg struct {
 	// puller paces the transfer, not the sender. 0 = no window.
 	WinBytes int
 	WinMsgs  int
+	// After resumes a window-cut transfer at its cursor: the responder
+	// skips the facts up to it in Buckets[0], which already shipped, and
+	// Have leaves them out. Zero on a round's first pull.
+	After factPos
 }
 
 func (d digestPullMsg) WireSize() int {
-	s := 16
+	s := 16 + d.After.WireSize()
 	for _, b := range d.Buckets {
 		s += len(b) + 2
 	}
@@ -493,28 +514,22 @@ func (x xferMsg) WireSize() int {
 
 // joinReq asks an existing peer to adopt the sender into its replica
 // group — the first half of live membership growth (membership.go).
-// The target answers with a joinAck (trie position and membership),
-// notifies its existing replicas with memberMsg, and — unless NoState
-// says the joiner recovered local state from disk — streams its full
-// state to the joiner as chunked anti-entropy pages. A NoState joiner
-// instead catches up via digest anti-entropy (delta pages), so rejoin
-// cost scales with the writes it missed, not with the partition size.
-type joinReq struct {
-	NoState bool
-}
+// The target answers with a joinAck (trie position and membership) and
+// notifies its existing replicas with memberMsg. State does not ride
+// the join: the joiner pulls it by opening a digest round on the ack,
+// so a fresh peer pulls every bucket and a restarted one only the
+// writes it missed.
+type joinReq struct{}
 
 func (joinReq) WireSize() int { return 4 }
 
 // joinAck carries the target's trie position to a joining peer: path,
 // routing references and the replica group (target included). The
 // joiner adopts all three and becomes a live replica of the partition.
-// Catchup echoes joinReq.NoState: no full-state sync is coming, run a
-// digest round instead.
 type joinAck struct {
 	Path     keys.Key
 	Refs     [][]Ref
 	Replicas []Ref
-	Catchup  bool
 }
 
 func (a joinAck) WireSize() int {

@@ -169,12 +169,6 @@ type Peer struct {
 	reqSeq  uint64
 	pending map[uint64]*pendingOp
 
-	// aePulls tracks in-progress windowed anti-entropy catch-ups, one
-	// per source peer (guarded by mu): the identity hashes received so
-	// far — applied or not — and the re-pull round count, so a
-	// window-paced transfer resumes statelessly and always terminates.
-	aePulls map[simnet.NodeID]*aePullState
-
 	// Monotonic version source for locally issued updates.
 	clock atomic.Uint64
 
@@ -229,8 +223,8 @@ type PeerStats struct {
 	GossipApplied int
 	// GossipSuppressed counts replica pushes the dedup layers withheld:
 	// batch entries superseded within one push, pushes skipped back to
-	// the peer an entry arrived from, and anti-entropy reply entries
-	// the other side had just proven to hold.
+	// the peer an entry arrived from, and pending entries superseded
+	// before their flush.
 	GossipSuppressed int
 	ExchangesRun     int
 	// Routing-cache counters: probes sent direct on a cached partition
@@ -595,9 +589,9 @@ func (p *Peer) HandleMessage(m simnet.Message) {
 	case KindJoin:
 		switch jm := m.Payload.(type) {
 		case joinReq:
-			p.handleJoinReq(jm, m.From)
+			p.handleJoinReq(m.From)
 		case joinAck:
-			p.handleJoinAck(jm)
+			p.handleJoinAck(jm, m.From)
 		case memberMsg:
 			p.addReplica(jm.Member)
 		}

@@ -44,9 +44,11 @@ func samplePayloads() []any {
 			AggData: []byte{1, 2, 3}, AggGroups: 1},
 		ackMsg{QID: 10, Hops: 4, Seq: 2},
 		gossipMsg{Entries: []store.Entry{e}},
-		antiEntropyMsg{Entries: []store.Entry{e}, Reply: true},
+		antiEntropyMsg{Entries: []store.Entry{e}, More: []string{"1/0110"}, After: factPos{OID: "o1", Attr: "name"}},
 		digestMsg{Buckets: map[string]bucketSum{"1/0110": {Count: 3, MaxVersion: 9, Hash: 0xdead}}, Reply: true},
-		digestPullMsg{Buckets: []string{"1/0110", "2/01"}},
+		digestPullMsg{Buckets: []string{"1/0110", "2/01"}, After: factPos{OID: "o1", Attr: "name"}},
+		joinReq{},
+		joinAck{Path: k, Refs: [][]Ref{{{ID: 1, Path: k}}}, Replicas: []Ref{{ID: 2, Path: k}}},
 		exchangeMsg{Path: k, Refs: [][]Ref{{{ID: 1, Path: k}}, nil}, Replicas: []Ref{{ID: 2, Path: k}},
 			Entries: []store.Entry{e}, IsReply: true, SplitBit: 1},
 		xferMsg{Entries: []store.Entry{e}},

@@ -71,7 +71,7 @@ type Options struct {
 type RecoveryInfo struct {
 	// HadState is whether the directory held any prior log, snapshot,
 	// or marker — false means a genuinely fresh start (first boot, or a
-	// wiped disk, which falls back to full-state sync on rejoin).
+	// wiped disk, whose rejoin then pulls the whole partition).
 	HadState bool
 	// Clean is whether the previous process shut down gracefully (the
 	// clean-shutdown marker matched the log exactly, so no torn tail

@@ -5,7 +5,7 @@
 // deterministic simnet under plain `go test` and fail two ways: when a
 // message or byte count exceeds its checked-in budget, and when a fast
 // path stops beating the baseline it replaced (cache-off index join,
-// single-owner reads, centralized aggregation, full-state sync,
+// single-owner reads, centralized aggregation, empty-disk full sync,
 // uncontrolled bulk streams). The budgets sit ~25-40% above the
 // measured values, so a future change that makes the message layer
 // chatty — losing the routing-cache fast path, breaking probe
@@ -194,11 +194,11 @@ func TestMessageBudgetChurnTopK(t *testing.T) {
 // WAL-recovered replica rejoining its group must catch up through the
 // digest delta — a join handshake, two digests, one pull with identity
 // hashes, and pages carrying only the writes it missed. Losing the
-// delta path (falling back to full-state sync, shipping whole buckets,
-// or re-pulling buckets the rejoiner is ahead on) costs hundreds of
-// messages on this scenario and trips the budget; the empty-disk
-// full-state sync runs on the same cluster as the baseline the delta
-// must beat on messages AND bytes, and must itself converge exactly.
+// delta (shipping whole buckets, or re-pulling buckets the rejoiner is
+// ahead on) costs hundreds of messages on this scenario and trips the
+// budget; the same join onto an empty disk, which pulls every bucket,
+// runs on the same cluster as the full-sync baseline the delta must
+// beat on messages AND bytes, and must itself converge exactly.
 func TestMessageBudgetRejoinCatchup(t *testing.T) {
 	r, err := benchscen.DurabilityRun()
 	if err != nil {
@@ -244,10 +244,10 @@ func TestMessageBudgetFlowInflightBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.CatchupExact {
+	if !res.RejoinExact {
 		t.Fatal("throttled rejoiner did not converge to its sibling")
 	}
-	if !off.CatchupExact {
+	if !off.RejoinExact {
 		t.Fatal("throttled rejoiner did not converge with flow control off")
 	}
 	if len(res.Rows) == 0 {

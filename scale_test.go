@@ -103,7 +103,9 @@ func runEqScale(t *testing.T, cs eqScale) {
 	}
 	pull(3)
 	if cs.churn == "join-split" || cs.churn == "both" {
-		c.JoinPeer(1)
+		if _, err := c.JoinPeer(1, nil); err != nil {
+			t.Fatalf("live join: %v", err)
+		}
 		if err := c.SplitGroup(1); err != nil {
 			t.Fatalf("live split: %v", err)
 		}

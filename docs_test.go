@@ -1,10 +1,14 @@
 // Documentation checks: every intra-repo markdown link must resolve,
-// and the architecture doc's package map must list every internal/
-// package. Both run in plain `go test ./...`, so the docs tree cannot
-// rot silently as files move.
+// the architecture doc's package map must list every internal/ package,
+// and its message table must match the overlay's message structs. All
+// run in plain `go test ./...`, so the docs tree cannot rot silently as
+// files move.
 package unistore_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -96,6 +100,107 @@ func TestDocsTreeExists(t *testing.T) {
 		}
 	}
 }
+
+// TestDocsMessageTableCurrent: every overlay message type registered in
+// internal/pgrid/wire.go has a row in docs/architecture.md's "Message
+// types" table, and every row names exactly the fields of its struct in
+// internal/pgrid/messages.go.
+func TestDocsMessageTableCurrent(t *testing.T) {
+	fset := token.NewFileSet()
+	wire, err := parser.ParseFile(fset, "internal/pgrid/wire.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// wire.go names each registered type by its zero value, T{}.
+	var registered []string
+	ast.Inspect(wire, func(n ast.Node) bool {
+		if cl, ok := n.(*ast.CompositeLit); ok && len(cl.Elts) == 0 {
+			if id, ok := cl.Type.(*ast.Ident); ok {
+				registered = append(registered, id.Name)
+			}
+		}
+		return true
+	})
+	if len(registered) == 0 {
+		t.Fatal("internal/pgrid/wire.go registers no message types")
+	}
+	msgs, err := parser.ParseFile(fset, "internal/pgrid/messages.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string][]string{} // struct name -> field names
+	ast.Inspect(msgs, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		if st, ok := ts.Type.(*ast.StructType); ok {
+			fs := []string{}
+			for _, f := range st.Fields.List {
+				for _, name := range f.Names {
+					fs = append(fs, name.Name)
+				}
+			}
+			fields[ts.Name.Name] = fs
+		}
+		return false
+	})
+	doc, err := os.ReadFile("docs/architecture.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "### Message types")
+	if !ok {
+		t.Fatal(`docs/architecture.md has no "Message types" section`)
+	}
+	rows := map[string]map[string]bool{} // type -> field names its row lists
+	for _, line := range strings.Split(table, "\n") {
+		m := messageRow.FindStringSubmatch(line)
+		if m == nil {
+			if strings.HasPrefix(line, "#") {
+				break
+			}
+			continue
+		}
+		named := map[string]bool{}
+		for _, item := range strings.Split(m[2], ",") {
+			if f := fieldName.FindString(strings.TrimSpace(item)); f != "" {
+				named[f] = true
+			}
+		}
+		rows[m[1]] = named
+	}
+	for _, typ := range registered {
+		if rows[typ] == nil {
+			t.Errorf("docs/architecture.md's message table has no row for %s", typ)
+		}
+	}
+	for typ, named := range rows {
+		fs, ok := fields[typ]
+		if !ok {
+			t.Errorf("message table row %s names no struct in internal/pgrid/messages.go", typ)
+			continue
+		}
+		for _, f := range fs {
+			if !named[f] {
+				t.Errorf("message table row %s does not name field %s", typ, f)
+			}
+			delete(named, f)
+		}
+		for f := range named {
+			t.Errorf("message table row %s names %s, which %s does not have", typ, f, typ)
+		}
+	}
+}
+
+var (
+	// messageRow matches a message table row: | `type` ... | fields | size |.
+	messageRow = regexp.MustCompile("^\\| `(\\w+)`[^|]*\\| ([^|]*) \\|")
+	// fieldName is the field a table item names: its leading exported
+	// identifier ("Agg?", "Refs[][]" and "Buckets{id → …}" name Agg, Refs
+	// and Buckets).
+	fieldName = regexp.MustCompile(`^[A-Z]\w*`)
+)
 
 // statedPackages matches the sentence introducing the package map.
 var statedPackages = regexp.MustCompile("The (\\d+) `internal/` packages")

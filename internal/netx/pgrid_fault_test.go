@@ -160,7 +160,7 @@ func TestPGridOverNetxMidScanTransportDeath(t *testing.T) {
 		streamed []store.Entry
 		kill     sync.Once
 	)
-	h := q.RangeQueryPages(triple.ByAV, triple.AVPrefixRange("age"), func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, pgrid.WithPages(func(es []store.Entry) {
 		mu.Lock()
 		streamed = append(streamed, es...)
 		mu.Unlock()
@@ -168,7 +168,7 @@ func TestPGridOverNetxMidScanTransportDeath(t *testing.T) {
 		// mid-response. Close blocks until its goroutines exit, so run
 		// it off the inbox worker delivering this page.
 		kill.Do(func() { go c.transports[1].Close() })
-	}, nil)
+	}))
 	res := h.Wait(2 * time.Minute)
 	if !res.Complete {
 		t.Fatalf("scan incomplete after transport death: %+v", res)

@@ -56,8 +56,8 @@ func TestRangeQueryAggPaged(t *testing.T) {
 		want := loadGroups(net, peers, 60)
 		spec := countSpec()
 		tbl := agg.NewTable(spec)
-		h := peers[0].RangeQueryAgg(triple.ByAV, triple.AVPrefixRange("group"), spec,
-			func(states []agg.State) { tbl.MergeStates(states) }, nil)
+		h := peers[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("group"), nil,
+			WithAgg(spec, func(states []agg.State) { tbl.MergeStates(states) }))
 		res := h.Wait(0)
 		if !res.Complete {
 			t.Fatalf("pageSize %d: aggregated scan incomplete", pageSize)
@@ -85,8 +85,8 @@ func TestRangeQueryAggChurn(t *testing.T) {
 	// killed while branch envelopes are in flight.
 	spec := countSpec()
 	tbl := agg.NewTable(spec)
-	h := peers[0].RangeQueryAgg(triple.ByAV, triple.AVPrefixRange("group"), spec,
-		func(states []agg.State) { tbl.MergeStates(states) }, nil)
+	h := peers[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("group"), nil,
+		WithAgg(spec, func(states []agg.State) { tbl.MergeStates(states) }))
 	// Kill one loaded non-origin node before anything is delivered.
 	killed := false
 	for _, p := range peers[1:] {
@@ -111,6 +111,51 @@ func TestRangeQueryAggChurn(t *testing.T) {
 	}
 }
 
+// TestAggPullHedgeForkFoldsOnce: the original pull of a forked
+// aggregated stream advertises the default window and the hedge the
+// floor one, so the server answers both from one cursor with pages of
+// different group counts. The later page repeats groups the first
+// folded; the origin must drop it, or those groups count twice.
+func TestAggPullHedgeForkFoldsOnce(t *testing.T) {
+	net, peers := buildAggOverlay(t, 4, 1, 64, 59)
+	want := map[string]float64{}
+	for i := 0; i < 400; i++ {
+		g := fmt.Sprintf("group-%03d", i%200)
+		want[g]++
+		peers[i%len(peers)].InsertTriple(triple.T(fmt.Sprintf("p%03d", i), "group", g), 1)
+	}
+	net.Run()
+	r := triple.AVPrefixRange("group")
+	origin := slowServersFor(t, net, peers, r)
+	spec := countSpec()
+	tbl := agg.NewTable(spec)
+	pages := 0
+	h := origin.RangeQuery(triple.ByAV, r, nil, WithAgg(spec, func(states []agg.State) {
+		tbl.MergeStates(states)
+		pages++
+	}))
+	// The first page's pull left under the default window; the hedge
+	// pull advertises the floor one.
+	for pages == 0 && net.Step() {
+	}
+	origin.cfg.FlowWindowBytes = 1
+	if res := h.Wait(0); !res.Complete {
+		t.Fatalf("forked aggregation incomplete: %+v", res)
+	}
+	if origin.Stats().PagePullHedges == 0 {
+		t.Fatal("no pull was hedged; the stream never forked")
+	}
+	rows := tbl.Rows()
+	if len(rows) != len(want) {
+		t.Fatalf("%d groups, want %d", len(rows), len(want))
+	}
+	for _, row := range rows {
+		if g := row["g"].Str; row["n"].Num != want[g] {
+			t.Errorf("group %s counted %v, want %v", g, row["n"].Num, want[g])
+		}
+	}
+}
+
 // TestLookupAgg: a single-key aggregated probe returns the key's
 // entries folded into group states instead of rows.
 func TestLookupAgg(t *testing.T) {
@@ -118,8 +163,8 @@ func TestLookupAgg(t *testing.T) {
 	want := loadGroups(net, peers, 30)
 	spec := countSpec()
 	tbl := agg.NewTable(spec)
-	h := peers[0].LookupAgg(triple.ByAV, triple.AVKey("group", triple.S("db")), spec,
-		func(states []agg.State) { tbl.MergeStates(states) }, nil)
+	h := peers[0].Lookup(triple.ByAV, []keys.Key{triple.AVKey("group", triple.S("db"))}, nil,
+		WithAgg(spec, func(states []agg.State) { tbl.MergeStates(states) }))
 	res := h.Wait(0)
 	if !res.Complete {
 		t.Fatal("aggregated lookup incomplete")
@@ -144,13 +189,10 @@ func TestAggProbePartialOverlapDropsWhole(t *testing.T) {
 	spec := countSpec()
 	k1 := triple.AVKey("group", triple.S("db"))
 	k2 := triple.AVKey("group", triple.S("os"))
-	qid, op := p.newOp(0, 2, trace.OpMultiLookup, nil)
-	p.mu.Lock()
-	op.probeWant = map[string]bool{k1.String(): true, k2.String(): true}
-	op.aggSpec = spec
 	tbl := agg.NewTable(spec)
-	op.onAgg = func(states []agg.State) { tbl.MergeStates(states) }
-	p.mu.Unlock()
+	op := &pendingOp{needResponses: 2, probeWant: map[string]bool{k1.String(): true, k2.String(): true}}
+	qid := p.newOp(op, trace.OpMultiLookup, nil,
+		resolveOpts([]OpOption{WithAgg(spec, func(states []agg.State) { tbl.MergeStates(states) })}))
 
 	one := agg.NewTable(spec)
 	one.AddTriple(triple.T("p1", "group", "db"))

@@ -11,9 +11,9 @@ import (
 	"unistore/internal/triple"
 )
 
-// This file is the serving side of in-network aggregation: a peer
-// whose partition overlaps an aggregated range (or owns a probed key)
-// matches its stored entries against the spec's pattern, folds them
+// This file is the serving side of in-network aggregation (WithAgg): a
+// peer whose partition overlaps an aggregated range (or owns a probed
+// key) matches its stored entries against the spec's pattern, folds them
 // into per-group partial states, and ships those instead of rows. A
 // page of an aggregated scan is a bounded batch of group states served
 // in group-key order behind a stateless cursor, so the whole paging,
@@ -84,8 +84,8 @@ func (p *Peer) serveAggPage(qid uint64, origin simnet.NodeID, cont pageCont, win
 	p.net.Send(p.id, origin, KindResponse, resp)
 }
 
-// aggProbeResp fills a probe response with the aggregated form of the
-// given entries (the lookup and multi-lookup pushdown path).
+// aggProbeResp fills an exact-key response with the aggregated form of
+// the entries stored at its keys (serveKeys' pushdown form).
 func aggProbeResp(resp *queryResp, spec *agg.Spec, entries []store.Entry) {
 	tbl := agg.NewTable(spec)
 	for _, e := range entries {
@@ -95,47 +95,4 @@ func aggProbeResp(resp *queryResp, spec *agg.Spec, entries []store.Entry) {
 	resp.AggData = agg.EncodeStates(states)
 	resp.AggGroups = len(states)
 	resp.Count = len(states)
-}
-
-// --- Origin-side operations ---------------------------------------------------
-
-// RangeQueryAgg runs the shower over r with the aggregation pushed to
-// the serving peers: each overlapping partition answers with its
-// per-group partial states (paged by Config.PageSize groups), streamed
-// to onGroups as they arrive. The coordinator merges them — states are
-// mergeable in any order, and the scan's claim/coverage failover keeps
-// each partition's contribution exactly-once, so the merge is exact
-// even under churn. The final OpResult carries counts only.
-func (p *Peer) RangeQueryAgg(kind triple.IndexKind, r keys.Range, spec *agg.Spec, onGroups func([]agg.State), cb func(OpResult), opts ...OpOption) *Handle {
-	qid, op := p.newOp(TotalShare, 0, trace.OpRange, cb, opts...)
-	p.mu.Lock()
-	op.aggSpec = spec
-	op.onAgg = onGroups
-	op.scan = &scanState{kind: uint8(kind), r: r, pageSize: p.cfg.PageSize, agg: spec}
-	p.mu.Unlock()
-	wb, wm := p.advertiseWindow()
-	msg := rangeMsg{QID: qid, Origin: p.id, Kind: uint8(kind), R: r,
-		Level: 0, Share: TotalShare, PageSize: p.cfg.PageSize, Agg: spec,
-		WinBytes: wb, WinMsgs: wm, TC: op.tc}
-	p.armScanRetry(qid)
-	p.handleRange(msg, 0)
-	return &Handle{peer: p, op: op, qid: qid}
-}
-
-// LookupAgg is Lookup with the aggregation pushed to the owning peer:
-// the responsible replica folds the key's entries into group states
-// and answers with those. It rides the same key-tracked probe path as
-// Lookup — cached owner sets, load-balanced replica choice, hedged
-// failover — so a dead or slow owner degrades to a sibling or the
-// routed path, never to a wrong answer.
-func (p *Peer) LookupAgg(kind triple.IndexKind, k keys.Key, spec *agg.Spec, onGroups func([]agg.State), cb func(OpResult), opts ...OpOption) *Handle {
-	qid, op := p.newOp(0, 1, trace.OpLookup, cb, opts...)
-	p.mu.Lock()
-	op.probeWant = map[string]bool{k.String(): true}
-	op.probeKind = uint8(kind)
-	op.aggSpec = spec
-	op.onAgg = onGroups
-	p.mu.Unlock()
-	p.dispatchProbes(qid, op, uint8(kind), []keys.Key{k})
-	return &Handle{peer: p, op: op, qid: qid}
 }

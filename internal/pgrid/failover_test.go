@@ -1,9 +1,12 @@
 package pgrid
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"unistore/internal/keys"
+	"unistore/internal/simnet"
 	"unistore/internal/store"
 	"unistore/internal/trace"
 	"unistore/internal/triple"
@@ -32,9 +35,9 @@ func TestPagePullHedgeRecoversFastMidPaginationDeath(t *testing.T) {
 	}
 	var streamed []store.Entry
 	start := net.Now()
-	h := q.RangeQueryPages(triple.ByAV, triple.AVPrefixRange("age"), func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(es []store.Entry) {
 		streamed = append(streamed, es...)
-	}, nil)
+	}))
 	// Step until the first remote page landed — the pull for the next
 	// page is then already in flight — and kill its server.
 	for len(streamed) == 0 && net.Step() {
@@ -75,6 +78,147 @@ func TestPagePullHedgeRecoversFastMidPaginationDeath(t *testing.T) {
 	for oid, n := range seen {
 		if n != 1 {
 			t.Errorf("fact %s streamed %d times, want once", oid, n)
+		}
+	}
+	if q.PendingOps() != 0 {
+		t.Errorf("pending ops leaked: %d", q.PendingOps())
+	}
+}
+
+// slowServersFor returns a peer whose partition lies outside r and
+// slows every other peer past the pull hedge deadline: each page pull
+// is then hedged while its server still holds the original. With one
+// replica the routed hedge reaches that same server, which answers both
+// pulls from one cursor — a forked stream.
+func slowServersFor(t *testing.T, net *simnet.Network, peers []*Peer, r keys.Range) *Peer {
+	t.Helper()
+	var origin *Peer
+	for _, p := range peers {
+		if !r.OverlapsPrefix(p.Path()) {
+			origin = p
+			break
+		}
+	}
+	if origin == nil {
+		t.Fatal("every partition overlaps the range")
+	}
+	for _, p := range peers {
+		if p != origin {
+			net.SetServiceDelay(p.ID(), DefaultHedgeAfter*3/2)
+		}
+	}
+	return origin
+}
+
+// TestRowPullHedgeForkDeliversOnce: the original pull and the hedge of
+// a forked row stream advertise different windows (the default and the
+// floor one, in either order), so the server answers both from one
+// cursor with pages of different lengths. Whichever page lands second
+// repeats rows of the first — a longer one runs past its cursor, a
+// shorter one ends before it — and the origin must drop it whole.
+func TestRowPullHedgeForkDeliversOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		pull, hedge int // FlowWindowBytes; 1 is floored at minAdvertiseBytes
+	}{
+		{"hedge-longer", 1, DefaultFlowWindowBytes},
+		{"hedge-shorter", DefaultFlowWindowBytes, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.PageSize = 64
+			cfg.FlowWindowBytes = tc.pull
+			net, peers := loadReplicated(91, 4, 1, 200, cfg)
+			r := triple.AVPrefixRange("age")
+			origin := slowServersFor(t, net, peers, r)
+			var streamed []store.Entry
+			h := origin.RangeQuery(triple.ByAV, r, nil, WithPages(func(es []store.Entry) {
+				streamed = append(streamed, es...)
+			}))
+			// The first page's pull left under the pull window.
+			for len(streamed) == 0 && net.Step() {
+			}
+			origin.cfg.FlowWindowBytes = tc.hedge
+			if res := h.Wait(0); !res.Complete {
+				t.Fatalf("forked scan incomplete: %+v", res)
+			}
+			if origin.Stats().PagePullHedges == 0 {
+				t.Fatal("no pull was hedged; the stream never forked")
+			}
+			checkExact(t, streamed, 200)
+		})
+	}
+}
+
+// TestSiblingResumeWithDivergentBucketOrder: replicas may hold one fat
+// bucket in different orders (digest pull and racing inserts apply in
+// arrival order), so a sibling resuming a stream mid-bucket skips
+// SkipAtLo rows in ITS order and may re-serve the cursor's last row.
+// That page comes from another server than the cursor's, so it is no
+// fork of the stream and must be accepted: the scan completes within
+// the pull hedge's reach and delivers every row the first server held.
+func TestSiblingResumeWithDivergentBucketOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PageSize = 2
+	net := newNet(93)
+	peers := BuildBalanced(net, 2, 2, cfg)
+	k := triple.AVKey("age", triple.N(7))
+	var owners []*Peer
+	var q *Peer
+	for _, p := range peers {
+		if p.Responsible(k) {
+			owners = append(owners, p)
+		} else if q == nil {
+			q = p
+		}
+	}
+	if len(owners) != 2 || q == nil {
+		t.Fatalf("want two replicas of the bucket and an outside origin; got %d owners", len(owners))
+	}
+	fact := func(oid string) store.Entry {
+		tr := triple.TN(oid, "age", 7)
+		return store.Entry{Kind: triple.ByAV, Key: k, Triple: tr, Version: 1}
+	}
+	const rows = 6
+	for _, o := range owners {
+		for i := 0; i < rows; i++ {
+			o.store.Apply(fact(fmt.Sprintf("dv%d", i)))
+		}
+	}
+	var streamed []store.Entry
+	start := net.Now()
+	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(es []store.Entry) {
+		streamed = append(streamed, es...)
+	}))
+	// The first page (dv0, dv1) landed and its pull is in flight.
+	for len(streamed) == 0 && net.Step() {
+	}
+	server, sibling := owners[0], owners[1]
+	if sibling.Stats().PagesServed > 0 {
+		server, sibling = sibling, server
+	}
+	// The sibling holds a row the server never saw ahead of the shared
+	// ones: skipping two rows in its order re-serves dv1.
+	sibling.store.DropRange(triple.ByAV, triple.AVPrefixRange("age"))
+	sibling.store.Apply(fact("dvx"))
+	for i := 0; i < rows; i++ {
+		sibling.store.Apply(fact(fmt.Sprintf("dv%d", i)))
+	}
+	net.Kill(server.ID())
+	res := h.Wait(0)
+	if !res.Complete {
+		t.Fatalf("sibling resume never advanced the stream: %+v", res)
+	}
+	if backstop := DefaultHedgeAfter * scanRetryFactor; net.Now()-start >= backstop {
+		t.Errorf("resume took %v, want < %v", net.Now()-start, backstop)
+	}
+	seen := map[string]int{}
+	for _, e := range streamed {
+		seen[e.Triple.OID]++
+	}
+	for i := 0; i < rows; i++ {
+		if oid := fmt.Sprintf("dv%d", i); seen[oid] == 0 {
+			t.Errorf("row %s never streamed (got %v)", oid, seen)
 		}
 	}
 	if q.PendingOps() != 0 {
@@ -166,10 +310,8 @@ func TestAckedInsertDuplicateAcksDoNotOvercount(t *testing.T) {
 	net, peers := loadReplicated(87, 4, 1, 8, DefaultConfig())
 	_ = net
 	p := peers[0]
-	qid, op := p.newOp(0, 3, trace.OpInsert, nil)
-	p.mu.Lock()
-	op.insertPend = map[uint8]store.Entry{0: {}, 1: {}, 2: {}}
-	p.mu.Unlock()
+	op := &pendingOp{needResponses: 3, insertPend: map[uint8]store.Entry{0: {}, 1: {}, 2: {}}}
+	qid := p.newOp(op, trace.OpInsert, nil, opSettings{})
 	p.handleAck(ackMsg{QID: qid, Seq: 0}, p.id, 0)
 	p.handleAck(ackMsg{QID: qid, Seq: 0}, p.id, 0) // duplicate
 	p.handleAck(ackMsg{QID: qid, Seq: 1}, p.id, 0)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unistore/internal/keys"
 	"unistore/internal/triple"
 )
 
@@ -58,7 +59,7 @@ func TestRouteFailureCounting(t *testing.T) {
 	// A key outside p's partition cannot be routed anywhere live.
 	target := p.Path().Flip(0)
 	before := p.Stats().RouteFailures
-	h := p.Lookup(triple.ByAV, triple.AVKey("zz", triple.S("zz")), nil)
+	h := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("zz", triple.S("zz"))}, nil)
 	_ = target
 	net.RunFor(time.Second)
 	if p.Stats().RouteFailures <= before && !h.Done() {
@@ -110,7 +111,7 @@ func TestConcurrentQueriesInterleave(t *testing.T) {
 	}
 	var ps []pending
 	for i := 0; i < 30; i += 3 {
-		h := peers[i%16].Lookup(triple.ByAV, triple.AVKey("age", triple.N(float64(i))), nil)
+		h := peers[i%16].Lookup(triple.ByAV, []keys.Key{triple.AVKey("age", triple.N(float64(i)))}, nil)
 		ps = append(ps, pending{h: h, want: float64(i)})
 	}
 	net.Run()

@@ -319,10 +319,10 @@ func (s *scanState) splitClaim(from simnet.NodeID, spath keys.Key) (*scanClaim, 
 func (p *Peer) migrateSplitClaimLocked(sc *scanState, cl *scanClaim, oldKey string, newPath keys.Key) {
 	delete(sc.claims, oldKey)
 	sc.claims[newPath.String()] = cl
-	prior := cl.cont
 	oldPath := cl.path
 	cl.path = newPath
-	if cu, ok := sc.cursors[oldKey]; ok {
+	cu := sc.cursors[oldKey] // the stream's cursor at the split; nil before any page
+	if cu != nil {
 		delete(sc.cursors, oldKey)
 		cu.path = newPath
 		sc.cursors[newPath.String()] = cu
@@ -340,33 +340,21 @@ func (p *Peer) migrateSplitClaimLocked(sc *scanState, cl *scanClaim, oldKey stri
 		if _, ok := sc.cursors[qs]; ok {
 			continue
 		}
-		if prior == nil {
+		if cu == nil {
 			continue // no pages yet: plain gap, the re-shower refills it
 		}
-		if prior.Agg != nil {
-			nc := *prior
-			nc.R = clipRangeToPrefix(nc.R, q)
-			nc.StreamPath = q
-			if sc.cursors == nil {
-				sc.cursors = make(map[string]*scanCursor)
-			}
-			sc.cursors[qs] = &scanCursor{path: q, cont: nc}
-			continue
-		}
+		prior := cu.cont
 		cpos := prior.R.Lo // ascending cursor lives on the range bound
 		if prior.Desc {
 			cpos = prior.Cursor
 		}
 		qr := keys.PrefixRange(q)
 		switch {
-		case qr.Contains(cpos):
-			nc := *prior
+		case prior.Agg != nil || qr.Contains(cpos):
+			nc := prior
 			nc.R = clipRangeToPrefix(nc.R, q)
 			nc.StreamPath = q
-			if sc.cursors == nil {
-				sc.cursors = make(map[string]*scanCursor)
-			}
-			sc.cursors[qs] = &scanCursor{path: q, cont: nc}
+			sc.cursors[qs] = &scanCursor{path: q, cont: nc, from: cu.from, last: cu.last}
 		case !prior.Desc && cpos.Compare(qr.Lo) > 0,
 			prior.Desc && cpos.Compare(qr.Lo) < 0:
 			// The stream had moved past this region before the split:
@@ -398,10 +386,11 @@ func (p *Peer) adjustStream(cont *pageCont) bool {
 		if cur.Len() > cont.StreamPath.Len() {
 			oldLo := cont.R.Lo
 			cont.R = clipRangeToPrefix(cont.R, cur)
-			if !cont.R.Lo.Equal(oldLo) {
+			if !cont.Desc && !cont.R.Lo.Equal(oldLo) {
 				// The ascending cursor (R.Lo) fell outside the kept
 				// half: the skip count belonged to the old cursor's
-				// bucket, not the clipped bound.
+				// bucket, not the clipped bound. (A descending cursor
+				// lives in Cursor, which the clip leaves alone.)
 				cont.SkipAtLo = 0
 			}
 			cont.StreamPath = cur

@@ -33,9 +33,9 @@ func scanAge(t *testing.T, peers []*Peer) (*Peer, *Handle, *[]store.Entry) {
 		t.Fatal("no peer outside the age region")
 	}
 	streamed := &[]store.Entry{}
-	h := q.RangeQueryPages(triple.ByAV, triple.AVPrefixRange("age"), func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(es []store.Entry) {
 		*streamed = append(*streamed, es...)
-	}, nil)
+	}))
 	return q, h, streamed
 }
 

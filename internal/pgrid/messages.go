@@ -99,7 +99,7 @@ func (r lookupReq) WireSize() int { return r.Key.Len()/8 + 16 + aggWireSize(r.Ag
 // multiLookupReq batches several exact-key probes of one query into a
 // single message, sent directly to the peer the sender's routing cache
 // believes responsible for all of them. The receiver answers the keys
-// it covers in one batched queryResp (Probes = keys answered) and
+// it covers in one batched queryResp (ProbeKeys = keys answered) and
 // re-routes the rest as ordinary lookupReq envelopes — a stale cache
 // degrades to normal routing, never to a wrong answer.
 type multiLookupReq struct {
@@ -137,9 +137,6 @@ type rangeMsg struct {
 	Level  int
 	Share  int64
 	Hops   int
-	// Probe suppresses entry payloads: the peer replies with counts
-	// only. Used by the cost model to sample selectivities cheaply.
-	Probe bool
 	// PageSize bounds the entries per response: a serving peer with
 	// more rows answers in pages, parking a continuation token in the
 	// response for the origin to pull the next page with (0 = one
@@ -239,10 +236,10 @@ type pageReq struct {
 
 func (r pageReq) WireSize() int { return r.Cont.WireSize() + 20 + r.TC.WireSize() }
 
-// queryResp returns entries (or a count, for probes) to the origin.
-// For range queries Share carries the branch mass; for lookups Share
-// is TotalShare. From and Path identify the responder — the origin's
-// routing cache learns the partition→node map from them.
+// queryResp returns entries (or aggregated group states) to the origin.
+// For range queries Share carries the branch mass. From and Path
+// identify the responder — the origin's routing cache learns the
+// partition→node map from them.
 type queryResp struct {
 	QID     uint64
 	Entries []store.Entry
@@ -256,13 +253,10 @@ type queryResp struct {
 	// the load-balanced replica chooser and the failover retries pick
 	// from.
 	Replicas []Ref
-	// Probes is how many batched lookup keys this response resolves
-	// (0 means 1, the unbatched compatibility default).
-	Probes int
 	// ProbeKeys lists the exact lookup keys this response answers.
-	// Key-tracked operations (probe groups with failover) mark these
-	// answered, so a hedged duplicate response can never double-count
-	// completion or re-deliver rows.
+	// Lookups are key-tracked: the origin marks these answered, so a
+	// hedged duplicate response can never double-count completion or
+	// re-deliver rows. A lookup response without any is trace-only.
 	ProbeKeys []keys.Key
 	// Final marks a response that completes its partition's branch of
 	// a range scan (a monolithic answer, or the last page of a paged

@@ -28,7 +28,19 @@ type OpResult struct {
 type OpOption func(*opSettings)
 
 type opSettings struct {
-	tc trace.Ctx
+	tc     trace.Ctx
+	agg    *agg.Spec
+	onAgg  func([]agg.State)
+	onPage func([]store.Entry)
+	desc   bool
+}
+
+func resolveOpts(opts []OpOption) opSettings {
+	var st opSettings
+	for _, o := range opts {
+		o(&st)
+	}
+	return st
 }
 
 // WithTrace runs the operation under a trace context (tracing must be
@@ -37,6 +49,36 @@ type opSettings struct {
 // origin's accumulator — drained with Peer.TakeTrace(handle.QID()).
 func WithTrace(tc trace.Ctx) OpOption {
 	return func(s *opSettings) { s.tc = tc }
+}
+
+// WithAgg pushes an aggregation down to the serving peers: each one
+// matches its entries against the spec's pattern and answers with
+// per-group partial states instead of rows, streamed to onGroups as
+// they arrive. A scan pages them by Config.PageSize groups. States are
+// mergeable in any order, and the claim/coverage failover keeps each
+// partition's (or key's) contribution exactly-once, so the
+// coordinator's merge is exact even under churn.
+func WithAgg(spec *agg.Spec, onGroups func([]agg.State)) OpOption {
+	return func(s *opSettings) { s.agg, s.onAgg = spec, onGroups }
+}
+
+// WithPages streams every response's entries (each page of a paged
+// scan, each partition's or key batch's answer) to onPage the moment it
+// arrives, in key order per partition, instead of accumulating them in
+// the final OpResult, which then carries counts only. Canceling the
+// handle between pages stops the pull loop: remaining pages are never
+// requested. onPage runs outside the peer lock, always before the
+// completion callback.
+func WithPages(onPage func([]store.Entry)) OpOption {
+	return func(s *opSettings) { s.onPage = onPage }
+}
+
+// WithDesc sets a range scan's direction: desc serves (and pages) every
+// partition's overlap from the top of the key range down, so descending
+// ranked scans stream pages in ranking order instead of buffering whole
+// shards for reversal. Exact-key lookups ignore it.
+func WithDesc(desc bool) OpOption {
+	return func(s *opSettings) { s.desc = desc }
 }
 
 // Handle tracks an asynchronous overlay operation.
@@ -144,21 +186,16 @@ func (p *Peer) PendingOps() int {
 // best-effort guarantee under churn and loss.
 const opDeadline = 2 * time.Minute
 
-// newOp registers a pending operation. needShares/needResponses define
-// the completion rule (whichever is positive). A deadline timer expires
-// the operation with partial results if responses are lost. opKind
-// names the operation in its trace root span, recorded when an option
-// supplies an active trace context (and Config.Tracing is on).
-func (p *Peer) newOp(needShares int64, needResponses int, opKind uint8, cb func(OpResult), opts ...OpOption) (uint64, *pendingOp) {
-	var st opSettings
-	for _, o := range opts {
-		o(&st)
-	}
-	op := &pendingOp{
-		needShares:    needShares,
-		needResponses: needResponses,
-		fin:           make(chan struct{}),
-	}
+// newOp registers a pending operation and returns its qid. op arrives
+// with its completion rule (needShares / needResponses, whichever is
+// positive) and its key-tracked, scan or insert state already set; st
+// adds the streaming sinks. A deadline timer expires the operation with
+// partial results if responses are lost. opKind names the operation in
+// its trace root span, recorded when st carries an active trace context
+// (and Config.Tracing is on).
+func (p *Peer) newOp(op *pendingOp, opKind uint8, cb func(OpResult), st opSettings) uint64 {
+	op.fin = make(chan struct{})
+	op.aggSpec, op.onAgg, op.onPartial = st.agg, st.onAgg, st.onPage
 	p.mu.Lock()
 	p.reqSeq++
 	qid := p.reqSeq
@@ -178,7 +215,7 @@ func (p *Peer) newOp(needShares int64, needResponses int, opKind uint8, cb func(
 		p.mu.Unlock()
 	}
 	p.net.After(opDeadline, func() { p.expireOp(qid) })
-	return qid, op
+	return qid
 }
 
 // nextQID allocates a bare request id from the operation sequence —
@@ -245,7 +282,9 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 		p.mu.Unlock()
 		return
 	}
-	if op.probeWant != nil && len(r.ProbeKeys) > 0 {
+	if op.probeWant == nil {
+		op.responses++
+	} else if len(r.ProbeKeys) > 0 {
 		// Key-tracked probe op: mark keys answered. A response that
 		// answers nothing new is a hedged duplicate — its rows were
 		// already delivered by the replica that won the race, so the
@@ -294,16 +333,20 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 		}
 		op.responses += newly
 		p.settleGroupsLocked(op, r.From)
-	} else if r.Probes < 0 {
-		// A trace-only response (a probe batch that covered none of its
-		// keys): the rider was absorbed above; it carries no rows and no
-		// completion signal.
-	} else if r.Probes > 1 {
-		// A batched response resolves Probes lookup keys at once; plain
-		// responses (Probes 0) count as one.
-		op.responses += r.Probes
-	} else {
-		op.responses++
+	}
+	// A key-tracked response without ProbeKeys is trace-only (a probe
+	// batch whose keys all re-routed): its rider was absorbed above; it
+	// carries no rows and no completion signal.
+	//
+	// Pushed-down aggregation: decode the response's partial group
+	// states. The stream check below reads the first group key, and they
+	// stream out to onAgg after unlocking. States that fail to decode are
+	// not delivered.
+	var aggStates []agg.State
+	if len(r.AggData) > 0 {
+		if sts, err := agg.DecodeStates(r.AggData); err == nil {
+			aggStates = sts
+		}
 	}
 	// spath is the partition identity of a scan response: the paged
 	// stream's StreamPath when the server's path moved mid-stream
@@ -312,15 +355,10 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 	if spath.Len() == 0 {
 		spath = r.Path
 	}
+	var cursor *scanCursor // the page's continuation memo, hedged below
 	if op.scan != nil && spath.Len() > 0 {
-		// Stream-claim dedup: the first responder for a partition owns
-		// its stream; a second stream of the same partition (a retry
-		// racing a slow-but-alive original, or vice versa) is dropped
-		// whole — pages included — so rows are never duplicated. The
-		// retry timer releases claims of dead or stalled owners.
 		sc := op.scan
 		key := spath.String()
-		now := p.net.Now()
 		cl, claimed := sc.claims[key]
 		if !claimed {
 			if mcl, mkey := sc.splitClaim(r.From, spath); mcl != nil {
@@ -333,40 +371,44 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 				cl, claimed = mcl, true
 			}
 		}
-		if claimed && cl.from != r.From {
+		// Stream dedup, so no row or group is ever delivered twice. The
+		// first responder for a partition owns its stream: another
+		// replica's stream of it (a retry racing a slow-but-alive
+		// original, or vice versa) is dropped whole, pages included, and
+		// the retry timer releases claims of dead or stalled owners. A
+		// partition that already answered in full takes nothing more.
+		// And a page must resume at the partition's cursor: a pull hedge
+		// can fork one server's stream, which then answers the original
+		// pull and the hedge from one cursor with pages sized by two
+		// windows, and the later answer repeats what the first delivered.
+		if (claimed && cl.from != r.From) || sc.hasCovered(spath) ||
+			!sc.cursors[key].resumedBy(r, aggStates) {
 			p.mu.Unlock()
 			return
-		} else if claimed {
-			if r.Cont != nil && cl.cont != nil && contEqual(*r.Cont, *cl.cont) {
-				// Same page again from the same server: a resume pull
-				// raced the original stream on one node. Keep one.
-				p.mu.Unlock()
-				return
-			}
+		}
+		now := p.net.Now()
+		if claimed {
 			cl.last = now
-			cl.cont = r.Cont
 		} else {
 			if sc.claims == nil {
 				sc.claims = make(map[string]*scanClaim)
 			}
-			sc.claims[key] = &scanClaim{path: spath, from: r.From, last: now, cont: r.Cont}
-		}
-		if r.Cont != nil {
-			if sc.cursors == nil {
-				sc.cursors = make(map[string]*scanCursor)
-			}
-			sc.cursors[key] = &scanCursor{path: spath, cont: *r.Cont}
+			sc.claims[key] = &scanClaim{path: spath, from: r.From, last: now}
 		}
 		if r.Final {
 			// Coverage bookkeeping for the churn re-shower: this
-			// partition has fully answered. A second final answer from
-			// the claimant itself would be a protocol bug; drop it too.
-			if sc.hasCovered(spath) {
-				p.mu.Unlock()
-				return
-			}
+			// partition has fully answered.
 			sc.covered = append(sc.covered, spath)
 			delete(sc.cursors, key)
+		} else if r.Cont != nil {
+			if sc.cursors == nil {
+				sc.cursors = make(map[string]*scanCursor)
+			}
+			cursor = &scanCursor{path: spath, cont: *r.Cont, from: r.From}
+			if n := len(r.Entries); n > 0 {
+				cursor.last = r.Entries[n-1]
+			}
+			sc.cursors[key] = cursor
 		}
 	}
 	onPartial := op.onPartial
@@ -376,17 +418,7 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 	} else {
 		op.entries = append(op.entries, r.Entries...)
 	}
-	// Pushed-down aggregation: decode the response's partial group
-	// states for streaming delivery (outside the lock, below). A batch
-	// that fails to decode is dropped — the coverage machinery treats
-	// the partition as unanswered and retries it.
 	onAgg := op.onAgg
-	var aggStates []agg.State
-	if onAgg != nil && len(r.AggData) > 0 {
-		if sts, err := agg.DecodeStates(r.AggData); err == nil {
-			aggStates = sts
-		}
-	}
 	op.count += r.Count
 	op.shares += r.Share
 	if r.Hops > op.hops {
@@ -409,7 +441,7 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 	if len(partial) > 0 {
 		onPartial(partial)
 	}
-	if len(aggStates) > 0 {
+	if len(aggStates) > 0 && onAgg != nil {
 		onAgg(aggStates)
 	}
 	if fire != nil {
@@ -455,7 +487,9 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 			// hedge deadline instead of waiting for the scan-level
 			// re-shower backstop. Hedging keys on the STREAM's
 			// partition — that is what the cursor memo is filed under.
-			p.armPagePull(r.QID, spath, *r.Cont, target)
+			if cursor != nil {
+				p.armPagePull(r.QID, spath, cursor, target)
+			}
 		}
 	}
 }
@@ -548,14 +582,15 @@ func (p *Peer) InsertTriple(tr triple.Triple, version uint64) {
 // deadline passes are re-routed — safely, because the store resolves
 // duplicate entries by version, so a retried insert is idempotent.
 func (p *Peer) InsertTripleAcked(tr triple.Triple, version uint64, cb func(OpResult), opts ...OpOption) *Handle {
-	qid, op := p.newOp(0, len(triple.AllIndexKinds), trace.OpInsert, cb, opts...)
-	p.mu.Lock()
-	op.insertPend = make(map[uint8]store.Entry, len(triple.AllIndexKinds))
+	op := &pendingOp{
+		needResponses: len(triple.AllIndexKinds),
+		insertPend:    make(map[uint8]store.Entry, len(triple.AllIndexKinds)),
+	}
 	for i, kind := range triple.AllIndexKinds {
 		op.insertPend[uint8(i)] = store.Entry{Kind: kind, Key: triple.IndexKey(tr, kind),
 			Triple: tr, Version: version}
 	}
-	p.mu.Unlock()
+	qid := p.newOp(op, trace.OpInsert, cb, resolveOpts(opts))
 	for i, kind := range triple.AllIndexKinds {
 		p.sendInsert(qid, uint8(i), store.Entry{Kind: kind, Key: triple.IndexKey(tr, kind),
 			Triple: tr, Version: version}, op.tc)
@@ -610,30 +645,22 @@ func (p *Peer) DeleteTriple(oid, attr string, version uint64) {
 
 // --- Lookups and range queries -------------------------------------------
 
-// Lookup asynchronously fetches the entries stored at exactly key k in
-// the given index. The probe is key-tracked: a cached owner set sends
-// it direct to a load-chosen replica with hedged failover; otherwise
-// it takes the routed path.
-func (p *Peer) Lookup(kind triple.IndexKind, k keys.Key, cb func(OpResult), opts ...OpOption) *Handle {
-	qid, op := p.newOp(0, 1, trace.OpLookup, cb, opts...)
-	p.mu.Lock()
-	op.probeWant = map[string]bool{k.String(): true}
-	op.probeKind = uint8(kind)
-	p.mu.Unlock()
-	p.dispatchProbes(qid, op, uint8(kind), []keys.Key{k})
-	return &Handle{peer: p, op: op, qid: qid}
-}
+// The overlay's read surface is two asynchronous calls, one per access
+// shape: Lookup for exact keys, RangeQuery for key ranges. Options pick
+// the delivery — WithAgg (peer-side aggregation), WithPages (streamed
+// pages), WithDesc (descending scans) — and WithTrace the tracing.
 
-// MultiLookup fetches the entries at every key of ks in one operation,
-// coalescing keys whose cached responsible PARTITION coincides into a
-// single multiLookupReq/batched-response pair, sent to a replica of
-// that partition chosen by load (power of two choices over the cached
-// owner set). Keys this peer covers itself are answered in one local
-// batch; keys with no cache entry fall back to individually routed
-// lookups. Answers are tracked per key, so the operation completes
-// exactly when every distinct key has been answered — no matter how
-// responses, hedged duplicates, or failover retries interleave.
-func (p *Peer) MultiLookup(kind triple.IndexKind, ks []keys.Key, cb func(OpResult), opts ...OpOption) *Handle {
+// Lookup asynchronously fetches the entries stored at exactly the keys
+// ks of one index. Keys this peer covers itself are answered in one
+// local batch. Keys whose cached responsible PARTITION coincides travel
+// as one multiLookupReq to a replica of that partition chosen by load
+// (power of two choices over the cached owner set), with hedged
+// failover to its siblings. Keys with no cache entry take the routed
+// path one by one. Answers are tracked per key, so the operation
+// completes exactly when every distinct key has been answered, however
+// responses, hedged duplicates and failover retries interleave. One
+// distinct key traces as a "lookup", several as a "multilookup".
+func (p *Peer) Lookup(kind triple.IndexKind, ks []keys.Key, cb func(OpResult), opts ...OpOption) *Handle {
 	distinct := make([]keys.Key, 0, len(ks))
 	want := make(map[string]bool, len(ks))
 	for _, k := range ks {
@@ -643,66 +670,31 @@ func (p *Peer) MultiLookup(kind triple.IndexKind, ks []keys.Key, cb func(OpResul
 			distinct = append(distinct, k)
 		}
 	}
-	qid, op := p.newOp(0, len(distinct), trace.OpMultiLookup, cb, opts...)
-	p.mu.Lock()
-	op.probeWant = want
-	op.probeKind = uint8(kind)
-	p.mu.Unlock()
+	opKind := trace.OpMultiLookup
+	if len(distinct) == 1 {
+		opKind = trace.OpLookup
+	}
+	op := &pendingOp{needResponses: len(distinct), probeWant: want}
+	qid := p.newOp(op, opKind, cb, resolveOpts(opts))
 	p.dispatchProbes(qid, op, uint8(kind), distinct)
 	return &Handle{peer: p, op: op, qid: qid}
 }
 
 // RangeQuery asynchronously collects all entries of `kind` with keys in
-// r, using the shower algorithm. probe=true returns counts only.
-func (p *Peer) RangeQuery(kind triple.IndexKind, r keys.Range, probe bool, cb func(OpResult), opts ...OpOption) *Handle {
-	qid, op := p.newOp(TotalShare, 0, trace.OpRange, cb, opts...)
-	p.mu.Lock()
-	op.scan = &scanState{kind: uint8(kind), r: r, pageSize: p.cfg.PageSize, probe: probe}
-	p.mu.Unlock()
+// r, using the shower algorithm; the empty range reaches every peer
+// (the naive full-scan access path).
+func (p *Peer) RangeQuery(kind triple.IndexKind, r keys.Range, cb func(OpResult), opts ...OpOption) *Handle {
+	st := resolveOpts(opts)
+	op := &pendingOp{needShares: TotalShare, scan: &scanState{kind: uint8(kind), r: r, desc: st.desc}}
+	qid := p.newOp(op, trace.OpRange, cb, st)
 	wb, wm := p.advertiseWindow()
 	msg := rangeMsg{QID: qid, Origin: p.id, Kind: uint8(kind), R: r,
-		Level: 0, Share: TotalShare, Probe: probe, PageSize: p.cfg.PageSize,
+		Level: 0, Share: TotalShare, PageSize: p.cfg.PageSize, Desc: st.desc, Agg: st.agg,
 		WinBytes: wb, WinMsgs: wm, TC: op.tc}
 	p.armScanRetry(qid)
 	// The origin participates in the shower like any other peer.
 	p.handleRange(msg, 0)
 	return &Handle{peer: p, op: op, qid: qid}
-}
-
-// RangeQueryPages is RangeQuery with streaming delivery: every
-// response's entries (each page of a paged scan, each partition's
-// answer) are handed to onPage the moment they arrive, in within-scan
-// key order per partition, and the final OpResult carries counts only.
-// Canceling the handle between pages stops the pull loop — remaining
-// pages are never requested. onPage runs outside the peer lock but
-// always before the completion callback.
-func (p *Peer) RangeQueryPages(kind triple.IndexKind, r keys.Range, onPage func([]store.Entry), cb func(OpResult), opts ...OpOption) *Handle {
-	return p.RangeQueryPagesOrdered(kind, r, false, onPage, cb, opts...)
-}
-
-// RangeQueryPagesOrdered is RangeQueryPages with a direction: desc
-// serves (and pages) every partition's overlap from the top of the key
-// range down, so descending ranked scans stream pages in ranking order
-// instead of buffering whole shards for reversal.
-func (p *Peer) RangeQueryPagesOrdered(kind triple.IndexKind, r keys.Range, desc bool, onPage func([]store.Entry), cb func(OpResult), opts ...OpOption) *Handle {
-	qid, op := p.newOp(TotalShare, 0, trace.OpRange, cb, opts...)
-	p.mu.Lock()
-	op.onPartial = onPage
-	op.scan = &scanState{kind: uint8(kind), r: r, pageSize: p.cfg.PageSize, desc: desc}
-	p.mu.Unlock()
-	wb, wm := p.advertiseWindow()
-	msg := rangeMsg{QID: qid, Origin: p.id, Kind: uint8(kind), R: r,
-		Level: 0, Share: TotalShare, PageSize: p.cfg.PageSize, Desc: desc,
-		WinBytes: wb, WinMsgs: wm, TC: op.tc}
-	p.armScanRetry(qid)
-	p.handleRange(msg, 0)
-	return &Handle{peer: p, op: op, qid: qid}
-}
-
-// Broadcast asynchronously reaches every peer and collects all entries
-// of one index kind (the naive full-scan access path).
-func (p *Peer) Broadcast(kind triple.IndexKind, probe bool, cb func(OpResult), opts ...OpOption) *Handle {
-	return p.RangeQuery(kind, keys.Range{}, probe, cb, opts...)
 }
 
 // --- Application payload routing -----------------------------------------
@@ -728,12 +720,12 @@ const defaultOpTimeout = 5 * time.Minute
 // LookupSync performs a lookup, driving the network until the response
 // arrives.
 func (p *Peer) LookupSync(kind triple.IndexKind, k keys.Key) OpResult {
-	return p.Lookup(kind, k, nil).Wait(defaultOpTimeout)
+	return p.Lookup(kind, []keys.Key{k}, nil).Wait(defaultOpTimeout)
 }
 
 // RangeQuerySync performs a range query, driving the network.
 func (p *Peer) RangeQuerySync(kind triple.IndexKind, r keys.Range) OpResult {
-	return p.RangeQuery(kind, r, false, nil).Wait(defaultOpTimeout)
+	return p.RangeQuery(kind, r, nil).Wait(defaultOpTimeout)
 }
 
 // InsertTripleSync inserts and waits for all three acks.

@@ -106,7 +106,7 @@ func TestPagedScanStableUnderMutation(t *testing.T) {
 	}
 	net.Run()
 
-	h := peers[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), false, nil)
+	h := peers[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil)
 	// Step until at least two pages have been pulled, then mutate the
 	// serving peer's store with an entry sorting before the cursor.
 	for net.Stats().PerKind[KindPage] < 2 && net.Step() {
@@ -164,7 +164,7 @@ func TestMultiLookupMatchesIndividualLookups(t *testing.T) {
 		want = append(want, res.Entries...)
 	}
 	for round := 0; round < 2; round++ { // round 1 runs on a warm cache
-		h := q.MultiLookup(triple.ByOID, ks, nil)
+		h := q.Lookup(triple.ByOID, ks, nil)
 		res := h.Wait(5 * time.Minute)
 		if !res.Complete {
 			t.Fatalf("round %d: multi-lookup incomplete: %d/%d responses", round, res.Responses, len(ks))
@@ -194,11 +194,11 @@ func TestMultiLookupBatchesMessages(t *testing.T) {
 	q := peers[0]
 
 	before := net.Stats().MessagesSent
-	q.MultiLookup(triple.ByOID, ks, nil).Wait(5 * time.Minute)
+	q.Lookup(triple.ByOID, ks, nil).Wait(5 * time.Minute)
 	cold := net.Stats().MessagesSent - before
 
 	before = net.Stats().MessagesSent
-	q.MultiLookup(triple.ByOID, ks, nil).Wait(5 * time.Minute)
+	q.Lookup(triple.ByOID, ks, nil).Wait(5 * time.Minute)
 	warm := net.Stats().MessagesSent - before
 
 	if warm >= cold {

@@ -27,7 +27,6 @@ import (
 	"unistore/internal/simnet"
 	"unistore/internal/store"
 	"unistore/internal/trace"
-	"unistore/internal/triple"
 )
 
 // Ref is a routing reference: another peer's address and the path it
@@ -300,14 +299,13 @@ type pendingOp struct {
 	onAgg   func([]agg.State)
 	fin     chan struct{}
 
-	// Key-tracked probe state (lookups and multi-lookups with replica
-	// failover). probeWant holds the keys still unanswered; responses
+	// Key-tracked probe state (lookups with replica failover).
+	// probeWant holds the keys still unanswered; responses
 	// mark keys answered through their ProbeKeys echo, so a hedged
 	// duplicate can neither double-count completion nor re-deliver
 	// rows. groups tracks the direct sends awaiting answers for the
 	// hedge timer.
 	probeWant map[string]bool
-	probeKind uint8
 	groupSeq  uint64
 	groups    map[uint64]*probeGroup
 
@@ -355,14 +353,9 @@ type probeGroup struct {
 // has made no progress for a whole retry interval, so a genuinely
 // wedged stream does hand the partition to a sibling.
 type scanState struct {
-	kind     uint8
-	r        keys.Range
-	pageSize int
-	probe    bool
-	desc     bool
-	// agg is the pushed-down aggregation spec; retry showers carry it
-	// so re-showered partitions keep answering in group states.
-	agg     *agg.Spec
+	kind    uint8
+	r       keys.Range
+	desc    bool
 	covered []keys.Key
 	claims  map[string]*scanClaim
 	// cursors memoizes each partition's page progress (the latest
@@ -370,26 +363,23 @@ type scanState struct {
 	// survives claim releases and lost resume pulls, so EVERY retry
 	// round resumes a partially-streamed partition at its cursor —
 	// never a from-scratch re-shower that would replay delivered rows.
-	// An entry is dropped when its partition's final page lands.
+	// Every page must resume at it (scanCursor.resumedBy). An entry is
+	// dropped when its partition's final page lands.
 	cursors  map[string]*scanCursor
 	retries  int
 	coverage bool // completion by coverage (armed by the first retry)
 }
 
 // scanClaim is one partition's stream ownership within a range query.
-// cont is the continuation of the last page accepted from the stream:
-// a same-From response carrying the identical continuation is the same
-// page again (a resume pull racing the original stream on one server)
-// and is dropped, so even same-node stream forks cannot duplicate
-// rows.
 type scanClaim struct {
 	path keys.Key
 	from simnet.NodeID
 	last time.Duration // simulated instant of the stream's last response
-	cont *pageCont
 }
 
-// scanCursor is one partition's resume point. hedges counts the
+// scanCursor is one partition's resume point: the continuation of the
+// last page accepted from its stream, the server that sent that page,
+// and its last row (zero on aggregated streams). hedges counts the
 // pull-level retries spent at this exact position; a fresh page resets
 // it (a new scanCursor replaces the old), so the budget is per page,
 // with the scan-level re-shower still backstopping a position that
@@ -397,6 +387,8 @@ type scanClaim struct {
 type scanCursor struct {
 	path   keys.Key
 	cont   pageCont
+	from   simnet.NodeID
+	last   store.Entry
 	hedges int
 }
 
@@ -617,20 +609,8 @@ func (p *Peer) deliver(env routeEnvelope, from simnet.NodeID, size int) {
 		p.applyInsert(inner, env.Hops, from, size)
 	case lookupReq:
 		ws := p.beginSpan(inner.TC, trace.OpLookup, env.Hops, env.Hops*size)
-		entries := p.store.Lookup(triple.IndexKind(inner.Kind), inner.Key)
-		resp := queryResp{
-			QID: inner.QID, Share: TotalShare, Hops: env.Hops + env.Spent,
-			ProbeKeys: []keys.Key{inner.Key},
-		}
-		if inner.Agg != nil {
-			aggProbeResp(&resp, inner.Agg, entries)
-		} else {
-			resp.Entries = entries
-			resp.Count = len(entries)
-		}
-		p.stampResp(&resp)
-		resp.TS = p.finishSpan(ws, inner.TC.TraceID, resp.Count)
-		p.net.Send(p.id, inner.Origin, KindResponse, resp)
+		p.serveKeys(inner.QID, inner.Origin, inner.Kind, []keys.Key{inner.Key}, inner.Agg,
+			env.Hops+env.Spent, ws, inner.TC.TraceID)
 	case pageReq:
 		// A routed page pull: the churn re-shower resumes a dead
 		// server's paged stream at its cursor through whichever replica

@@ -158,7 +158,7 @@ func TestBroadcastReachesAllPartitions(t *testing.T) {
 		peers[i%16].InsertTriple(triple.T(fmt.Sprintf("o%d", i), "name", fmt.Sprintf("n%02d", i)), 1)
 	}
 	net.Run()
-	res := peers[5].Broadcast(triple.ByAV, false, nil).Wait(0)
+	res := peers[5].RangeQuery(triple.ByAV, keys.Range{}, nil).Wait(0)
 	if !res.Complete {
 		t.Fatal("broadcast incomplete")
 	}
@@ -167,19 +167,6 @@ func TestBroadcastReachesAllPartitions(t *testing.T) {
 	}
 	if len(res.Entries) != 64 {
 		t.Errorf("broadcast collected %d entries, want 64", len(res.Entries))
-	}
-}
-
-func TestProbeCountsWithoutEntries(t *testing.T) {
-	net := newNet(9)
-	peers := BuildBalanced(net, 8, 1, DefaultConfig())
-	for i := 0; i < 10; i++ {
-		peers[0].InsertTriple(triple.TN(fmt.Sprintf("o%d", i), "age", float64(30+i)), 1)
-	}
-	net.Run()
-	res := peers[2].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), true, nil).Wait(0)
-	if res.Count != 10 || len(res.Entries) != 0 {
-		t.Errorf("probe: count=%d entries=%d", res.Count, len(res.Entries))
 	}
 }
 

@@ -29,32 +29,6 @@ import (
 // owner set travel direct to a load-chosen replica (grouped per
 // partition, hedging armed), and the rest take the routed path.
 func (p *Peer) dispatchProbes(qid uint64, op *pendingOp, kind uint8, ks []keys.Key) {
-	// Single-key fast path: the dominant Lookup shape needs no group
-	// index map or slice bookkeeping — resolve the one key and go.
-	if len(ks) == 1 {
-		k := ks[0]
-		p.mu.RLock()
-		tc := op.tc
-		if k.HasPrefix(p.path) {
-			p.mu.RUnlock()
-			p.serveLocalProbes(qid, op, kind, ks, tc)
-			return
-		}
-		set, ok := p.cachedSetLocked(k)
-		var spath keys.Key
-		if ok {
-			spath = set.path
-		}
-		p.mu.RUnlock()
-		if ok {
-			p.stats.cacheHits.Add(1)
-			p.sendProbeGroup(qid, op, kind, ks, spath, nil, 0, tc)
-			return
-		}
-		p.stats.cacheMisses.Add(1)
-		p.routeProbe(qid, kind, k, op.aggSpec, tc)
-		return
-	}
 	var local []keys.Key
 	type group struct {
 		path keys.Key
@@ -88,7 +62,13 @@ func (p *Peer) dispatchProbes(qid uint64, op *pendingOp, kind uint8, ks []keys.K
 	}
 	p.mu.RUnlock()
 	if len(local) > 0 {
-		p.serveLocalProbes(qid, op, kind, local, tc)
+		// The request leg is a function call (zero messages); the
+		// response is a real self-send, so completion callbacks never
+		// fire inside the issuing call, and the span's outbound side is
+		// charged when the origin absorbs its rider.
+		p.stats.delivered.Add(int64(len(local)))
+		ws := p.beginSpan(tc, trace.OpMultiLookup, 0, 0)
+		p.serveKeys(qid, p.id, kind, local, op.aggSpec, 0, ws, tc.TraceID)
 	}
 	for _, g := range groups {
 		p.sendProbeGroup(qid, op, kind, g.ks, g.path, nil, 0, tc)
@@ -98,32 +78,30 @@ func (p *Peer) dispatchProbes(qid uint64, op *pendingOp, kind uint8, ks []keys.K
 	}
 }
 
-// serveLocalProbes answers probe keys owned by this peer as one batch.
-// The response travels through the network like any other so completion
-// callbacks never fire inside the issuing call.
-func (p *Peer) serveLocalProbes(qid uint64, op *pendingOp, kind uint8, local []keys.Key, tc trace.Ctx) {
-	// The request leg is a function call (zero messages); the loopback
-	// response below is a real self-send, so the span's outbound side is
-	// charged when the origin absorbs its rider.
-	ws := p.beginSpan(tc, trace.OpMultiLookup, 0, 0)
-	resp := queryResp{QID: qid, Probes: len(local), ProbeKeys: local}
+// serveKeys answers exact-key probes this peer owns with one queryResp:
+// the entries stored at each key (or, with spec set, their aggregated
+// group states), and ProbeKeys echoing the keys answered so the
+// origin's per-key completion stays exact however hedges and re-routes
+// interleave. Every exact-key path ends here — the origin's local
+// batch, a direct multiLookupReq and a routed lookupReq — each passing
+// the span it opened and the hops its request travelled. An empty ks
+// is the trace-only answer of a traced batch whose keys all re-routed:
+// no ProbeKeys, hence no completion signal.
+func (p *Peer) serveKeys(qid uint64, origin simnet.NodeID, kind uint8, ks []keys.Key, spec *agg.Spec, hops int, ws *trace.WireSpan, traceID uint64) {
+	resp := queryResp{QID: qid, Hops: hops, ProbeKeys: ks}
 	p.stampResp(&resp)
-	var collected []store.Entry
-	for _, k := range local {
-		p.stats.delivered.Add(1)
-		entries := p.store.Lookup(triple.IndexKind(kind), k)
-		if op.aggSpec != nil {
-			collected = append(collected, entries...)
-			continue
-		}
-		resp.Entries = append(resp.Entries, entries...)
-		resp.Count += len(entries)
+	var entries []store.Entry
+	for _, k := range ks {
+		entries = append(entries, p.store.Lookup(triple.IndexKind(kind), k)...)
 	}
-	if op.aggSpec != nil {
-		aggProbeResp(&resp, op.aggSpec, collected)
+	if spec != nil && len(ks) > 0 {
+		aggProbeResp(&resp, spec, entries)
+	} else {
+		resp.Entries = entries
+		resp.Count = len(entries)
 	}
-	resp.TS = p.finishSpan(ws, tc.TraceID, resp.Count)
-	p.net.Send(p.id, p.id, KindResponse, resp)
+	resp.TS = p.finishSpan(ws, traceID, resp.Count)
+	p.net.Send(p.id, origin, KindResponse, resp)
 }
 
 // routeProbe sends one probe down the ordinary prefix-routed path (the
@@ -319,27 +297,28 @@ func (p *Peer) siblingReplicaLocked(path keys.Key, dead simnet.NodeID) (simnet.N
 // --- Page-pull hedging -------------------------------------------------------
 
 // armPagePull schedules the pull-level hedge of one in-flight page
-// request: if the partition's cursor has not moved past cont when the
-// hedge deadline fires, the pull (or its answer) was swallowed — most
-// likely the server died with the request already sent — and the pull
+// request: if the partition's cursor is still cu when the hedge
+// deadline fires, the pull (or its answer) was swallowed — most likely
+// the server died with the request already sent — and the pull
 // re-sends to a live sibling replica.
-func (p *Peer) armPagePull(qid uint64, path keys.Key, cont pageCont, server simnet.NodeID) {
+func (p *Peer) armPagePull(qid uint64, path keys.Key, cu *scanCursor, server simnet.NodeID) {
 	hedge := p.cfg.hedgeAfter()
 	if hedge == 0 {
 		return
 	}
-	p.net.After(hedge, func() { p.hedgePagePull(qid, path, cont, server) })
+	p.net.After(hedge, func() { p.hedgePagePull(qid, path, cu, server) })
 }
 
 // hedgePagePull fires at the pull hedge deadline. A cursor that moved
-// (or a finished partition) means the stream is healthy and the timer
-// dissolves; a stalled cursor re-sends the pull — direct to a sibling
-// replica with the stream claim transferred (so the sibling's pages
-// are accepted and a late original is dropped whole), or routed with
-// the claim released when no sibling is cached. The per-cursor hedge
-// budget keeps a persistently wedged position from looping; past it
-// the scan-level re-shower backstop still applies.
-func (p *Peer) hedgePagePull(qid uint64, path keys.Key, cont pageCont, server simnet.NodeID) {
+// (every accepted page files a new one) or a finished partition means
+// the stream is healthy and the timer dissolves; a stalled cursor
+// re-sends the pull — direct to a sibling replica with the stream claim
+// transferred (so the sibling's pages are accepted and a late original
+// is dropped whole), or routed with the claim released when no sibling
+// is cached. The per-cursor hedge budget keeps a persistently wedged
+// position from looping; past it the scan-level re-shower backstop
+// still applies.
+func (p *Peer) hedgePagePull(qid uint64, path keys.Key, cu *scanCursor, server simnet.NodeID) {
 	p.mu.Lock()
 	op, ok := p.pending[qid]
 	if !ok || op.done || op.scan == nil {
@@ -348,16 +327,12 @@ func (p *Peer) hedgePagePull(qid uint64, path keys.Key, cont pageCont, server si
 	}
 	sc := op.scan
 	key := path.String()
-	cu, ok := sc.cursors[key]
-	if !ok || !contEqual(cu.cont, cont) {
-		p.mu.Unlock()
-		return
-	}
-	if cu.hedges >= maxProbeAttempts {
+	if sc.cursors[key] != cu || cu.hedges >= maxProbeAttempts {
 		p.mu.Unlock()
 		return
 	}
 	cu.hedges++
+	cont := cu.cont
 	tc := op.tc
 	tc.Flags |= trace.FlagRetry
 	target, direct := p.siblingReplicaLocked(path, server)
@@ -381,11 +356,11 @@ func (p *Peer) hedgePagePull(qid uint64, path keys.Key, cont pageCont, server si
 	req := pageReq{QID: qid, Origin: p.id, Cont: cont, WinBytes: wb, WinMsgs: wm, TC: tc}
 	if direct {
 		p.net.Send(p.id, target, KindPage, req)
-		p.armPagePull(qid, path, cont, target)
+		p.armPagePull(qid, path, cu, target)
 		return
 	}
 	p.route(path, req)
-	p.armPagePull(qid, path, cont, server)
+	p.armPagePull(qid, path, cu, server)
 }
 
 // --- Write-path failover -----------------------------------------------------
@@ -518,7 +493,7 @@ func (p *Peer) retryScan(qid uint64) {
 		active = append(active, cu.path)
 	}
 	gaps := uncoveredPrefixes(sc.r, active)
-	kind, pageSize, probe, desc, aggSpec := sc.kind, sc.pageSize, sc.probe, sc.desc, sc.agg
+	kind, desc, aggSpec := sc.kind, sc.desc, op.aggSpec
 	if len(gaps) == 0 && len(resumes) == 0 {
 		// Covered while the timer was in flight: the completion rule
 		// just changed, so check it here — no further response may.
@@ -547,22 +522,56 @@ func (p *Peer) retryScan(qid uint64) {
 		p.handleRange(rangeMsg{
 			QID: qid, Origin: p.id, Kind: kind,
 			R: clipRangeToPrefix(r, g), Level: 0, Share: 0,
-			Probe: probe, PageSize: pageSize, Desc: desc, Agg: aggSpec,
+			PageSize: p.cfg.PageSize, Desc: desc, Agg: aggSpec,
 			TC: tc,
 		}, 0)
 	}
 	p.armScanRetry(qid)
 }
 
-// contEqual reports whether two continuation tokens name the same
-// page position (everything but the constant transport fields). An
-// aggregated scan's position lives in the group-key cursor, so it
-// participates too — successive group pages share the same key range.
-func contEqual(a, b pageCont) bool {
-	return a.Kind == b.Kind && a.SkipAtLo == b.SkipAtLo && a.Desc == b.Desc &&
-		a.R.Lo.Equal(b.R.Lo) && a.R.Hi.Equal(b.R.Hi) && a.R.HiOpen == b.R.HiOpen &&
-		a.Cursor.Equal(b.Cursor) &&
-		(a.Agg == nil) == (b.Agg == nil) && a.AggAfter == b.AggAfter
+// resumedBy reports whether response r (with its decoded group states)
+// continues the stream at this cursor rather than repeating what the
+// stream already delivered; a nil cursor (no page accepted yet, or a
+// finished partition) accepts anything. Every server page starts
+// exactly at the cursor it was pulled with, so an aggregated page must
+// start past AggAfter (group keys are unique and ordered). Row streams
+// fork only when the cursor's own server answers two pulls (another
+// server's repeat loses the stream claim), and only such a page is
+// tested: it must not carry the cursor's last row — a page from an
+// earlier cursor that runs past this one carries it — and a partial one
+// must end past the cursor. A sibling's page is taken as it comes: it
+// skips SkipAtLo rows in its own bucket order, which may differ from
+// the cursor server's, so it can legitimately re-serve the last row.
+func (cu *scanCursor) resumedBy(r queryResp, states []agg.State) bool {
+	if cu == nil {
+		return true
+	}
+	if cu.cont.Agg != nil {
+		return len(states) == 0 || states[0].GroupKey() > cu.cont.AggAfter
+	}
+	if r.From != cu.from {
+		return true
+	}
+	for _, e := range r.Entries {
+		if e.Version == cu.last.Version && factKeyOf(e) == factKeyOf(cu.last) {
+			return false
+		}
+	}
+	return r.Cont == nil || cu.cont.before(*r.Cont)
+}
+
+// before reports whether row cursor c sits strictly before d in their
+// stream's scan order: ascending streams cursor on R.Lo, descending ones
+// on Cursor, and SkipAtLo counts the rows already sent at that key.
+func (c pageCont) before(d pageCont) bool {
+	if c.Desc {
+		if x := c.Cursor.Compare(d.Cursor); x != 0 {
+			return x > 0
+		}
+	} else if x := c.R.Lo.Compare(d.R.Lo); x != 0 {
+		return x < 0
+	}
+	return c.SkipAtLo < d.SkipAtLo
 }
 
 // uncoveredPrefixes returns the minimal trie prefixes overlapping r

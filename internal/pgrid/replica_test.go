@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unistore/internal/agg"
 	"unistore/internal/keys"
 	"unistore/internal/simnet"
 	"unistore/internal/store"
@@ -55,7 +56,7 @@ func TestProbeHedgesToSiblingReplica(t *testing.T) {
 	// flight: the request is dropped at delivery, so only the hedge
 	// timer can save the operation.
 	msgsBefore := net.Stats().MessagesSent
-	h := q.Lookup(triple.ByAV, key, nil)
+	h := q.Lookup(triple.ByAV, []keys.Key{key}, nil)
 	victim, ok := inflightTarget(net, peers, q)
 	if !ok {
 		t.Fatal("warm probe did not go direct")
@@ -73,6 +74,87 @@ func TestProbeHedgesToSiblingReplica(t *testing.T) {
 	}
 	if q.PendingOps() != 0 {
 		t.Errorf("pending ops leaked: %d", q.PendingOps())
+	}
+}
+
+// respTap is a simulated network that records every queryResp sent.
+type respTap struct {
+	*simnet.Network
+	resps []queryResp
+}
+
+func (t *respTap) Send(from, to NodeID, kind string, payload any) {
+	if r, ok := payload.(queryResp); ok {
+		t.resps = append(t.resps, r)
+	}
+	t.Network.Send(from, to, kind, payload)
+}
+
+// TestProbeServingPathsAgree: the three exact-key paths — the origin's
+// local batch, a direct batch to a cached owner and a cold routed
+// lookup — serve one key alike, plain and aggregated: the same entries
+// or group states and the same ProbeKeys, under the server span kinds
+// the paths always had ("multilookup" for both batches, "lookup" for
+// the routed envelope).
+func TestProbeServingPathsAgree(t *testing.T) {
+	net := &respTap{Network: newNet(72)}
+	cfg := DefaultConfig()
+	cfg.Tracing = true
+	peers := BuildBalanced(net, 8, 1, cfg)
+	for i := 0; i < 5; i++ {
+		peers[i%len(peers)].InsertTriple(triple.T(fmt.Sprintf("sp%d", i), "group", "db"), 1)
+	}
+	net.Run()
+	k := triple.AVKey("group", triple.S("db"))
+	var owner, q *Peer
+	for _, p := range peers {
+		if p.Responsible(k) {
+			owner = p
+		} else if q == nil {
+			q = p
+		}
+	}
+	// serve runs one traced lookup of k and returns the response its
+	// server sent and the kind of the server's span.
+	serve := func(from *Peer, spec *agg.Spec) (queryResp, string) {
+		t.Helper()
+		opts := []OpOption{WithTrace(trace.Ctx{TraceID: 1})}
+		if spec != nil {
+			opts = append(opts, WithAgg(spec, func([]agg.State) {}))
+		}
+		net.resps = nil
+		h := from.Lookup(triple.ByAV, []keys.Key{k}, nil, opts...)
+		if res := h.Wait(0); !res.Complete {
+			t.Fatalf("lookup incomplete: %+v", res)
+		}
+		spans := from.TakeTrace(h.QID())
+		if len(net.resps) != 1 || len(spans) != 2 || spans[0].Kind != "lookup" {
+			t.Fatalf("want one response and a lookup root with one server span; got %d responses, spans %+v",
+				len(net.resps), spans)
+		}
+		return net.resps[0], spans[1].Kind
+	}
+	for _, spec := range []*agg.Spec{nil, countSpec()} {
+		local, localKind := serve(owner, spec)
+		q.mu.Lock()
+		q.cache.clearLocked()
+		q.mu.Unlock()
+		routed, routedKind := serve(q, spec)
+		direct, directKind := serve(q, spec)
+		if kinds := []string{localKind, routedKind, directKind}; kinds[0] != "multilookup" ||
+			kinds[1] != "lookup" || kinds[2] != "multilookup" {
+			t.Errorf("agg=%v: server span kinds (local, routed, direct) = %v", spec != nil, kinds)
+		}
+		for name, r := range map[string]queryResp{"routed": routed, "direct": direct} {
+			if fmt.Sprint(entryKeys(r.Entries)) != fmt.Sprint(entryKeys(local.Entries)) ||
+				string(r.AggData) != string(local.AggData) || r.Count != local.Count ||
+				fmt.Sprint(r.ProbeKeys) != fmt.Sprint(local.ProbeKeys) {
+				t.Errorf("agg=%v: %s path served %+v, local batch %+v", spec != nil, name, r, local)
+			}
+		}
+		if local.Count == 0 || fmt.Sprint(local.ProbeKeys) != fmt.Sprint([]keys.Key{k}) {
+			t.Errorf("agg=%v: local batch answered nothing: %+v", spec != nil, local)
+		}
 	}
 }
 
@@ -102,7 +184,7 @@ func TestMultiLookupFailoverExactCompletion(t *testing.T) {
 		}
 	}
 	q.mu.RUnlock()
-	h := q.MultiLookup(triple.ByAV, ks, nil)
+	h := q.Lookup(triple.ByAV, ks, nil)
 	net.Kill(victim)
 	res := h.Wait(0)
 	if !res.Complete {
@@ -137,7 +219,7 @@ func TestScanCoverageRetryUnderChurn(t *testing.T) {
 	r := triple.AVPrefixRange("age")
 	// Start the scan, then kill the in-flight branch targets before
 	// delivery (at most one replica per partition; never the origin).
-	h := q.RangeQuery(triple.ByAV, r, false, nil)
+	h := q.RangeQuery(triple.ByAV, r, nil)
 	byPath := map[string]bool{}
 	killed := 0
 	for _, p := range peers {
@@ -181,10 +263,8 @@ func TestScanStreamClaimDropsDuplicateStream(t *testing.T) {
 	peers := BuildBalanced(net, 4, 1, DefaultConfig())
 	q := peers[0]
 	r := triple.AVPrefixRange("age")
-	qid, op := q.newOp(TotalShare, 0, trace.OpRange, nil)
-	q.mu.Lock()
-	op.scan = &scanState{kind: uint8(triple.ByAV), r: r}
-	q.mu.Unlock()
+	op := &pendingOp{needShares: TotalShare, scan: &scanState{kind: uint8(triple.ByAV), r: r}}
+	qid := q.newOp(op, trace.OpRange, nil, opSettings{})
 	path := keys.FromBits("01")
 	tr := triple.TN("cl01", "age", 1)
 	e := store.Entry{Kind: triple.ByAV, Key: triple.IndexKey(tr, triple.ByAV), Triple: tr, Version: 1}
@@ -212,6 +292,33 @@ func TestScanStreamClaimDropsDuplicateStream(t *testing.T) {
 	}
 }
 
+// TestScanDropsPagesAfterFinal: once a partition's stream delivered its
+// final page, a later page of the same stream (a forked pull whose
+// smaller window left it partial) must be dropped, while other
+// partitions keep the operation open.
+func TestScanDropsPagesAfterFinal(t *testing.T) {
+	net := newNet(71)
+	peers := BuildBalanced(net, 4, 1, DefaultConfig())
+	q, server := peers[0], peers[1]
+	op := &pendingOp{needShares: TotalShare, scan: &scanState{kind: uint8(triple.ByAV), r: triple.AVPrefixRange("age")}}
+	qid := q.newOp(op, trace.OpRange, nil, opSettings{})
+	tr := triple.TN("fin01", "age", 1)
+	e := store.Entry{Kind: triple.ByAV, Key: triple.IndexKey(tr, triple.ByAV), Triple: tr, Version: 1}
+	path := server.Path()
+	q.handleResponse(queryResp{QID: qid, Entries: []store.Entry{e}, Count: 1, Share: TotalShare / 2,
+		Final: true, From: server.ID(), Path: path}, 0)
+	q.handleResponse(queryResp{QID: qid, Entries: []store.Entry{e}, Count: 1,
+		Cont: &pageCont{Kind: uint8(triple.ByAV), R: keys.Range{Lo: e.Key}, SkipAtLo: 1, PageSize: 1},
+		From: server.ID(), Path: path}, 0)
+	h := &Handle{peer: q, op: op, qid: qid}
+	if res := h.Result(); res.Count != 1 || len(res.Entries) != 1 {
+		t.Fatalf("a page after the partition's final leaked rows: %+v", res)
+	}
+	if h.Done() {
+		t.Fatal("half the share completed the operation")
+	}
+}
+
 // TestPagedScanResumesAtCursorAfterMidPaginationDeath: a paged scan
 // whose server dies AFTER delivering pages must resume the stream at
 // its stored cursor on a sibling replica — every fact arrives exactly
@@ -236,9 +343,9 @@ func TestPagedScanResumesAtCursorAfterMidPaginationDeath(t *testing.T) {
 	r := triple.AVPrefixRange("age")
 
 	var streamed []store.Entry
-	h := q.RangeQueryPages(triple.ByAV, r, func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, r, nil, WithPages(func(es []store.Entry) {
 		streamed = append(streamed, es...)
-	}, nil)
+	}))
 	// Step until at least one REMOTE page has streamed in (the origin
 	// serves its own partition first via loopback), then kill every
 	// remote peer that served pages: the pull for their next page is
@@ -449,13 +556,13 @@ func TestDescPagedScanStreamsInOrder(t *testing.T) {
 
 	perSource := map[string][]keys.Key{}
 	var pages [][]store.Entry
-	h := q.RangeQueryPagesOrdered(triple.ByAV, r, true, func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, r, nil, WithDesc(true), WithPages(func(es []store.Entry) {
 		pages = append(pages, es)
 		for _, e := range es {
 			src := e.Key.Prefix(2).String()
 			perSource[src] = append(perSource[src], e.Key)
 		}
-	}, nil)
+	}))
 	res := h.Wait(0)
 	if !res.Complete {
 		t.Fatalf("desc scan incomplete: %+v", res)
@@ -493,7 +600,7 @@ func TestHedgeDisabledFailsSlow(t *testing.T) {
 	if res := q.LookupSync(triple.ByAV, key); !res.Complete {
 		t.Fatalf("warmup: %+v", res)
 	}
-	h := q.Lookup(triple.ByAV, key, nil)
+	h := q.Lookup(triple.ByAV, []keys.Key{key}, nil)
 	victim, ok := inflightTarget(net, peers, q)
 	if !ok {
 		t.Fatal("warm probe did not go direct")

@@ -278,10 +278,9 @@ func (p *Peer) handleRange(msg rangeMsg, size int) {
 }
 
 // serveRange answers the part of the range this peer stores. With a
-// page size set (and actual entry payloads requested), the answer is
-// the first page plus a continuation token; count-only probes are
-// never paged — a count is one integer regardless of cardinality.
-// Desc serves the overlap top-down so descending ranked scans stream.
+// page size set, the answer is the first page plus a continuation
+// token. Desc serves the overlap top-down so descending ranked scans
+// stream.
 func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 	p.stats.rangeServed.Add(1)
 	// Serve only the intersection of the queried range with this peer's
@@ -296,7 +295,7 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 	if path.Len() > 0 {
 		r = clipRangeToPrefix(r, path)
 	}
-	if msg.Agg != nil && !msg.Probe {
+	if msg.Agg != nil {
 		// Pushed-down aggregation: answer with per-group states (paged
 		// by groups when a page size is set) instead of rows.
 		p.serveAggPage(msg.QID, msg.Origin, pageCont{
@@ -306,7 +305,7 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 		}, msg.WinBytes, ws, msg.TC.TraceID)
 		return
 	}
-	if msg.PageSize > 0 && !msg.Probe {
+	if msg.PageSize > 0 {
 		p.servePage(msg.QID, msg.Origin, pageCont{
 			Kind: msg.Kind, R: r, Share: share,
 			PageSize: msg.PageSize, Hops: msg.Hops, Desc: msg.Desc,
@@ -321,14 +320,10 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 		scan = p.store.ScanDesc
 	}
 	scan(triple.IndexKind(msg.Kind), r, func(e store.Entry) bool {
-		if msg.Probe {
-			resp.Count++
-		} else {
-			resp.Entries = append(resp.Entries, e)
-			resp.Count++
-		}
+		resp.Entries = append(resp.Entries, e)
 		return true
 	})
+	resp.Count = len(resp.Entries)
 	resp.TS = p.finishSpan(ws, msg.TC.TraceID, resp.Count)
 	p.net.Send(p.id, msg.Origin, KindResponse, resp)
 }
@@ -488,19 +483,16 @@ func (p *Peer) handlePage(req pageReq, size int) {
 }
 
 // handleMultiLookup answers a batch of exact-key probes in one
-// response. Keys this peer is responsible for are served together
-// (Probes counts them, so the origin's completion accounting stays
-// per-key exact); keys a stale sender cache mis-attributed are
-// re-routed as ordinary lookups toward their real owners.
+// response covering the keys this peer is responsible for; keys a stale
+// sender cache mis-attributed are re-routed as ordinary lookups toward
+// their real owners.
 func (p *Peer) handleMultiLookup(req multiLookupReq, size int) {
 	ws := p.beginSpan(req.TC, trace.OpMultiLookup, 1, size)
 	childTC := req.TC
 	if ws != nil {
 		childTC = req.TC.Child(ws.ID)
 	}
-	resp := queryResp{QID: req.QID, Hops: 1}
-	p.stampResp(&resp)
-	var covered []store.Entry
+	var owned []keys.Key
 	for _, k := range req.Keys {
 		if !p.Responsible(k) {
 			// The probe leg that landed here is already spent; the
@@ -509,32 +501,12 @@ func (p *Peer) handleMultiLookup(req multiLookupReq, size int) {
 			continue
 		}
 		p.stats.delivered.Add(1)
-		resp.Probes++
-		resp.ProbeKeys = append(resp.ProbeKeys, k)
-		entries := p.store.Lookup(triple.IndexKind(req.Kind), k)
-		if req.Agg != nil {
-			covered = append(covered, entries...)
-			continue
-		}
-		resp.Entries = append(resp.Entries, entries...)
-		resp.Count += len(entries)
+		owned = append(owned, k)
 	}
-	if resp.Probes == 0 {
-		if ws == nil {
-			return
-		}
-		// Traced batch that covered none of its keys (every probe
-		// re-routed): the span must still reach home or the re-routed
-		// lookups' spans would orphan. Probes -1 marks the response as
-		// trace-only — it carries no completion signal.
-		resp.Probes = -1
-		resp.ProbeKeys = nil
+	if len(owned) == 0 && ws == nil {
+		return
 	}
-	if req.Agg != nil && resp.Probes > 0 {
-		// Aggregated probe batch: one set of group states covers every
-		// key this peer answered.
-		aggProbeResp(&resp, req.Agg, covered)
-	}
-	resp.TS = p.finishSpan(ws, req.TC.TraceID, resp.Count)
-	p.net.Send(p.id, req.Origin, KindResponse, resp)
+	// A traced batch that covered none of its keys still answers: the
+	// span must reach home or the re-routed lookups' spans would orphan.
+	p.serveKeys(req.QID, req.Origin, req.Kind, owned, req.Agg, 1, ws, req.TC.TraceID)
 }

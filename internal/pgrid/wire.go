@@ -25,31 +25,19 @@ type wirePayload struct {
 	P any
 }
 
+// wireTypes lists every overlay message payload type, one per message
+// kind — the set the codec registers and the wire tests cover.
+var wireTypes = []any{
+	routeEnvelope{}, insertReq{}, lookupReq{}, multiLookupReq{}, rangeMsg{},
+	pageReq{}, queryResp{}, ackMsg{}, gossipMsg{}, gossipAckMsg{},
+	antiEntropyMsg{}, digestMsg{}, digestPullMsg{}, exchangeMsg{}, xferMsg{},
+	appMsg{}, joinReq{}, joinAck{}, memberMsg{}, leaveMsg{},
+}
+
 func init() {
-	// Top-level message payloads, one per message kind.
-	gob.Register(routeEnvelope{})
-	gob.Register(insertReq{})
-	gob.Register(lookupReq{})
-	gob.Register(multiLookupReq{})
-	gob.Register(rangeMsg{})
-	gob.Register(pageReq{})
-	gob.Register(queryResp{})
-	gob.Register(ackMsg{})
-	gob.Register(gossipMsg{})
-	gob.Register(gossipAckMsg{})
-	gob.Register(antiEntropyMsg{})
-	gob.Register(digestMsg{})
-	gob.Register(digestPullMsg{})
-	gob.Register(exchangeMsg{})
-	gob.Register(xferMsg{})
-	gob.Register(appMsg{})
-	gob.Register(joinReq{})
-	gob.Register(joinAck{})
-	gob.Register(memberMsg{})
-	gob.Register(leaveMsg{})
-	// pageCont travels inside queryResp/pageReq by value already; the
-	// registration covers any future any-field carrying it.
-	gob.Register(pageCont{})
+	for _, t := range wireTypes {
+		gob.Register(t)
+	}
 }
 
 // WireCodec adapts the payload codec to the Codec interface real

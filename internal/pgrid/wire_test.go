@@ -1,6 +1,7 @@
 package pgrid
 
 import (
+	"reflect"
 	"testing"
 
 	"unistore/internal/agg"
@@ -36,10 +37,10 @@ func samplePayloads() []any {
 		lookupReq{QID: 4, Origin: 1, Kind: 0, Key: k},
 		multiLookupReq{QID: 6, Origin: 2, Kind: 1, Keys: []keys.Key{k, keys.FromBits("01")}, Agg: spec},
 		rangeMsg{QID: 7, Origin: 0, Kind: 2, R: r, Level: 1, Share: 512, Hops: 1,
-			Probe: true, PageSize: 4, Desc: true, Agg: spec},
+			PageSize: 4, Desc: true, Agg: spec},
 		pageReq{QID: 8, Origin: 5, Cont: cont},
 		queryResp{QID: 9, Entries: []store.Entry{e}, Count: 1, Share: 256, Hops: 2,
-			From: 6, Path: k, Replicas: []Ref{{ID: 7, Path: k}}, Probes: 2,
+			From: 6, Path: k, Replicas: []Ref{{ID: 7, Path: k}},
 			ProbeKeys: []keys.Key{k}, Final: true, Cont: &cont,
 			AggData: []byte{1, 2, 3}, AggGroups: 1},
 		ackMsg{QID: 10, Hops: 4, Seq: 2},
@@ -53,6 +54,23 @@ func samplePayloads() []any {
 			Entries: []store.Entry{e}, IsReply: true, SplitBit: 1},
 		xferMsg{Entries: []store.Entry{e}},
 		appMsg{Payload: xferMsg{Entries: []store.Entry{e}}, Hops: 2},
+		gossipAckMsg{ID: 11, WinBytes: 4096, WinMsgs: 8},
+		memberMsg{Member: Ref{ID: 3, Path: k}},
+		leaveMsg{Entries: []store.Entry{e}},
+	}
+}
+
+// TestWireSamplesCoverEveryType: every registered payload type has a
+// sample, so TestWireRoundTrip and the fuzz corpus cover each kind.
+func TestWireSamplesCoverEveryType(t *testing.T) {
+	sampled := map[reflect.Type]bool{}
+	for _, p := range samplePayloads() {
+		sampled[reflect.TypeOf(p)] = true
+	}
+	for _, w := range wireTypes {
+		if !sampled[reflect.TypeOf(w)] {
+			t.Errorf("wire type %T has no sample in samplePayloads", w)
+		}
 	}
 }
 

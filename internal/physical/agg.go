@@ -6,7 +6,7 @@ package physical
 // serving peers run):
 //
 //   - pushdown: the single scan step issues aggregated overlay
-//     operations (RangeQueryAgg / LookupAgg); each partition answers
+//     operations (pgrid.WithAgg); each partition answers
 //     with per-group partial states, paged as bounded batches of
 //     groups, and the coordinator merges them. Rows never cross the
 //     network.

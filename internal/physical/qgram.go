@@ -3,6 +3,7 @@ package physical
 import (
 	"sort"
 
+	"unistore/internal/keys"
 	"unistore/internal/pgrid"
 	"unistore/internal/qgram"
 	"unistore/internal/store"
@@ -84,7 +85,7 @@ func (s *stage) openQGram() {
 	for i, g := range s.gramList {
 		slot, gram := i, g
 		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-			return s.ex.eng.peer.RangeQuery(triple.ByVal, triple.GramRange(attr, gram), false, cb, s.topts()...)
+			return s.ex.eng.peer.RangeQuery(triple.ByVal, triple.GramRange(attr, gram), cb, s.opts()...)
 		}, func(res pgrid.OpResult) { s.onGram(slot, res.Entries) })
 	}
 }
@@ -137,9 +138,9 @@ func (s *stage) qgramVerify(counts map[string]int) {
 	s.verified = true
 	attr := s.st.Pat.A.Val.Str
 	for _, val := range candidates {
-		k := triple.AVKey(attr, triple.S(val))
+		ks := []keys.Key{triple.AVKey(attr, triple.S(val))}
 		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-			return s.ex.eng.peer.Lookup(triple.ByAV, k, cb, s.topts()...)
+			return s.ex.eng.peer.Lookup(triple.ByAV, ks, cb, s.opts()...)
 		}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"unistore/internal/pgrid"
 	"unistore/internal/ranking"
 	"unistore/internal/store"
+	"unistore/internal/trace"
 	"unistore/internal/triple"
 	"unistore/internal/vql"
 )
@@ -164,8 +165,8 @@ type stage struct {
 	probeKey  func(v triple.Value) keys.Key
 	probed    map[string]bool
 	// probePend buffers probe keys derived from one upstream batch;
-	// flushProbes coalesces them into a single MultiLookup operation,
-	// which the peer groups per cached responsible node — a k-value
+	// flushProbes coalesces them into a single Lookup operation, which
+	// the peer groups per cached responsible partition — a k-value
 	// index join costs ~peers-touched messages instead of k.
 	probePend []keys.Key
 	capped    bool // AV-range probe set exceeded probeCap; escalated to a scan
@@ -334,52 +335,14 @@ func (s *stage) open() {
 		}
 		s.flushProbes()
 	case modeScan:
-		if s.aggPush {
-			s.openAggScan()
-			return
-		}
 		s.openScan()
 	case modeFixed:
 		s.issuedAll = true
-		for _, k := range s.fixedKeys {
-			k := k
-			if s.aggPush {
-				spec := s.ex.agg.spec
-				s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-					return s.ex.eng.peer.LookupAgg(s.fixedKind, k, spec,
-						func(states []agg.State) { s.ex.opAggStates(states) }, cb, s.topts()...)
-				}, func(pgrid.OpResult) {})
-				continue
-			}
-			s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-				return s.ex.eng.peer.Lookup(s.fixedKind, k, cb, s.topts()...)
-			}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
-		}
+		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
+			return s.ex.eng.peer.Lookup(s.fixedKind, s.fixedKeys, cb, s.opts()...)
+		}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
 	case modeQGram:
 		s.openQGram()
-	}
-}
-
-// openAggScan showers the stage's key range with the aggregation
-// pushed to the serving peers: each shard's partitions answer with
-// per-group partial states (paged as bounded batches of groups) that
-// stream into the coordinator's merge table.
-func (s *stage) openAggScan() {
-	if s.issuedAll {
-		return
-	}
-	s.issuedAll = true
-	shards := []keys.Range{s.scanRange}
-	if n := s.ex.eng.shards(); n > 1 {
-		shards = keys.SplitRange(s.scanRange, n)
-	}
-	spec := s.ex.agg.spec
-	for _, r := range shards {
-		r := r
-		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-			return s.ex.eng.peer.RangeQueryAgg(s.scanKind, r, spec,
-				func(states []agg.State) { s.ex.opAggStates(states) }, cb, s.topts()...)
-		}, func(pgrid.OpResult) {})
 	}
 }
 
@@ -452,33 +415,26 @@ func (s *stage) noteLeft(b algebra.Binding) {
 	s.probePend = append(s.probePend, s.probeKey(v))
 }
 
-// flushProbes turns the buffered probe keys into one overlay
-// operation: a single Lookup for one key, a MultiLookup otherwise
-// (which the peer splits per cached responsible node, falling back to
-// individually routed lookups for uncached keys).
+// flushProbes turns the buffered probe keys into one overlay Lookup,
+// which the peer splits per cached responsible partition, falling back
+// to individually routed lookups for uncached keys.
 func (s *stage) flushProbes() {
 	if len(s.probePend) == 0 {
 		return
 	}
 	ks := s.probePend
 	s.probePend = nil
-	if len(ks) == 1 {
-		k := ks[0]
-		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-			return s.ex.eng.peer.Lookup(s.probeKind, k, cb, s.topts()...)
-		}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
-		return
-	}
 	s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-		return s.ex.eng.peer.MultiLookup(s.probeKind, ks, cb, s.topts()...)
+		return s.ex.eng.peer.Lookup(s.probeKind, ks, cb, s.opts()...)
 	}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
 }
 
 // openScan showers the stage's key range, split into the engine's
 // shard count. Responses stream page by page into the join (the
-// overlay's paged scans deliver partial pages as they arrive). The
-// rank stage instead issues shards with a bounded lookahead and
-// releases results strictly in key order.
+// overlay's paged scans deliver partial pages as they arrive) — or, with
+// the aggregation pushed down, as batches of group states into the
+// coordinator's merge table. The rank stage instead issues shards with
+// a bounded lookahead and releases results strictly in key order.
 func (s *stage) openScan() {
 	if s.issuedAll || len(s.shards) > 0 {
 		return
@@ -509,8 +465,8 @@ func (s *stage) openScan() {
 	for _, r := range shards {
 		r := r
 		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-			return s.ex.eng.peer.RangeQueryPages(s.scanKind, r,
-				func(es []store.Entry) { s.ex.opPage(s, -1, es) }, cb, s.topts()...)
+			return s.ex.eng.peer.RangeQuery(s.scanKind, r, cb, s.opts(
+				pgrid.WithPages(func(es []store.Entry) { s.ex.opPage(s, -1, es) }))...)
 		}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
 	}
 }
@@ -526,8 +482,8 @@ func (s *stage) issueRank() {
 		s.nextIssue++
 		r := s.shards[slot]
 		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-			return s.ex.eng.peer.RangeQueryPagesOrdered(s.scanKind, r, s.rankDesc,
-				func(es []store.Entry) { s.ex.opPage(s, slot, es) }, cb, s.topts()...)
+			return s.ex.eng.peer.RangeQuery(s.scanKind, r, cb, s.opts(pgrid.WithDesc(s.rankDesc),
+				pgrid.WithPages(func(es []store.Entry) { s.ex.opPage(s, slot, es) }))...)
 		}, func(pgrid.OpResult) { s.onRankShard(slot) })
 	}
 }
@@ -711,6 +667,22 @@ func (s *stage) checkDone() {
 		return
 	}
 	s.ex.stages[s.idx+1].upstreamEOS()
+}
+
+// opts returns the options of an overlay read the stage issues: more,
+// plus its trace context (the operation becomes a child of the stage's
+// synthetic span) and, with the aggregation pushed down, the spec with
+// the coordinator's merge table as the state sink.
+func (s *stage) opts(more ...pgrid.OpOption) []pgrid.OpOption {
+	if s.spanID != 0 {
+		more = append(more, pgrid.WithTrace(trace.Ctx{
+			TraceID: s.ex.tc.TraceID, Parent: s.spanID, Depth: s.ex.tc.Depth + 1,
+		}))
+	}
+	if s.aggPush {
+		more = append(more, pgrid.WithAgg(s.ex.agg.spec, s.ex.opAggStates))
+	}
+	return more
 }
 
 // submitOp routes one overlay operation through the query's window,

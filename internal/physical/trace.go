@@ -11,7 +11,6 @@ package physical
 import (
 	"fmt"
 
-	"unistore/internal/pgrid"
 	"unistore/internal/trace"
 )
 
@@ -24,18 +23,6 @@ func (ex *Exec) recordTraceQID(qid uint64) {
 	ex.mu.Lock()
 	ex.tqids = append(ex.tqids, qid)
 	ex.mu.Unlock()
-}
-
-// topts returns the per-operation trace options of one stage: overlay
-// operations the stage issues become children of its synthetic span.
-// Nil (no options, no overhead) when the query is untraced.
-func (s *stage) topts() []pgrid.OpOption {
-	if s.spanID == 0 {
-		return nil
-	}
-	return []pgrid.OpOption{pgrid.WithTrace(trace.Ctx{
-		TraceID: s.ex.tc.TraceID, Parent: s.spanID, Depth: s.ex.tc.Depth + 1,
-	})}
 }
 
 // stageSpan synthesizes the pipeline-stage span. Srv is the instant

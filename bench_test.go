@@ -279,18 +279,16 @@ func benchInsert(b *testing.B, bulk bool) {
 func BenchmarkInsertSequential(b *testing.B) { benchInsert(b, false) }
 func BenchmarkInsertBulk(b *testing.B)       { benchInsert(b, true) }
 
-// --- Streaming top-k benchmarks -----------------------------------------------
+// --- Streaming top-k benchmark -------------------------------------------------
 //
-// Before/after comparison for the streaming executor's early
-// termination on a 64-peer simnet: the same ranked top-k query with
-// the tail materialized (the pre-streaming baseline: every shard
-// showers, then sort+truncate) versus streamed (ordered shard release,
-// threshold stop). Metrics are simulated: total messages, end-to-end
-// simulated milliseconds, and time-to-first-result milliseconds.
+// The streaming executor's early termination on a 64-peer simnet: a
+// ranked top-k query with ordered shard release and a threshold stop.
+// Metrics are simulated: total messages, end-to-end simulated
+// milliseconds, and time-to-first-result milliseconds.
 
 const topKQuery = `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 5`
 
-func benchTopK(b *testing.B, materialize bool) {
+func BenchmarkTopKStreaming(b *testing.B) {
 	c := unistore.New(unistore.Config{
 		Peers: 64, Seed: 12,
 		RangeShards:      8,
@@ -298,7 +296,6 @@ func benchTopK(b *testing.B, materialize bool) {
 	})
 	ds := workload.Generate(workload.Options{Seed: 13, Persons: 300})
 	c.BulkInsert(ds.Triples...)
-	c.Engine(0).SetMaterializeTail(materialize)
 	var msgs, simMS, firstMS float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -319,25 +316,20 @@ func benchTopK(b *testing.B, materialize bool) {
 	b.ReportMetric(firstMS, "ttfr-ms")
 }
 
-func BenchmarkTopKMaterializing(b *testing.B) { benchTopK(b, true) }
-func BenchmarkTopKStreaming(b *testing.B)     { benchTopK(b, false) }
-
 // --- Message-layer fast-path benchmarks ----------------------------------------
-//
-// The DHT index join resolved with per-value OID probes, measured cold
-// (routing cache disabled — every probe pays the full routed path, the
-// pre-fast-path baseline) and warm (caches learned the partition map
-// from a first execution; probes batch per responsible peer). The
-// msgs metric is the headline; TestMessageBudgetIndexJoinWarm runs the
-// same pair and fails when the warm join stops saving 30% of it.
 
-func benchIndexJoin(b *testing.B, disableCache bool) {
-	c := benchscen.IndexJoin(disableCache)
+// BenchmarkIndexJoinWarmCache measures the DHT index join resolved with
+// per-value OID probes once the caches learned the partition map from
+// a first execution, so probes batch per responsible peer. The msgs
+// metric is the headline; TestMessageBudgetIndexJoinWarm gates it
+// against the cold first run.
+func BenchmarkIndexJoinWarmCache(b *testing.B) {
+	c := benchscen.IndexJoin()
 	plan, err := benchscen.IndexJoinPlan()
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm run (teaches the caches; a no-op when the cache is off).
+	// Warm run (teaches the caches).
 	c.Engine(0).RunPlan(plan)
 	c.Net().Settle()
 	var msgs, simMS float64
@@ -355,9 +347,6 @@ func benchIndexJoin(b *testing.B, disableCache bool) {
 	b.ReportMetric(msgs, "msgs")
 	b.ReportMetric(simMS, "sim-ms")
 }
-
-func BenchmarkIndexJoinColdRoute(b *testing.B) { benchIndexJoin(b, true) }
-func BenchmarkIndexJoinWarmCache(b *testing.B) { benchIndexJoin(b, false) }
 
 // BenchmarkPagedScan measures the paged full scan: bounded responses
 // (PageSize entries each) at the cost of continuation pulls.
@@ -383,17 +372,16 @@ func BenchmarkPagedScan(b *testing.B) {
 	b.ReportMetric(maxResp, "max-resp-bytes")
 }
 
-// benchChurnTopK measures the ranked top-5 with 10% of a replicated
-// 64-node simnet killed while the query's branch envelopes are in
-// flight: single-owner routing (hedging off) waits out the operation
-// deadline; the replica-balanced read path recovers by hedging and
-// re-showering through live siblings.
-func benchChurnTopK(b *testing.B, singleOwner bool) {
+// BenchmarkChurnTopKReplicaBalanced measures the ranked top-5 with 10%
+// of a replicated 64-node simnet killed while the query's branch
+// envelopes are in flight: the replica-balanced read path recovers by
+// hedging and re-showering through live siblings.
+func BenchmarkChurnTopKReplicaBalanced(b *testing.B) {
 	var msgs, simMS, firstMS float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c := benchscen.ChurnTopK(singleOwner)
+		c := benchscen.ChurnTopK()
 		b.StartTimer()
 		cr, err := benchscen.ChurnTopKRun(c)
 		if err != nil {
@@ -410,9 +398,6 @@ func benchChurnTopK(b *testing.B, singleOwner bool) {
 	b.ReportMetric(simMS, "sim-ms")
 	b.ReportMetric(firstMS, "ttfr-ms")
 }
-
-func BenchmarkChurnTopKSingleOwner(b *testing.B)     { benchChurnTopK(b, true) }
-func BenchmarkChurnTopKReplicaBalanced(b *testing.B) { benchChurnTopK(b, false) }
 
 // benchGroupByAgg measures the in-network aggregation scenario: the
 // venue/count GROUP BY over ~600 publication rows, with the strategy

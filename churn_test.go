@@ -24,7 +24,7 @@ import (
 func TestChurnTopKExactUnderChurn(t *testing.T) {
 	// Reference: the identical cluster (same seeds, same data), no
 	// churn.
-	ref := benchscen.ChurnTopK(false)
+	ref := benchscen.ChurnTopK()
 	refRes, err := ref.QueryFrom(0, benchscen.TopKQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestChurnTopKExactUnderChurn(t *testing.T) {
 		t.Fatalf("reference top-5 returned %d rows", len(want))
 	}
 
-	c := benchscen.ChurnTopK(false)
+	c := benchscen.ChurnTopK()
 	cr, err := benchscen.ChurnTopKRun(c)
 	if err != nil {
 		t.Fatal(err)

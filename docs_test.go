@@ -202,6 +202,68 @@ var (
 	fieldName = regexp.MustCompile(`^[A-Z]\w*`)
 )
 
+// configRef matches a Config.X or NodeConfig.X the prose names.
+var configRef = regexp.MustCompile(`\b(Node)?Config\.([A-Z]\w*)`)
+
+// TestDocsConfigFieldsCurrent: every Config.X / NodeConfig.X named in
+// README.md, docs/*.md and unistore.go must be an exported field of
+// core.Config / core.NodeConfig, so a deleted option cannot stay
+// documented.
+func TestDocsConfigFieldsCurrent(t *testing.T) {
+	fset := token.NewFileSet()
+	fields := map[string]map[string]bool{} // struct name -> exported fields
+	for _, file := range []string{"internal/core/core.go", "internal/core/node.go"} {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "NodeConfig") {
+				return false
+			}
+			fs := map[string]bool{}
+			for _, fl := range st.Fields.List {
+				for _, name := range fl.Names {
+					if name.IsExported() {
+						fs[name.Name] = true
+					}
+				}
+			}
+			fields[ts.Name.Name] = fs
+			return false
+		})
+	}
+	if fields["Config"] == nil || fields["NodeConfig"] == nil {
+		t.Fatal("internal/core no longer declares Config and NodeConfig")
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, file := range append([]string{"README.md", "unistore.go"}, docs...) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range configRef.FindAllStringSubmatch(string(data), -1) {
+			typ := m[1] + "Config"
+			if !fields[typ][m[2]] {
+				t.Errorf("%s names %s.%s, which core.%s does not have", file, typ, m[2], typ)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Error("no Config fields named in the docs; the check is vacuous")
+	}
+}
+
 // statedPackages matches the sentence introducing the package map.
 var statedPackages = regexp.MustCompile("The (\\d+) `internal/` packages")
 

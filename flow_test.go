@@ -2,8 +2,8 @@
 // credit windows are a transport concern and must be invisible to
 // query results at ANY window setting — a 1-message stop-and-wait
 // window, a few-hundred-byte window and an effectively infinite one
-// must all return the rows of the uncontrolled unpaged reference, at
-// every page size, deterministic and concurrent (CI runs this package
+// must all return the rows of the unpaged reference under the infinite
+// window, at every page size, deterministic and concurrent (CI runs this package
 // under -race). A throttled replica killed mid-workload must not dent
 // exactness either: the failover release frees its credit and reads
 // fail over to the sibling.
@@ -21,7 +21,8 @@ import (
 
 // flowWindows is the window axis of the equivalence matrix: one
 // message (stop-and-wait), tiny bytes, the defaults, and effectively
-// infinite credit.
+// infinite credit — the uncontrolled reference, which never gates a
+// send.
 var flowWindows = []struct {
 	name  string
 	bytes int
@@ -39,23 +40,29 @@ var flowQueries = []string{
 	`SELECT ?c, count(*) AS ?n WHERE {(?u,'published_in',?c)} GROUP BY ?c`,
 }
 
-func flowConfig(pageSize, winBytes, winMsgs int, disable bool) unistore.Config {
+func flowConfig(pageSize, winBytes, winMsgs int) unistore.Config {
 	return unistore.Config{
 		Peers: 32, Replicas: 2, Seed: 91,
 		RangeShards: 4, ProbeParallelism: 2,
-		PageSize:           pageSize,
-		FlowWindowBytes:    winBytes,
-		FlowWindowMsgs:     winMsgs,
-		DisableFlowControl: disable,
+		PageSize:        pageSize,
+		FlowWindowBytes: winBytes,
+		FlowWindowMsgs:  winMsgs,
 	}
 }
 
+// infiniteFlow is the uncontrolled reference configuration: unpaged,
+// under the infinite window.
+func infiniteFlow() unistore.Config {
+	w := flowWindows[len(flowWindows)-1]
+	return flowConfig(0, w.bytes, w.msgs)
+}
+
 // TestFlowControlEquivalenceMatrix: every (window × page-size) cell
-// returns exactly the rows of the flow-disabled unpaged reference.
+// returns exactly the rows of the uncontrolled unpaged reference.
 func TestFlowControlEquivalenceMatrix(t *testing.T) {
 	ds := workload.Generate(workload.Options{Seed: 92, Persons: 90})
 
-	ref := unistore.New(flowConfig(0, 0, 0, true))
+	ref := unistore.New(infiniteFlow())
 	ref.BulkInsert(ds.Triples...)
 	want := make(map[string][]string)
 	for _, q := range flowQueries {
@@ -68,7 +75,7 @@ func TestFlowControlEquivalenceMatrix(t *testing.T) {
 	for _, w := range flowWindows {
 		for _, ps := range []int{1, 3, 1 << 20} {
 			t.Run(fmt.Sprintf("win=%s/page=%d", w.name, ps), func(t *testing.T) {
-				c := unistore.New(flowConfig(ps, w.bytes, w.msgs, false))
+				c := unistore.New(flowConfig(ps, w.bytes, w.msgs))
 				c.BulkInsert(ds.Triples...)
 				for _, q := range flowQueries {
 					if got := queryRows(t, c, 0, q); fmt.Sprint(got) != fmt.Sprint(want[q]) {
@@ -87,7 +94,7 @@ func TestFlowControlEquivalenceMatrix(t *testing.T) {
 func TestFlowControlEquivalenceConcurrent(t *testing.T) {
 	ds := workload.Generate(workload.Options{Seed: 92, Persons: 90})
 
-	ref := unistore.New(flowConfig(0, 0, 0, true))
+	ref := unistore.New(infiniteFlow())
 	ref.BulkInsert(ds.Triples...)
 	want := make(map[string][]string)
 	for _, q := range flowQueries {
@@ -96,7 +103,7 @@ func TestFlowControlEquivalenceConcurrent(t *testing.T) {
 
 	for _, w := range flowWindows[:2] { // one-msg and tiny-bytes: the stressful cells
 		t.Run(w.name, func(t *testing.T) {
-			cfg := flowConfig(3, w.bytes, w.msgs, false)
+			cfg := flowConfig(3, w.bytes, w.msgs)
 			cfg.Concurrent = true
 			c := unistore.New(cfg)
 			defer c.Close()
@@ -139,14 +146,14 @@ func TestFlowControlEquivalenceConcurrent(t *testing.T) {
 func TestFlowSlowReplicaKillMidStreamExact(t *testing.T) {
 	ds := workload.Generate(workload.Options{Seed: 94, Persons: 80})
 
-	ref := unistore.New(flowConfig(8, 512, 4, false))
+	ref := unistore.New(flowConfig(8, 512, 4))
 	ref.BulkInsert(ds.Triples...)
 	want := make(map[string][]string)
 	for _, q := range flowQueries {
 		want[q] = queryRows(t, ref, 0, q)
 	}
 
-	cfg := flowConfig(8, 512, 4, false)
+	cfg := flowConfig(8, 512, 4)
 	cfg.Concurrent = true
 	c := unistore.New(cfg)
 	defer c.Close()

@@ -1,11 +1,11 @@
 // Package benchscen defines the simulated-measurement scenarios in ONE
 // place: the root msgbudget_test.go / scale_test.go gates (budgets and
-// fast-path-vs-baseline inequalities, run by plain `go test`), the
-// churn and aggregation equivalence suites, and the report-only
-// bench_test.go benchmarks all build their clusters and plans here, so
-// every consumer measures the same workload by construction — a seed
-// or dataset tweak cannot silently drift one copy away from the
-// others.
+// inequalities measured on the shipped configuration, run by plain
+// `go test`), the churn and aggregation equivalence suites, and the
+// report-only bench_test.go benchmarks all build their clusters and
+// plans here, so every consumer measures the same workload by
+// construction — a seed or dataset tweak cannot silently drift one
+// copy away from the others.
 package benchscen
 
 import (
@@ -49,8 +49,9 @@ func TopK() *core.Cluster {
 // dataset (the load-balanced production configuration — the
 // order-preserving hash would otherwise cluster every probe key into
 // one or two partitions and overstate the cache win), 60 persons
-// loaded. disableCache=true is the pre-fast-path baseline.
-func IndexJoin(disableCache bool) *core.Cluster {
+// loaded. The first run on a fresh cluster is the cold baseline: every
+// probe pays the routed path while the caches learn the partition map.
+func IndexJoin() *core.Cluster {
 	ds := workload.Generate(workload.Options{Seed: 9, Persons: 60})
 	var samples []keys.Key
 	for _, tr := range ds.Triples {
@@ -59,8 +60,7 @@ func IndexJoin(disableCache bool) *core.Cluster {
 		}
 	}
 	c := core.NewCluster(core.Config{
-		Peers: Peers, Seed: 8, DisableRouteCache: disableCache,
-		AdaptiveSamples: samples,
+		Peers: Peers, Seed: 8, AdaptiveSamples: samples,
 	})
 	c.BulkInsert(ds.Triples...)
 	return c
@@ -97,21 +97,13 @@ const (
 
 // ChurnTopK builds the churn scenario cluster: a replicated 64-node
 // simnet (deterministic), 300 persons loaded, routing caches warmed by
-// one throwaway ranked query from peer 0. singleOwner pins reads to
-// the primary owner with hedging and scan retries disabled — the
-// fail-slow baseline whose queries wait out the operation deadline
-// when churn swallows a branch; the replica-balanced configuration
-// fails over instead.
-func ChurnTopK(singleOwner bool) *core.Cluster {
-	cfg := core.Config{
+// one throwaway ranked query from peer 0, so failover has sibling sets
+// to work with.
+func ChurnTopK() *core.Cluster {
+	c := core.NewCluster(core.Config{
 		Peers: ChurnPeers, Replicas: ChurnReplicas, Seed: 21,
 		RangeShards: 8, ProbeParallelism: 2, PageSize: ScanPageSize,
-	}
-	if singleOwner {
-		cfg.ReadReplicas = 1
-		cfg.HedgeAfter = -1
-	}
-	c := core.NewCluster(cfg)
+	})
 	ds := workload.Generate(workload.Options{Seed: 22, Persons: 300})
 	c.BulkInsert(ds.Triples...)
 	// Warm the caches (and the replica sets they learn) from the peer
@@ -149,11 +141,10 @@ func ChurnTopKRun(c *core.Cluster) (ChurnResult, error) {
 // killed before any is delivered — their branch shares are genuinely
 // lost, which is the churn regime replicas exist for. At most one
 // replica per partition dies and never the origin, so every row stays
-// reachable. The fail-slow baseline waits out the overlay's operation
-// deadline; replica-balanced reads recover by hedging pulls and
-// re-showering the missing partitions through live siblings —
-// aggregated scans included, whose per-partition states the claim
-// dedup keeps exactly-once.
+// reachable. Reads recover by hedging pulls and re-showering the
+// missing partitions through live siblings — aggregated scans included,
+// whose per-partition states the claim dedup keeps exactly-once —
+// instead of waiting out the overlay's operation deadline.
 func ChurnRun(c *core.Cluster, plan *physical.Plan) (ChurnResult, error) {
 	net := c.Net()
 	before := net.Stats()

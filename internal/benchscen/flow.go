@@ -24,7 +24,8 @@ import (
 // near the configured window and its tail stall stays short, where the
 // uncontrolled baseline dumps the whole delta on it at once — and the
 // answers (and the converged replica state) are exactly equal either
-// way.
+// way. The uncontrolled baseline is the same mix under an effectively
+// infinite window, which never gates a send.
 const (
 	// FlowPeers/FlowReplicas size the cluster (32 simnet nodes).
 	FlowPeers    = 16
@@ -49,8 +50,8 @@ const (
 	FlowSlowDelay = 10 * time.Millisecond
 )
 
-// FlowVariant is one measured run of the slow-replica mix, with flow
-// control either on or disabled.
+// FlowVariant is one measured run of the slow-replica mix, under the
+// scenario's small windows or an effectively infinite one.
 type FlowVariant struct {
 	// MaxInflightBytes is the worst per-node peak of queued bytes —
 	// the backlog bound flow control exists to enforce. SlowStallMS is
@@ -59,7 +60,7 @@ type FlowVariant struct {
 	MaxInflightBytes int
 	SlowStallMS      float64
 	// FlowBulkSends/FlowStalls aggregate the peers' credit-gate
-	// counters (zero with flow control disabled).
+	// counters.
 	FlowBulkSends int
 	FlowStalls    int
 	// RejoinExact reports whether the throttled rejoiner converged to
@@ -72,15 +73,20 @@ type FlowVariant struct {
 
 // FlowRun builds the slow-replica cluster and drives the measured mix.
 // Deterministic per variant (simnet, fixed seeds); the two variants
-// differ only in Config.DisableFlowControl.
+// differ only in the advertised windows: FlowWindowBytes/FlowWindowMsgs
+// when controlled, else {1<<30 B, 1<<20 msgs}, the "infinite" cell of
+// the flow-control equivalence matrix.
 func FlowRun(controlled bool) (FlowVariant, error) {
 	var res FlowVariant
 	fs := wal.NewMemFS()
+	winBytes, winMsgs := 1<<30, 1<<20
+	if controlled {
+		winBytes, winMsgs = FlowWindowBytes, FlowWindowMsgs
+	}
 	c := core.NewCluster(core.Config{
 		Peers: FlowPeers, Replicas: FlowReplicas, Seed: 41,
 		RangeShards: 4, PageSize: ScanPageSize, ProbeParallelism: 2,
-		FlowWindowBytes: FlowWindowBytes, FlowWindowMsgs: FlowWindowMsgs,
-		DisableFlowControl: !controlled,
+		FlowWindowBytes: winBytes, FlowWindowMsgs: winMsgs,
 	})
 	ds := workload.Generate(workload.Options{Seed: 42, Persons: FlowBasePersons})
 
@@ -145,7 +151,7 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 	// Measured phase. The victim restarts from its WAL — already 10x
 	// slower (the throttle installs before any message flows) — and the
 	// delta catch-up streams into it: receiver-paced by its advertised
-	// window when flow control is on, dumped wholesale when off.
+	// window, which the infinite variant never lets bind.
 	net.ResetStats()
 	idx, err := c.JoinPeer(sibIdx, func(p *pgrid.Peer) error {
 		if _, werr := wal.Open("victim", p.Store(), wal.Options{FS: fs, Sync: wal.SyncOff}); werr != nil {

@@ -25,7 +25,7 @@ import (
 var ScaleSizes = []int{128, 256, 512, 1024}
 
 // ScalePoint is one measured routing-curve point: the mean message and
-// hop cost of a cold routed lookup on an N-peer overlay.
+// hop cost of a routed lookup on an N-peer overlay.
 type ScalePoint struct {
 	Peers         int
 	MsgsPerLookup float64
@@ -36,15 +36,15 @@ type ScalePoint struct {
 const scaleProbes = 64
 
 // RoutingCurvePoint measures msgs-per-routed-lookup on an n-peer
-// overlay with the routing cache disabled — every probe pays the full
-// prefix-routed path, so the mean cost tracks the trie depth O(log n).
+// overlay. Every probe comes from a different origin, whose routing
+// cache has never seen the key, so each one takes the prefix-routed
+// path and the mean cost tracks the trie depth O(log n); hops through
+// earlier origins may shortcut through what those learned.
 func RoutingCurvePoint(n int) ScalePoint {
 	net := simnet.New(simnet.Config{
 		Latency: simnet.ConstantLatency(time.Millisecond), Seed: int64(n),
 	})
-	cfg := pgrid.DefaultConfig()
-	cfg.DisableRouteCache = true
-	peers := pgrid.BuildBalanced(net, n, 1, cfg)
+	peers := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
 	ds := workload.Generate(workload.Options{Seed: 31, Persons: 40})
 	v := uint64(0)
 	for _, tr := range ds.Triples {
@@ -110,17 +110,15 @@ const hotShardProbes = 400
 
 // HotShard runs a Zipf-hot query workload against an n-node overlay
 // (n/2 partitions × 2 replicas) and returns the hottest peer's serve
-// load. readReplicas=1 pins every probe of the hot value to one owner
-// (the hot shard); 0 lets the replica-balanced read path spread it
-// over the whole group.
-func HotShard(n, readReplicas int, zipfS float64) (maxLoad int) {
+// load and its replica group's total. The group total is the load one
+// owner would carry if every probe of the partition went to it; the
+// replica-balanced read path spreads it over the group.
+func HotShard(n int, zipfS float64) (maxLoad, groupLoad int) {
 	parts := n / 2
 	net := simnet.New(simnet.Config{
 		Latency: simnet.ConstantLatency(time.Millisecond), Seed: 41,
 	})
-	cfg := pgrid.DefaultConfig()
-	cfg.ReadReplicas = readReplicas
-	peers := pgrid.BuildBalanced(net, parts, 2, cfg)
+	peers := pgrid.BuildBalanced(net, parts, 2, pgrid.DefaultConfig())
 	ts := workload.SkewedValues(42, 1500, zipfS)
 	v := uint64(0)
 	for i, tr := range ts {
@@ -152,10 +150,16 @@ func HotShard(n, readReplicas int, zipfS float64) (maxLoad int) {
 		origin.LookupSync(triple.ByVal, valKey[hot.Next()])
 	}
 	net.Settle()
+	groups := make(map[string]int)
+	hottest := ""
 	for i, p := range peers {
-		maxLoad = max(maxLoad, p.Stats().Delivered-before[i])
+		load := p.Stats().Delivered - before[i]
+		groups[p.Path().String()] += load
+		if load > maxLoad {
+			maxLoad, hottest = load, p.Path().String()
+		}
 	}
-	return maxLoad
+	return maxLoad, groups[hottest]
 }
 
 // ChurnScaleResult is the live join/leave churn scenario outcome: a

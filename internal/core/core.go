@@ -83,18 +83,6 @@ type Config struct {
 	// and pull only the differing buckets, in PageSize-bounded pages.
 	// 0 disables the rounds.
 	AntiEntropyInterval time.Duration
-	// ReadReplicas bounds how many replicas the read path spreads
-	// probes and page pulls over (power-of-two-choices with hedged
-	// failover): 0 uses every replica the routing caches learn, 1 pins
-	// reads to the primary owner — the single-owner baseline.
-	ReadReplicas int
-	// HedgeAfter is the simulated time a direct probe may stay
-	// unanswered before it is hedged to a sibling replica (range scans
-	// re-shower missing partitions at a multiple of it). 0 selects
-	// pgrid.DefaultHedgeAfter; negative disables hedging and scan
-	// retries (fail-slow: churned queries wait out the operation
-	// deadline).
-	HedgeAfter time.Duration
 	// AdaptiveSamples, when non-nil, builds the trie adapted to this
 	// key sample (load balancing under skew) instead of peer-balanced.
 	AdaptiveSamples []keys.Key
@@ -127,11 +115,6 @@ type Config struct {
 	// next page. 0 disables paging (one monolithic response per
 	// partition, the pre-paging behaviour).
 	PageSize int
-	// DisableRouteCache turns off the peers' learned partition→node
-	// routing caches (and with them probe batching): every probe pays
-	// the full O(log n) routed path. Benchmarks use it as the baseline
-	// for the fast-path comparison.
-	DisableRouteCache bool
 	// FlowWindowBytes is each peer's receive window in payload bytes for
 	// credit-gated bulk streams (paged scans, anti-entropy pages,
 	// replicated insert fan-out): receivers advertise at most this much
@@ -141,10 +124,6 @@ type Config struct {
 	// FlowWindowMsgs is the companion message-count window (0 selects
 	// pgrid's default of 32).
 	FlowWindowMsgs int
-	// DisableFlowControl turns off receiver-driven credit gating
-	// entirely: windows advertise as unlimited and senders never park
-	// bulk sends. Benchmarks use it as the uncontrolled baseline.
-	DisableFlowControl bool
 	// Tracing enables end-to-end query tracing: peers record serving
 	// spans for traced operations and piggyback them home on responses,
 	// and every query Result carries the assembled QueryTrace. Off by
@@ -175,12 +154,8 @@ func (c Config) pgridConfig() pgrid.Config {
 		pcfg.AntiEntropyEvery = int64(c.AntiEntropyInterval)
 	}
 	pcfg.PageSize = c.PageSize
-	pcfg.DisableRouteCache = c.DisableRouteCache
-	pcfg.ReadReplicas = c.ReadReplicas
-	pcfg.HedgeAfter = int64(c.HedgeAfter)
 	pcfg.FlowWindowBytes = c.FlowWindowBytes
 	pcfg.FlowWindowMsgs = c.FlowWindowMsgs
-	pcfg.DisableFlowControl = c.DisableFlowControl
 	pcfg.Tracing = c.Tracing
 	return pcfg
 }
@@ -328,7 +303,6 @@ func newCluster(cfg Config, pcfg pgrid.Config, tr pgrid.Transport, peers []*pgri
 	stats.Replicas = cfg.Replicas
 	stats.TotalTriples = 0
 	stats.PageSize = cfg.PageSize
-	stats.ReadReplicas = effectiveReadReplicas(cfg)
 	c := &Cluster{
 		cfg: cfg, pcfg: pcfg, tr: tr, proc: uint64(proc),
 		stats: stats, opt: optimizer.New(stats, cfg.Optimizer),
@@ -708,20 +682,6 @@ func (c *Cluster) execQueryCtx(ctx context.Context, peerIdx int, q *vql.Query) (
 			wall, res.Elapsed, est.Messages, est.Latency, msgs, bytes, res.Plan, res.Trace.String())
 	}
 	return res, nil
-}
-
-// effectiveReadReplicas is the replica count the read path can
-// actually spread over: the configured bound clipped to the replica
-// group size.
-func effectiveReadReplicas(cfg Config) int {
-	r := cfg.Replicas
-	if cfg.ReadReplicas > 0 && cfg.ReadReplicas < r {
-		r = cfg.ReadReplicas
-	}
-	if r < 1 {
-		r = 1
-	}
-	return r
 }
 
 // compile parses nothing — it lowers and cost-optimizes a parsed query

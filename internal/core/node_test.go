@@ -155,8 +155,8 @@ func TestNodeOptimizerSeesObservedStats(t *testing.T) {
 	if st.CacheHitRate <= 0 {
 		t.Errorf("optimizer CacheHitRate = %v after warm queries, want > 0", st.CacheHitRate)
 	}
-	if st.ReadReplicas != st.Replicas {
-		t.Errorf("optimizer ReadReplicas = %d, want Replicas = %d", st.ReadReplicas, st.Replicas)
+	if st.Replicas != replicas {
+		t.Errorf("optimizer Replicas = %d, want %d", st.Replicas, replicas)
 	}
 }
 

@@ -19,7 +19,11 @@ import (
 type Stats struct {
 	// Partitions is the estimated number of key-space partitions.
 	Partitions int
-	// Replicas is the replica-group size per partition.
+	// Replicas is the replica-group size per partition. The read path
+	// spreads probes and page pulls over every replica
+	// (power-of-two-choices), so R replicas multiply a partition's
+	// effective service rate by R, which shrinks the queueing component
+	// of per-partition latency on hot shards by the same factor.
 	Replicas int
 	// TriplesPerAttr estimates how many triples an attribute has
 	// (universal-relation column cardinality).
@@ -35,13 +39,6 @@ type Stats struct {
 	// peer in one hop instead of log₂ P). The harness refreshes it from
 	// aggregate peer counters; 0 prices every probe cold.
 	CacheHitRate float64
-	// ReadReplicas is the number of replicas the read path spreads
-	// probes and page pulls over (power-of-two-choices). R replicas
-	// answering reads multiply a partition's effective service rate by
-	// R, which shrinks the queueing component of per-partition latency
-	// on hot shards by the same factor. 0 or 1 prices the single-owner
-	// path.
-	ReadReplicas int
 	// RetryRate is the observed fraction of direct probe groups that
 	// had to be hedged or retried to a sibling replica (dead or slow
 	// owner). Each retry costs one extra request/response pair and
@@ -78,7 +75,6 @@ func DefaultStats(partitions int) *Stats {
 	return &Stats{
 		Partitions:       max(partitions, 1),
 		Replicas:         1,
-		ReadReplicas:     1,
 		TriplesPerAttr:   make(map[string]int),
 		DefaultAttrCount: 1000,
 		TotalTriples:     10000,
@@ -118,10 +114,10 @@ func (s *Stats) retryRate() float64 {
 // single owner, so the serving component of per-partition latency
 // divides by it.
 func (s *Stats) replicaSpread() float64 {
-	if s.ReadReplicas <= 1 {
+	if s.Replicas <= 1 {
 		return 1
 	}
-	return float64(s.ReadReplicas)
+	return float64(s.Replicas)
 }
 
 // retryMsgs is the expected extra messages of `groups` direct probe

@@ -97,85 +97,102 @@ func BuildAdaptive(net Transport, n, replicas int, samples []keys.Key, cfg Confi
 }
 
 // assemble creates peers for the given partition paths (each `replicas`
-// times), wires routing tables and replica groups, and returns all
-// peers.
+// times), plans their replica groups and routing tables with draws
+// from the transport's seeded source, and installs them.
 func assemble(net Transport, paths []keys.Key, replicas int, cfg Config) []*Peer {
-	sort.Slice(paths, func(i, j int) bool { return paths[i].Compare(paths[j]) < 0 })
 	var peers []*Peer
-	groups := make([][]*Peer, len(paths))
-	for gi, path := range paths {
+	specs := planSpecs(paths, replicas, cfg.RefsPerLevel, func() NodeID {
+		p := NewPeer(net, cfg)
+		peers = append(peers, p)
+		return p.id
+	}, net.Intn)
+	for i, p := range peers {
+		p.install(specs[i])
+	}
+	return peers
+}
+
+// planSpecs lays out an overlay of the given partition paths, each held
+// by `replicas` nodes. Paths sort into key order; node gi*replicas+r of
+// partition gi takes the next address newID returns; replica groups
+// know each other (group-internal order, self excluded); and wireRefs
+// draws the routing tables from intn. BuildBalanced and BuildAdaptive
+// draw from the transport, BalancedSpecs from a source seeded by its
+// seed argument, so one draw source yields one layout either way.
+func planSpecs(paths []keys.Key, replicas, refsPerLevel int, newID func() NodeID, intn func(int) int) []NodeSpec {
+	sort.Slice(paths, func(i, j int) bool { return paths[i].Compare(paths[j]) < 0 })
+	specs := make([]NodeSpec, 0, len(paths)*replicas)
+	for _, path := range paths {
 		for r := 0; r < replicas; r++ {
-			p := NewPeer(net, cfg)
-			p.setPath(path)
-			groups[gi] = append(groups[gi], p)
-			peers = append(peers, p)
+			specs = append(specs, NodeSpec{ID: newID(), Path: path})
 		}
 	}
-	// Replica groups know each other.
-	for _, g := range groups {
-		for _, a := range g {
-			for _, b := range g {
+	for gi := range paths {
+		group := specs[gi*replicas : (gi+1)*replicas]
+		for a := range group {
+			for b := range group {
 				if a != b {
-					a.addReplica(Ref{ID: b.id, Path: b.path})
+					group[a].Replicas = append(group[a].Replicas, Ref{ID: group[b].ID, Path: group[b].Path})
 				}
 			}
 		}
 	}
-	WireRouting(net, peers)
-	return peers
+	if refsPerLevel <= 0 {
+		refsPerLevel = 3 // NewPeer's default
+	}
+	wireRefs(specs, refsPerLevel, intn)
+	return specs
 }
 
-// WireRouting (re)builds every peer's routing table from the global
-// peer list: for each level l of a peer's path, it installs up to
-// RefsPerLevel random references into the sibling subtree at l. The
+// wireRefs builds every spec's routing table: for each level l of a
+// spec's path, up to refsPerLevel distinct random references into the
+// sibling subtree at l, drawn by rejection sampling in spec order. The
 // exchange protocol builds the same structure pairwise; experiments use
-// this direct form. Existing references are discarded.
-func WireRouting(net Transport, peers []*Peer) {
-	// Sort peers by path string so each prefix owns a contiguous run.
-	sorted := make([]*Peer, len(peers))
-	copy(sorted, peers)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].path.String() < sorted[j].path.String()
-	})
-	pathStrs := make([]string, len(sorted))
-	for i, p := range sorted {
-		pathStrs[i] = p.path.String()
+// this direct form.
+func wireRefs(specs []NodeSpec, refsPerLevel int, intn func(int) int) {
+	// Sort specs by path string so each prefix owns a contiguous run.
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
 	}
-	// peersWithPrefix returns the index range [lo, hi) of peers whose
-	// path begins with prefix (or equals a prefix of it — i.e., whose
-	// partition contains or intersects the prefix region).
-	peersWithPrefix := func(prefix string) (int, int) {
+	sort.Slice(order, func(i, j int) bool {
+		return specs[order[i]].Path.String() < specs[order[j]].Path.String()
+	})
+	pathStrs := make([]string, len(order))
+	for i, idx := range order {
+		pathStrs[i] = specs[idx].Path.String()
+	}
+	// withPrefix returns the index range [lo, hi) of specs whose path
+	// begins with prefix. The run starts at lo; binary-searching its
+	// end keeps wiring N nodes at O(N log² N) rather than O(N²) at the
+	// deepest levels.
+	withPrefix := func(prefix string) (int, int) {
 		lo := sort.SearchStrings(pathStrs, prefix)
-		// Paths sharing the prefix sort contiguously after lo; binary-
-		// search the end of the run so wiring N peers costs O(N log² N)
-		// rather than O(N²) at the deepest levels.
 		hi := lo + sort.Search(len(pathStrs)-lo, func(i int) bool {
 			return !strings.HasPrefix(pathStrs[lo+i], prefix)
 		})
 		return lo, hi
 	}
-	for _, p := range peers {
-		p.refs = make([][]Ref, p.path.Len())
-		for l := 0; l < p.path.Len(); l++ {
-			sibling := p.path.Prefix(l).Append(1 - p.path.Bit(l)).String()
-			lo, hi := peersWithPrefix(sibling)
+	for si := range specs {
+		s := &specs[si]
+		s.Refs = make([][]Ref, s.Path.Len())
+		for l := 0; l < s.Path.Len(); l++ {
+			sibling := s.Path.Prefix(l).Append(1 - s.Path.Bit(l)).String()
+			lo, hi := withPrefix(sibling)
 			count := hi - lo
 			if count == 0 {
 				continue
 			}
-			want := p.cfg.RefsPerLevel
-			if want > count {
-				want = count
-			}
+			want := min(refsPerLevel, count)
 			seen := make(map[int]bool, want)
 			for len(seen) < want {
-				i := lo + net.Intn(count)
+				i := lo + intn(count)
 				if seen[i] {
 					continue
 				}
 				seen[i] = true
-				q := sorted[i]
-				p.addRef(l, Ref{ID: q.id, Path: q.path})
+				q := specs[order[i]]
+				s.Refs[l] = append(s.Refs[l], Ref{ID: q.ID, Path: q.Path})
 			}
 		}
 	}

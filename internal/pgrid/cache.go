@@ -56,23 +56,19 @@ type ownerInfo struct {
 }
 
 // ownerSet is the cached replica group of one partition. owners[0] is
-// the most recent responder (the "primary" that single-owner reads and
-// write routing use); the rest are siblings learned from response
-// replica lists or from other responders answering for the same path.
+// the most recent responder (the "primary" that write routing uses);
+// the rest are siblings learned from response replica lists or from
+// other responders answering for the same path.
 type ownerSet struct {
 	path   keys.Key
 	owners []ownerInfo
 }
 
-// live returns the indexes of owners currently alive, capped at bound
-// (0 = no cap) — the candidate list of the replica chooser.
-func (s *ownerSet) live(net Transport, bound int, skip map[simnet.NodeID]bool) []int {
-	n := len(s.owners)
-	if bound > 0 && bound < n {
-		n = bound
-	}
+// live returns the indexes of owners currently alive and not in skip —
+// the candidate list of the replica chooser.
+func (s *ownerSet) live(net Transport, skip map[simnet.NodeID]bool) []int {
 	var out []int
-	for i := 0; i < n; i++ {
+	for i := range s.owners {
 		if skip != nil && skip[s.owners[i].ID] {
 			continue
 		}
@@ -276,11 +272,9 @@ func (c *routeCache) clearLocked() int {
 // failing over to a live sibling replica (and dropping dead owners,
 // counted) when the primary has died — the route-failure invalidation
 // path. Write routing and plain envelope sends use it; the probe read
-// path goes through cachedSet + pickReplica for load-aware choice.
+// path goes through the cached owner set + pickReplicaLocked for
+// load-aware choice.
 func (p *Peer) cachedOwner(target keys.Key) (Ref, bool) {
-	if p.cfg.DisableRouteCache {
-		return Ref{}, false
-	}
 	for {
 		p.mu.RLock()
 		set, ok := p.cache.setLocked(target)
@@ -309,22 +303,12 @@ func (p *Peer) cachedOwner(target keys.Key) (Ref, bool) {
 	}
 }
 
-// cachedSet returns the owner set covering target, if any. The pointer
-// is only valid under p.mu; callers needing it across unlocks must
-// snapshot.
-func (p *Peer) cachedSetLocked(target keys.Key) (*ownerSet, bool) {
-	if p.cfg.DisableRouteCache {
-		return nil, false
-	}
-	return p.cache.setLocked(target)
-}
-
 // learnRouteLocked records a responder (and its replica group)
 // observed in a query response; callers hold p.mu. Entries for the
 // peer itself are pointless (Responsible short-circuits before the
 // cache is consulted).
 func (p *Peer) learnRouteLocked(path keys.Key, from simnet.NodeID, replicas []Ref) {
-	if p.cfg.DisableRouteCache || from == p.id || path.Len() == 0 {
+	if from == p.id || path.Len() == 0 {
 		return
 	}
 	sibs := replicas[:0:0]

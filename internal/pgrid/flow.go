@@ -96,18 +96,16 @@ type flowPeer struct {
 // peer, and every method that may trigger sends RETURNS them as
 // closures for the caller to run after unlocking.
 type flowTable struct {
-	mu       sync.Mutex
-	disabled bool
-	peers    map[simnet.NodeID]*flowPeer
-	charges  map[flowKey]*flowCharge
-	inSize   float64 // EWMA of incoming message sizes (advertiseWindow)
+	mu      sync.Mutex
+	peers   map[simnet.NodeID]*flowPeer
+	charges map[flowKey]*flowCharge
+	inSize  float64 // EWMA of incoming message sizes (advertiseWindow)
 }
 
-func newFlowTable(disabled bool) *flowTable {
+func newFlowTable() *flowTable {
 	return &flowTable{
-		disabled: disabled,
-		peers:    make(map[simnet.NodeID]*flowPeer),
-		charges:  make(map[flowKey]*flowCharge),
+		peers:   make(map[simnet.NodeID]*flowPeer),
+		charges: make(map[flowKey]*flowCharge),
 	}
 }
 
@@ -143,10 +141,6 @@ func (fp *flowPeer) fits(bytes int) bool {
 // strict: a fitting send still queues behind earlier deferred ones, so
 // entries reach a slow receiver in issue order.
 func (t *flowTable) submit(to simnet.NodeID, key flowKey, bytes int, send func()) bool {
-	if t.disabled {
-		send()
-		return true
-	}
 	t.mu.Lock()
 	fp := t.peer(to)
 	if len(fp.deferred) == 0 && fp.fits(bytes) {
@@ -186,10 +180,6 @@ func (fp *flowPeer) fitsConservative(bytes int) bool {
 // buffer) and retries when credit frees. Declining preserves FIFO for
 // the deferred queue: a parked reliable send is never overtaken.
 func (t *flowTable) trySubmit(to simnet.NodeID, key flowKey, bytes int, send func()) bool {
-	if t.disabled {
-		send()
-		return true
-	}
 	t.mu.Lock()
 	fp := t.peer(to)
 	if len(fp.deferred) > 0 || !fp.fitsConservative(bytes) {
@@ -221,9 +211,6 @@ func (t *flowTable) windowBytesOf(id simnet.NodeID) int {
 // charged node: the window news applies to `from`, the credit returns
 // to the charge's node, and both queues get a flush chance.
 func (t *flowTable) release(key flowKey, from simnet.NodeID, winBytes, winMsgs int) []func() {
-	if t.disabled {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if winBytes > 0 || winMsgs > 0 {
@@ -262,7 +249,7 @@ func (t *flowTable) unchargeLocked(c *flowCharge) {
 // window records a receiver's freshly advertised window and flushes
 // any deferred sends the new credit admits.
 func (t *flowTable) window(from simnet.NodeID, winBytes, winMsgs int) []func() {
-	if t.disabled || (winBytes == 0 && winMsgs == 0) {
+	if winBytes == 0 && winMsgs == 0 {
 		return nil
 	}
 	t.mu.Lock()
@@ -323,9 +310,6 @@ func (t *flowTable) flushLocked(id simnet.NodeID) []func() {
 // duplicate deliveries the flush may cause are harmless (store version
 // tie-break, ack dedup).
 func (t *flowTable) releaseNode(id simnet.NodeID) []func() {
-	if t.disabled {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	fp := t.peers[id]
@@ -351,9 +335,6 @@ func (t *flowTable) releaseNode(id simnet.NodeID) []func() {
 // re-routed by the retry timer): the credit returns, and if the charge
 // was still deferred the retry's own send supersedes the parked one.
 func (t *flowTable) releaseKey(key flowKey) []func() {
-	if t.disabled {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c, ok := t.charges[key]
@@ -368,9 +349,6 @@ func (t *flowTable) releaseKey(key flowKey) []func() {
 // releaseOp settles every charge of one operation (completion, expiry
 // or cancel), flushing whatever the returned credit admits.
 func (t *flowTable) releaseOp(qid uint64) []func() {
-	if t.disabled {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	touched := map[simnet.NodeID]bool{}
@@ -395,9 +373,6 @@ func (t *flowTable) releaseOp(qid uint64) []func() {
 // two-choices steers new reads away from a receiver this sender is
 // already stalled on.
 func (t *flowTable) penalty(id simnet.NodeID) int {
-	if t.disabled {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	fp := t.peers[id]
@@ -425,7 +400,7 @@ func (t *flowTable) ewmaWindow(id simnet.NodeID) float64 {
 // observeIn folds one incoming message size into the EWMA behind the
 // peer's own advertised byte window.
 func (t *flowTable) observeIn(size int) {
-	if t.disabled || size <= 0 {
+	if size <= 0 {
 		return
 	}
 	t.mu.Lock()

@@ -1,6 +1,8 @@
 package pgrid
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +22,7 @@ func runSends(sends []func()) {
 // go out immediately, the overrun defers FIFO, and each release admits
 // the next parked send in issue order.
 func TestFlowTableSubmitWindowRelease(t *testing.T) {
-	ft := newFlowTable(false)
+	ft := newFlowTable()
 	runSends(ft.window(1, 100, 2))
 
 	var sent []int
@@ -47,7 +49,7 @@ func TestFlowTableSubmitWindowRelease(t *testing.T) {
 // TestFlowTableTinyWindowLiveness: a window smaller than one entry
 // degrades to stop-and-wait, never to silence — the ≥1-in-flight rule.
 func TestFlowTableTinyWindowLiveness(t *testing.T) {
-	ft := newFlowTable(false)
+	ft := newFlowTable()
 	runSends(ft.window(7, 1, 1)) // 1 byte, 1 msg: nothing "fits"
 
 	sent := 0
@@ -73,7 +75,7 @@ func TestFlowTableTinyWindowLiveness(t *testing.T) {
 // freely; once the peer advertises, the real window governs; and a
 // parked reliable send is never overtaken by a best-effort one.
 func TestFlowTableTrySubmitSlowStart(t *testing.T) {
-	ft := newFlowTable(false)
+	ft := newFlowTable()
 	accepted := 0
 	for i := 0; i < 2*DefaultFlowWindowMsgs; i++ {
 		if ft.trySubmit(3, flowKey{qid: uint64(i + 1)}, 64, func() { accepted++ }) {
@@ -86,7 +88,7 @@ func TestFlowTableTrySubmitSlowStart(t *testing.T) {
 	}
 
 	// Real credit news replaces the conservative bound.
-	ft2 := newFlowTable(false)
+	ft2 := newFlowTable()
 	runSends(ft2.window(4, 1<<20, 2))
 	ok1 := ft2.trySubmit(4, flowKey{qid: 101}, 64, func() {})
 	ok2 := ft2.trySubmit(4, flowKey{qid: 102}, 64, func() {})
@@ -97,7 +99,7 @@ func TestFlowTableTrySubmitSlowStart(t *testing.T) {
 
 	// FIFO: once a reliable send is parked, trySubmit declines even
 	// with credit to spare.
-	ft3 := newFlowTable(false)
+	ft3 := newFlowTable()
 	runSends(ft3.window(5, 64, 1))
 	ft3.submit(5, flowKey{qid: 201}, 32, func() {}) // in flight
 	ft3.submit(5, flowKey{qid: 202}, 32, func() {}) // parked
@@ -112,7 +114,7 @@ func TestFlowTableTrySubmitSlowStart(t *testing.T) {
 // return all credit and flush the parked queue — otherwise the sender
 // holds zero credit forever and the stream deadlocks.
 func TestFlowTableZeroCreditDeadlock(t *testing.T) {
-	ft := newFlowTable(false)
+	ft := newFlowTable()
 	runSends(ft.window(9, 100, 2))
 
 	sent := 0
@@ -135,7 +137,7 @@ func TestFlowTableZeroCreditDeadlock(t *testing.T) {
 	}
 
 	// releaseOp variant: the operation is cancelled instead.
-	ft2 := newFlowTable(false)
+	ft2 := newFlowTable()
 	runSends(ft2.window(9, 100, 1))
 	sent2 := 0
 	ft2.submit(9, flowKey{qid: 77, seq: 0}, 80, func() { sent2++ })
@@ -150,7 +152,7 @@ func TestFlowTableZeroCreditDeadlock(t *testing.T) {
 // TestFlowTablePenalty: deferred sends and an exhausted window raise
 // the replica chooser's pressure signal; an idle peer costs nothing.
 func TestFlowTablePenalty(t *testing.T) {
-	ft := newFlowTable(false)
+	ft := newFlowTable()
 	if ft.penalty(2) != 0 {
 		t.Fatal("idle peer has nonzero penalty")
 	}
@@ -185,10 +187,10 @@ func TestGossipCoalescingKeepsStoreWinner(t *testing.T) {
 		p.gossipMu.Unlock()
 	}
 	pend := p.gossipPend[99]
-	if len(pend) != 1 {
-		t.Fatalf("pending holds %d entries, want 1 coalesced", len(pend))
+	if len(pend.order) != 1 {
+		t.Fatalf("pending holds %d entries, want 1 coalesced", len(pend.order))
 	}
-	for _, e := range pend {
+	for _, e := range pend.latest {
 		if !e.Triple.Equal(b.Triple) {
 			t.Fatalf("coalescing kept %v, want the store winner %v", e.Triple, b.Triple)
 		}
@@ -198,7 +200,7 @@ func TestGossipCoalescingKeepsStoreWinner(t *testing.T) {
 	p.gossipMu.Lock()
 	p.mergeGossipLocked(99, []store.Entry{c})
 	p.gossipMu.Unlock()
-	for _, e := range p.gossipPend[99] {
+	for _, e := range p.gossipPend[99].latest {
 		if e.Version != 2 {
 			t.Fatalf("version 2 did not supersede: kept v%d", e.Version)
 		}
@@ -227,7 +229,7 @@ func TestGossipPendingDrainsOnCredit(t *testing.T) {
 		p.gossipMu.Lock()
 		held := 0
 		for _, pend := range p.gossipPend {
-			held += len(pend)
+			held += len(pend.order)
 		}
 		p.gossipMu.Unlock()
 		if held != 0 {
@@ -250,6 +252,62 @@ func TestGossipPendingDrainsOnCredit(t *testing.T) {
 				t.Fatalf("replica pair %d/%d diverged: %d vs %d facts", p.ID(), sib.ID(), got, want)
 			}
 		}
+	}
+}
+
+// gossipRecorder is a replica stand-in that records every gossip batch
+// it receives and acks it with a fixed window.
+type gossipRecorder struct {
+	net      *simnet.Network
+	id       simnet.NodeID
+	winBytes int
+	batches  [][]store.Entry
+}
+
+func (r *gossipRecorder) HandleMessage(m simnet.Message) {
+	g, ok := m.Payload.(gossipMsg)
+	if !ok {
+		return
+	}
+	r.batches = append(r.batches, g.Entries)
+	r.net.Send(r.id, m.From, KindGossipAck, gossipAckMsg{ID: g.AckID, WinBytes: r.winBytes, WinMsgs: 1})
+}
+
+// TestGossipPendingDrainsInArrivalOrder: gossip parked toward a replica
+// with a small window leaves in the order it parked, batch after batch,
+// whatever the entry sizes — so the batch count and every send are the
+// same on every run.
+func TestGossipPendingDrainsInArrivalOrder(t *testing.T) {
+	net := newNet(13)
+	p := BuildBalanced(net, 2, 1, DefaultConfig())[0]
+	rec := &gossipRecorder{net: net, winBytes: 600}
+	rec.id = net.AddNode(rec)
+	p.runFlow(p.flow.window(rec.id, rec.winBytes, 1))
+
+	var parked []string
+	p.gossipMu.Lock()
+	for i := 0; i < 30; i++ {
+		oid := personOID(i)
+		val := strings.Repeat("v", 1+(i*37)%90) // sizes vary entry to entry
+		e := store.Entry{Kind: triple.ByOID, Triple: triple.T(oid, "name", val), Version: 1}
+		p.mergeGossipLocked(rec.id, []store.Entry{e})
+		parked = append(parked, oid)
+	}
+	p.gossipMu.Unlock()
+	p.flushGossip(rec.id)
+	net.Settle()
+
+	var got []string
+	for _, b := range rec.batches {
+		for _, e := range b {
+			got = append(got, e.Triple.OID)
+		}
+	}
+	if len(rec.batches) < 3 {
+		t.Fatalf("%d batches drained the buffer; the window should force several", len(rec.batches))
+	}
+	if !slices.Equal(got, parked) {
+		t.Fatalf("batches left in order %v, want the arrival order %v", got, parked)
 	}
 }
 

@@ -2,6 +2,8 @@ package pgrid
 
 import (
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -59,22 +61,18 @@ func (p *Peer) pushToReplicas(entries []store.Entry, from simnet.NodeID) {
 	}
 }
 
-// gossipTo issues one eager push, credit-gated like every bulk stream.
-// With flow control on, the batch charges the replica's advertised
-// window under a fresh qid and the replica's gossipAckMsg releases the
-// credit (piggybacking a fresh window). With the window full — or
-// older entries already waiting — the batch folds into the replica's
-// pending buffer instead: one entry per fact, latest version wins, so
-// a slow replica costs at most its partition's worth of buffered state
-// and never an unbounded queue. Freed credit flushes the buffer in
-// window-sized batches (flushGossip).
+// gossipTo issues one eager push, credit-gated like every bulk stream:
+// the batch charges the replica's advertised window under a fresh qid
+// and the replica's gossipAckMsg releases the credit (piggybacking a
+// fresh window). With the window full — or older entries already
+// waiting — the batch folds into the replica's pending buffer instead:
+// one entry per fact, latest version wins, so a slow replica costs at
+// most its partition's worth of buffered state and never an unbounded
+// queue. Freed credit flushes the buffer in window-sized batches
+// (flushGossip).
 func (p *Peer) gossipTo(to simnet.NodeID, batch []store.Entry) {
-	if p.cfg.DisableFlowControl {
-		p.net.Send(p.id, to, KindGossip, gossipMsg{Entries: batch})
-		return
-	}
 	p.gossipMu.Lock()
-	if len(p.gossipPend[to]) > 0 {
+	if p.gossipPend[to] != nil {
 		// Entries are already parked toward this replica; join them
 		// rather than overtake them.
 		p.mergeGossipLocked(to, batch)
@@ -102,35 +100,50 @@ func (p *Peer) tryGossipSend(to simnet.NodeID, batch []store.Entry) bool {
 		func() { p.net.Send(p.id, to, KindGossip, msg) })
 }
 
+// gossipBuf is the pending gossip toward one replica: the winning
+// entry per fact, and the facts in the order they first parked. Flushes
+// drain from the front, so batches leave oldest-first and identical on
+// every run. A buffer exists only while it holds entries.
+type gossipBuf struct {
+	latest map[factKey]store.Entry
+	order  []factKey
+}
+
 // mergeGossipLocked folds a batch into the pending buffer toward one
 // replica, keeping only the winning entry per fact under the store's
-// own LWW rule. Using store.Entry.Supersedes (not just the version)
-// matters: multi-valued attributes can collide on (kind, OID, attr) at
-// equal versions, and the buffer must drop the same loser every store
-// would. Superseded entries are counted as suppressed.
-func (p *Peer) mergeGossipLocked(to simnet.NodeID, batch []store.Entry) {
-	pend := p.gossipPend[to]
-	if pend == nil {
-		pend = make(map[factKey]store.Entry)
-		p.gossipPend[to] = pend
+// own LWW rule; a fact already parked keeps its place in line, and new
+// facts join at the back (their count is returned). Using
+// store.Entry.Supersedes (not just the version) matters: multi-valued
+// attributes can collide on (kind, OID, attr) at equal versions, and
+// the buffer must drop the same loser every store would. Superseded
+// entries are counted as suppressed.
+func (p *Peer) mergeGossipLocked(to simnet.NodeID, batch []store.Entry) (added int) {
+	b := p.gossipPend[to]
+	if b == nil {
+		b = &gossipBuf{latest: make(map[factKey]store.Entry)}
+		p.gossipPend[to] = b
 	}
 	for _, e := range batch {
 		fk := factKeyOf(e)
-		if old, ok := pend[fk]; ok {
+		if old, ok := b.latest[fk]; ok {
 			p.stats.gossipSuppressed.Add(1)
 			if !e.Supersedes(old) {
 				continue
 			}
+		} else {
+			b.order = append(b.order, fk)
+			added++
 		}
-		pend[fk] = e
+		b.latest[fk] = e
 	}
+	return added
 }
 
 // flushGossip drains the pending buffer toward one replica for as long
-// as its window keeps admitting batches. Each batch is bounded by the
-// replica's advertised byte window — the "effective page" of the
-// gossip stream — so a shrunken window trickles small messages instead
-// of one huge flush.
+// as its window keeps admitting batches. Each batch takes the oldest
+// parked entries up to the replica's advertised byte window — the
+// "effective page" of the gossip stream — so a shrunken window trickles
+// small messages instead of one huge flush.
 func (p *Peer) flushGossip(to simnet.NodeID) {
 	for {
 		budget := p.flow.windowBytesOf(to)
@@ -138,31 +151,35 @@ func (p *Peer) flushGossip(to simnet.NodeID) {
 			budget = DefaultFlowWindowBytes
 		}
 		p.gossipMu.Lock()
-		pend := p.gossipPend[to]
-		if len(pend) == 0 {
+		b := p.gossipPend[to]
+		if b == nil {
 			p.gossipMu.Unlock()
 			return
 		}
-		batch := make([]store.Entry, 0, len(pend))
+		var batch []store.Entry
 		used := 16 // gossipMsg framing
-		for fk, e := range pend {
+		for _, fk := range b.order {
+			e := b.latest[fk]
 			sz := e.WireSize()
 			if len(batch) > 0 && used+sz > budget {
-				continue
+				break
 			}
 			batch = append(batch, e)
 			used += sz
-			delete(pend, fk)
+			delete(b.latest, fk)
 		}
-		if len(pend) == 0 {
+		if b.order = b.order[len(batch):]; len(b.order) == 0 {
 			delete(p.gossipPend, to)
 		}
 		p.gossipMu.Unlock()
 		if !p.tryGossipSend(to, batch) {
-			// Credit ran out again; put the batch back (latest versions
-			// still win if fresher entries merged meanwhile).
+			// Credit ran out again: the batch goes back to the front of
+			// the line (a fresher entry merged meanwhile keeps its place).
 			p.gossipMu.Lock()
-			p.mergeGossipLocked(to, batch)
+			added := p.mergeGossipLocked(to, batch)
+			b := p.gossipPend[to]
+			n := len(b.order) - added
+			b.order = slices.Concat(b.order[n:], b.order[:n])
 			p.gossipMu.Unlock()
 			return
 		}
@@ -170,18 +187,15 @@ func (p *Peer) flushGossip(to simnet.NodeID) {
 }
 
 // flushGossipPending gives every replica with parked gossip a flush
-// chance — called wherever credit may have freed, so a pending buffer
-// can never outlive the pressure that parked it.
+// chance, in address order — called wherever credit may have freed, so
+// a pending buffer can never outlive the pressure that parked it.
 func (p *Peer) flushGossipPending() {
 	p.gossipMu.Lock()
 	if len(p.gossipPend) == 0 {
 		p.gossipMu.Unlock()
 		return
 	}
-	ids := make([]simnet.NodeID, 0, len(p.gossipPend))
-	for id := range p.gossipPend {
-		ids = append(ids, id)
-	}
+	ids := slices.Sorted(maps.Keys(p.gossipPend))
 	p.gossipMu.Unlock()
 	for _, id := range ids {
 		p.flushGossip(id)

@@ -51,23 +51,6 @@ type Config struct {
 	// origin pulling continuations only while it still needs rows.
 	// 0 disables paging (one monolithic response per partition).
 	PageSize int
-	// DisableRouteCache turns the learned partition→node routing cache
-	// off: every probe takes the full O(log n) routed path and batched
-	// lookups degrade to per-key envelopes. Benchmarks use it as the
-	// pre-cache baseline.
-	DisableRouteCache bool
-	// ReadReplicas bounds how many replicas of a cached owner set the
-	// read path considers: 0 uses every known replica, 1 pins reads to
-	// the primary owner (the single-owner baseline — no load
-	// balancing, no failover target).
-	ReadReplicas int
-	// HedgeAfter is the simulated time a direct probe may stay
-	// unanswered before it is hedged to a sibling replica (and a range
-	// scan's missing partitions are re-showered, at a multiple of it).
-	// 0 selects DefaultHedgeAfter; negative disables hedging and scan
-	// retries entirely (the fail-slow baseline that waits out the
-	// operation deadline).
-	HedgeAfter int64 // nanoseconds of simulated time
 	// FlowWindowBytes / FlowWindowMsgs size the receive window this
 	// peer advertises to bulk senders (flow.go): the most unacked
 	// bytes / messages a well-behaved sender keeps in flight toward
@@ -76,10 +59,6 @@ type Config struct {
 	// tests can pin pathological windows.
 	FlowWindowBytes int
 	FlowWindowMsgs  int
-	// DisableFlowControl turns the credit machinery off entirely:
-	// windows advertise as 0 (no window) and sends are never gated —
-	// the uncontrolled baseline the flow benchmark compares against.
-	DisableFlowControl bool
 	// Tracing enables distributed query tracing (tracing.go): operations
 	// issued WithTrace carry a trace context on every request, serving
 	// peers record spans and piggyback them home on responses, and the
@@ -88,9 +67,12 @@ type Config struct {
 	Tracing bool
 }
 
-// DefaultHedgeAfter is the probe-hedging deadline used when
-// Config.HedgeAfter is zero: far above any healthy round trip of the
-// experiment latency models, far below the operation deadline.
+// DefaultHedgeAfter is the simulated time a direct probe may stay
+// unanswered before it is hedged to a sibling replica; page pulls and
+// acked inserts retry at the same deadline, and a range scan
+// re-showers its missing partitions at scanRetryFactor times it. It
+// sits far above any healthy round trip of the experiment latency
+// models and far below the operation deadline.
 const DefaultHedgeAfter = 100 * time.Millisecond
 
 // scanRetryFactor scales the hedge deadline into the range-scan
@@ -106,17 +88,6 @@ const maxProbeAttempts = 3
 // maxScanRetries bounds the coverage re-shower rounds of one range
 // query; past it the operation expires with partial results as before.
 const maxScanRetries = 4
-
-// hedgeAfter resolves the configured hedging deadline (0 if disabled).
-func (c Config) hedgeAfter() time.Duration {
-	if c.HedgeAfter < 0 {
-		return 0
-	}
-	if c.HedgeAfter == 0 {
-		return DefaultHedgeAfter
-	}
-	return time.Duration(c.HedgeAfter)
-}
 
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
@@ -154,11 +125,12 @@ type Peer struct {
 	// with or without mu held.
 	flow *flowTable
 	// gossipPend coalesces eager pushes a replica's window would not
-	// admit: one latest-version entry per fact per replica, flushed in
-	// window-sized batches as credit frees (gossip.go). Guarded by
+	// admit: one latest-version entry per fact per replica, flushed
+	// oldest-first in window-sized batches as credit frees (gossip.go).
+	// Guarded by
 	// gossipMu (innermost, never held across sends).
 	gossipMu   sync.Mutex
-	gossipPend map[simnet.NodeID]map[factKey]store.Entry
+	gossipPend map[simnet.NodeID]*gossipBuf
 
 	store *store.Store
 	cfg   Config
@@ -414,8 +386,8 @@ func NewPeer(net Transport, cfg Config) *Peer {
 		store:      store.New(),
 		cfg:        cfg,
 		cache:      newRouteCache(),
-		flow:       newFlowTable(cfg.DisableFlowControl),
-		gossipPend: make(map[simnet.NodeID]map[factKey]store.Entry),
+		flow:       newFlowTable(),
+		gossipPend: make(map[simnet.NodeID]*gossipBuf),
 		pending:    make(map[uint64]*pendingOp),
 	}
 	if cfg.Tracing {
@@ -651,11 +623,8 @@ func (p *Peer) applyInsert(req insertReq, hops int, from simnet.NodeID, size int
 // transport says is already queued toward the peer (messages directly;
 // bytes through the incoming-size EWMA), floored so a drowning
 // receiver degrades senders to stop-and-wait rather than starving
-// them. Returns (0, 0) — no window — with flow control disabled.
+// them.
 func (p *Peer) advertiseWindow() (winBytes, winMsgs int) {
-	if p.cfg.DisableFlowControl {
-		return 0, 0
-	}
 	backlog := p.net.Load(p.id)
 	winMsgs = p.cfg.FlowWindowMsgs - backlog
 	if winMsgs < 1 {

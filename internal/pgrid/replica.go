@@ -13,8 +13,8 @@ import (
 // targets a replica SET instead of a single owner. Probes pick a
 // replica by load-aware power-of-two-choices over the cached owner set
 // (simnet's per-node backlog is the load signal, the per-owner latency
-// EWMA the tie-break), are hedged to a sibling replica when a
-// configurable deadline passes unanswered, and fall back to fully
+// EWMA the tie-break), are hedged to a sibling replica when
+// DefaultHedgeAfter passes unanswered, and fall back to fully
 // routed lookups once the replica set is exhausted. Range scans track
 // which partitions have fully answered and re-shower only the missing
 // key-space gaps, so a query whose serving peer died mid-scan still
@@ -44,7 +44,7 @@ func (p *Peer) dispatchProbes(qid uint64, op *pendingOp, kind uint8, ks []keys.K
 			local = append(local, k)
 			continue
 		}
-		set, ok := p.cachedSetLocked(k)
+		set, ok := p.cache.setLocked(k)
 		if ok {
 			p.stats.cacheHits.Add(1)
 			ps := set.path.String()
@@ -162,9 +162,7 @@ func (p *Peer) sendProbeGroup(qid uint64, op *pendingOp, kind uint8, ks []keys.K
 	p.net.Send(p.id, target.ID, KindMultiLookup, multiLookupReq{
 		QID: qid, Origin: p.id, Kind: kind, Keys: ks, Agg: spec, TC: tc,
 	})
-	if hedge := p.cfg.hedgeAfter(); hedge > 0 {
-		p.net.After(hedge, func() { p.hedgeProbeGroup(qid, gid) })
-	}
+	p.net.After(DefaultHedgeAfter, func() { p.hedgeProbeGroup(qid, gid) })
 	return true
 }
 
@@ -173,12 +171,10 @@ func (p *Peer) sendProbeGroup(qid uint64, op *pendingOp, kind uint8, ks []keys.K
 // smaller network backlog PLUS flow-control pressure (deferred bulk
 // sends stalled on the candidate's credit window — the backpressure
 // signal feeding back into replica selection), breaking ties by
-// latency EWMA. Config's ReadReplicas bounds the candidates considered
-// (1 pins reads to the primary — the single-owner baseline). Callers
-// hold p.mu; the flow table's own innermost lock makes the penalty
-// reads safe here.
+// latency EWMA. Callers hold p.mu; the flow table's own innermost lock
+// makes the penalty reads safe here.
 func (p *Peer) pickReplicaLocked(set *ownerSet, tried map[simnet.NodeID]bool) (Ref, bool) {
-	cands := set.live(p.net, p.cfg.ReadReplicas, tried)
+	cands := set.live(p.net, tried)
 	switch len(cands) {
 	case 0:
 		return Ref{}, false
@@ -226,7 +222,7 @@ func (p *Peer) hedgeProbeGroup(qid, gid uint64) {
 		return
 	}
 	if set, ok := p.cache.entries[g.path.String()]; ok {
-		set.penalize(g.target, p.cfg.hedgeAfter())
+		set.penalize(g.target, DefaultHedgeAfter)
 	}
 	kind, attempt, tried, path := g.kind, g.attempt+1, g.tried, g.path
 	spec := op.aggSpec
@@ -280,7 +276,7 @@ func (p *Peer) siblingReplica(path keys.Key, dead simnet.NodeID) (simnet.NodeID,
 
 // siblingReplicaLocked is siblingReplica with p.mu already held.
 func (p *Peer) siblingReplicaLocked(path keys.Key, dead simnet.NodeID) (simnet.NodeID, bool) {
-	if p.cfg.DisableRouteCache || p.cfg.ReadReplicas == 1 || path.Len() == 0 {
+	if path.Len() == 0 {
 		return 0, false
 	}
 	set, ok := p.cache.entries[path.String()]
@@ -302,11 +298,7 @@ func (p *Peer) siblingReplicaLocked(path keys.Key, dead simnet.NodeID) (simnet.N
 // the server died with the request already sent — and the pull
 // re-sends to a live sibling replica.
 func (p *Peer) armPagePull(qid uint64, path keys.Key, cu *scanCursor, server simnet.NodeID) {
-	hedge := p.cfg.hedgeAfter()
-	if hedge == 0 {
-		return
-	}
-	p.net.After(hedge, func() { p.hedgePagePull(qid, path, cu, server) })
+	p.net.After(DefaultHedgeAfter, func() { p.hedgePagePull(qid, path, cu, server) })
 }
 
 // hedgePagePull fires at the pull hedge deadline. A cursor that moved
@@ -367,11 +359,10 @@ func (p *Peer) hedgePagePull(qid uint64, path keys.Key, cu *scanCursor, server s
 
 // armInsertRetry schedules the ack watchdog of an acked insert.
 func (p *Peer) armInsertRetry(qid uint64, attempt int) {
-	hedge := p.cfg.hedgeAfter()
-	if hedge == 0 || attempt >= maxProbeAttempts {
+	if attempt >= maxProbeAttempts {
 		return
 	}
-	p.net.After(hedge, func() { p.retryInserts(qid, attempt) })
+	p.net.After(DefaultHedgeAfter, func() { p.retryInserts(qid, attempt) })
 }
 
 // retryInserts re-routes the entries of an acked insert whose acks are
@@ -430,11 +421,7 @@ func (s *scanState) hasCovered(path keys.Key) bool {
 // shower) deadline passes, the partitions that never finished
 // answering are re-showered through fresh — live — references.
 func (p *Peer) armScanRetry(qid uint64) {
-	hedge := p.cfg.hedgeAfter()
-	if hedge == 0 {
-		return
-	}
-	p.net.After(hedge*scanRetryFactor, func() { p.retryScan(qid) })
+	p.net.After(DefaultHedgeAfter*scanRetryFactor, func() { p.retryScan(qid) })
 }
 
 // retryScan re-showers the key-space gaps a pending range query never
@@ -468,7 +455,7 @@ func (p *Peer) retryScan(qid uint64) {
 	// finish on its own, so re-showering them would just burn
 	// messages — while completion keeps waiting for their final page.
 	now := p.net.Now()
-	interval := p.cfg.hedgeAfter() * scanRetryFactor
+	interval := DefaultHedgeAfter * scanRetryFactor
 	active := append([]keys.Key(nil), sc.covered...)
 	for key, cl := range sc.claims {
 		if !p.net.Alive(cl.from) || now-cl.last >= interval {

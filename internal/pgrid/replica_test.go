@@ -3,7 +3,6 @@ package pgrid
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"unistore/internal/agg"
 	"unistore/internal/keys"
@@ -583,34 +582,5 @@ func TestDescPagedScanStreamsInOrder(t *testing.T) {
 	}
 	if len(pages) < 30/3 {
 		t.Errorf("desc scan arrived in %d pages; page size 3 over 30 entries should stream ≥10", len(pages))
-	}
-}
-
-// TestHedgeDisabledFailsSlow: with HedgeAfter < 0 a probe to a corpse
-// is never retried — the operation expires incomplete at the overlay
-// deadline, which is exactly the single-owner baseline the benchmarks
-// compare against.
-func TestHedgeDisabledFailsSlow(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HedgeAfter = -1
-	cfg.ReadReplicas = 1
-	net, peers := loadReplicated(68, 16, 2, 32, cfg)
-	q := peers[0]
-	key := triple.AVKey("age", triple.N(7))
-	if res := q.LookupSync(triple.ByAV, key); !res.Complete {
-		t.Fatalf("warmup: %+v", res)
-	}
-	h := q.Lookup(triple.ByAV, []keys.Key{key}, nil)
-	victim, ok := inflightTarget(net, peers, q)
-	if !ok {
-		t.Fatal("warm probe did not go direct")
-	}
-	net.Kill(victim)
-	res := h.Wait(3 * time.Minute)
-	if res.Complete && len(res.Entries) > 0 {
-		t.Fatalf("hedging disabled yet the probe recovered: %+v", res)
-	}
-	if q.Stats().ProbeRetries != 0 {
-		t.Errorf("retries fired with hedging disabled: %d", q.Stats().ProbeRetries)
 	}
 }

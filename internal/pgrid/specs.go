@@ -3,17 +3,16 @@ package pgrid
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"unistore/internal/keys"
 )
 
 // Multi-process assembly. A single-process cluster builds its overlay
-// with BuildBalanced: every peer lives in one address space and the
-// builder wires paths, replica groups, and routing tables directly.
-// A multi-process cluster cannot do that — no process sees the others'
-// peers — so assembly is split into a pure planning step and a local
-// instantiation step:
+// with BuildBalanced: every peer lives in one address space, so the
+// builder plans the layout (planSpecs) and installs it on its own peers
+// in one step. A multi-process cluster cannot do that — no process sees
+// the others' peers — so assembly is split into a pure planning step
+// and a local instantiation step:
 //
 //	BalancedSpecs(n, replicas, cfg, seed)  →  the full cluster layout
 //	BuildFromSpecs(net, specs, hosted)     →  this process's peers
@@ -37,10 +36,10 @@ type NodeSpec struct {
 }
 
 // BalancedSpecs plans a balanced overlay of n partitions × replicas
-// peers, mirroring BuildBalanced + WireRouting exactly but without a
-// transport: the randomized reference choice draws from a source
-// seeded by `seed`, so equal arguments give equal layouts in every
-// process. cfg contributes RefsPerLevel (normalized as NewPeer does).
+// peers — the layout BuildBalanced assembles, but without a transport:
+// node IDs count up from 0 and the routing references draw from a
+// source seeded by `seed`, so equal arguments give equal layouts in
+// every process. cfg contributes RefsPerLevel.
 func BalancedSpecs(n, replicas int, cfg Config, seed int64) []NodeSpec {
 	if n <= 0 {
 		panic("pgrid: BalancedSpecs needs n > 0")
@@ -48,91 +47,11 @@ func BalancedSpecs(n, replicas int, cfg Config, seed int64) []NodeSpec {
 	if replicas <= 0 {
 		replicas = 1
 	}
-	if cfg.RefsPerLevel <= 0 {
-		cfg.RefsPerLevel = 3
-	}
-	paths := balancedPaths(n)
-	sort.Slice(paths, func(i, j int) bool { return paths[i].Compare(paths[j]) < 0 })
-
-	specs := make([]NodeSpec, 0, n*replicas)
-	for gi, path := range paths {
-		for r := 0; r < replicas; r++ {
-			specs = append(specs, NodeSpec{
-				ID:   NodeID(gi*replicas + r),
-				Path: path,
-			})
-		}
-	}
-	// Replica groups know each other, in the same pair order assemble
-	// uses (group-internal index order, self excluded).
-	for gi := range paths {
-		for a := 0; a < replicas; a++ {
-			sa := &specs[gi*replicas+a]
-			for b := 0; b < replicas; b++ {
-				if a == b {
-					continue
-				}
-				sb := &specs[gi*replicas+b]
-				sa.Replicas = append(sa.Replicas, Ref{ID: sb.ID, Path: sb.Path})
-			}
-		}
-	}
-	wireSpecRouting(specs, cfg.RefsPerLevel, rand.New(rand.NewSource(seed)))
-	return specs
-}
-
-// wireSpecRouting is WireRouting transcribed onto specs: for each level
-// of each spec's path it installs up to refsPerLevel distinct random
-// references into the sibling subtree. The draw pattern (rejection
-// sampling over the sorted sibling range, spec-creation iteration
-// order) matches WireRouting's, so a fixed rng source yields one
-// well-defined layout.
-func wireSpecRouting(specs []NodeSpec, refsPerLevel int, rng *rand.Rand) {
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(i, j int) bool {
-		return specs[order[i]].Path.String() < specs[order[j]].Path.String()
-	})
-	pathStrs := make([]string, len(order))
-	for i, idx := range order {
-		pathStrs[i] = specs[idx].Path.String()
-	}
-	specsWithPrefix := func(prefix string) (int, int) {
-		lo := sort.SearchStrings(pathStrs, prefix)
-		hi := lo
-		for hi < len(pathStrs) && len(pathStrs[hi]) >= len(prefix) && pathStrs[hi][:len(prefix)] == prefix {
-			hi++
-		}
-		return lo, hi
-	}
-	for si := range specs {
-		s := &specs[si]
-		s.Refs = make([][]Ref, s.Path.Len())
-		for l := 0; l < s.Path.Len(); l++ {
-			sibling := s.Path.Prefix(l).Append(1 - s.Path.Bit(l)).String()
-			lo, hi := specsWithPrefix(sibling)
-			count := hi - lo
-			if count == 0 {
-				continue
-			}
-			want := refsPerLevel
-			if want > count {
-				want = count
-			}
-			seen := make(map[int]bool, want)
-			for len(seen) < want {
-				i := lo + rng.Intn(count)
-				if seen[i] {
-					continue
-				}
-				seen[i] = true
-				q := specs[order[i]]
-				s.Refs[l] = append(s.Refs[l], Ref{ID: q.ID, Path: q.Path})
-			}
-		}
-	}
+	next := NodeID(0)
+	return planSpecs(balancedPaths(n), replicas, cfg.RefsPerLevel, func() NodeID {
+		next++
+		return next - 1
+	}, rand.New(rand.NewSource(seed)).Intn)
 }
 
 // Reserver is the optional transport surface for pre-assigning the
@@ -164,16 +83,22 @@ func BuildFromSpecs(net Transport, specs []NodeSpec, hosted []NodeSpec, cfg Conf
 		if p.id != s.ID {
 			return nil, fmt.Errorf("pgrid: transport assigned node %d to spec %d (transport cannot reserve IDs?)", p.id, s.ID)
 		}
-		p.setPath(s.Path)
-		for _, ref := range s.Replicas {
-			p.addReplica(ref)
-		}
-		for l, refs := range s.Refs {
-			for _, ref := range refs {
-				p.addRef(l, ref)
-			}
-		}
+		p.install(s)
 		peers = append(peers, p)
 	}
 	return peers, nil
+}
+
+// install gives a fresh peer its planned path, replica group and
+// routing table.
+func (p *Peer) install(s NodeSpec) {
+	p.setPath(s.Path)
+	for _, ref := range s.Replicas {
+		p.addReplica(ref)
+	}
+	for l, refs := range s.Refs {
+		for _, ref := range refs {
+			p.addRef(l, ref)
+		}
+	}
 }

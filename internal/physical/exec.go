@@ -71,10 +71,6 @@ type Engine struct {
 	// rangeShards splits each range scan into this many key-space
 	// shards showered independently. 1 = a single shower (default).
 	rangeShards int
-	// materializeTail forces every tail into the blocking (collect
-	// everything, then sort/limit/project) discipline — the
-	// pre-streaming behaviour, kept as the benchmarks' baseline.
-	materializeTail bool
 }
 
 // planMsg carries a mutant plan to its next host. TC is the trace
@@ -198,22 +194,6 @@ func (e *Engine) SetRangeShards(n int) {
 		n = 1
 	}
 	e.rangeShards = n
-}
-
-// SetMaterializeTail disables LIMIT/top-k early termination: every
-// operator runs to completion and the tail applies once, as the
-// materializing executor did. The before/after benchmarks use this as
-// their baseline; production paths leave it off.
-func (e *Engine) SetMaterializeTail(on bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.materializeTail = on
-}
-
-func (e *Engine) materialized() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.materializeTail
 }
 
 func (e *Engine) window() int {

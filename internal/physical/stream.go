@@ -741,13 +741,11 @@ func newTailSink(ex *Exec) *tailSink {
 			len(t.OrderBy) == 1 && containsVar(t.GroupBy, t.OrderBy[0].Var)
 	}
 	switch {
-	case ex.eng.materialized() || len(t.Skyline) > 0 || (t.Limit <= 0 && len(t.OrderBy) > 0):
+	case len(t.Skyline) > 0 || (t.Limit <= 0 && len(t.OrderBy) > 0):
 		// Blocking tail: every row is needed before the first can leave.
 	case len(t.OrderBy) == 0:
 		// Unordered: stream rows as they arrive; a limit stops early.
 		k.mode = sinkLimit
-	case t.Limit <= 0:
-		// Ordered without limit: blocking.
 	case len(t.OrderBy) == 1 && rankStreamable(ex.steps, t) && aggRankOK:
 		k.mode = sinkRank
 		key := t.OrderBy[0]

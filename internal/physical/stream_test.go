@@ -185,26 +185,26 @@ func TestContextCancelStopsQuery(t *testing.T) {
 	}
 }
 
-// TestMaterializeTailBaselineEquivalent: the benchmark baseline knob
-// must not change results, only traffic.
-func TestMaterializeTailBaselineEquivalent(t *testing.T) {
+// TestRankedTailFewerMessagesThanBlockingTail: a ranked top-k streams
+// its shards in rank order and stops once the threshold proves no
+// better row can arrive, so it must send fewer messages than the same
+// ordering without LIMIT, which takes the blocking tail and reads every
+// shard — and its rows must be that ordering's first k.
+func TestRankedTailFewerMessagesThanBlockingTail(t *testing.T) {
 	tn := buildNet(t, 64, 25, nil)
 	tn.load(namesCorpus(120))
 	for _, e := range tn.engines {
 		e.SetRangeShards(8)
 	}
-	src := `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 6`
-	stream, streamMsgs := runCounted(t, tn, src)
-	tn.engines[0].SetMaterializeTail(true)
-	mat, matMsgs := runCounted(t, tn, src)
-	tn.engines[0].SetMaterializeTail(false)
-	if !reflect.DeepEqual(canonMaps(stream), canonMaps(mat)) {
-		t.Fatalf("baseline diverged: %v vs %v", stream, mat)
+	ranked, rankedMsgs := runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 6`)
+	full, fullMsgs := runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n`)
+	if len(full) < 6 || !reflect.DeepEqual(ranked, full[:6]) {
+		t.Fatalf("ranked top-6 %v is not the first 6 of the full ordering %v", ranked, full)
 	}
-	if streamMsgs >= matMsgs {
-		t.Errorf("streaming used %d messages, materializing baseline %d", streamMsgs, matMsgs)
+	if rankedMsgs >= fullMsgs {
+		t.Errorf("ranked top-6 used %d messages, blocking tail %d", rankedMsgs, fullMsgs)
 	}
-	t.Logf("messages: streaming=%d materializing=%d", streamMsgs, matMsgs)
+	t.Logf("messages: ranked=%d blocking=%d", rankedMsgs, fullMsgs)
 }
 
 // TestCursorStreamsBeforeCompletion: the pull cursor must yield the

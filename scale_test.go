@@ -189,11 +189,11 @@ func TestRanked1024PeersWithinBudget(t *testing.T) {
 	t.Logf("1024 peers: %d msgs, %d hops, %v simulated", res.Messages, res.Hops, res.Elapsed)
 }
 
-// TestScaleRoutingCurveLogarithmic: the mean cost of a cold routed
-// lookup (routing cache off) at 128/256/512/1024 peers must stay
-// inside twice the log-linear extrapolation from the two smallest
-// sizes — O(log N) routing passes with slack, a regression to linear
-// scans or cache-less flooding overshoots immediately.
+// TestScaleRoutingCurveLogarithmic: the mean cost of a routed lookup
+// (each from a fresh origin) at 128/256/512/1024 peers must stay inside
+// twice the log-linear extrapolation from the two smallest sizes —
+// O(log N) routing passes with slack, a regression to linear scans or
+// flooding overshoots immediately.
 func TestScaleRoutingCurveLogarithmic(t *testing.T) {
 	curve := benchscen.RoutingCurve(benchscen.ScaleSizes)
 	for _, p := range curve {
@@ -208,16 +208,16 @@ func TestScaleRoutingCurveLogarithmic(t *testing.T) {
 }
 
 // TestScaleHotShardSpreading: under Zipf-hot lookups on 1024 nodes,
-// replica-balanced reads must leave the hottest peer with less load
-// than reads pinned to one owner per partition.
+// replica-balanced reads must leave the hottest peer with at most 60%
+// of its replica group's load — the load one owner would carry if
+// every read of the partition went to it.
 func TestScaleHotShardSpreading(t *testing.T) {
 	const peers, zipfS = 1024, 1.1
-	pinned := benchscen.HotShard(peers, 1, zipfS)
-	spread := benchscen.HotShard(peers, 0, zipfS)
-	if spread >= pinned {
-		t.Errorf("hot shard's peak load %d spread vs %d pinned — replica spreading must lower it", spread, pinned)
+	hottest, group := benchscen.HotShard(peers, zipfS)
+	if 10*hottest > 6*group {
+		t.Errorf("hottest peer served %d of its replica group's %d reads — replica spreading must keep it at 60%% or less", hottest, group)
 	}
-	t.Logf("hot shard @%d peers: max load %d pinned -> %d spread", peers, pinned, spread)
+	t.Logf("hot shard @%d peers: max load %d of its replica group's %d", peers, hottest, group)
 }
 
 // TestScaleScanExactUnderLiveChurn: a paged scan on 128 nodes with a

@@ -30,7 +30,7 @@ func tracedTopK(tracing bool) *unistore.Cluster {
 	return c
 }
 
-// tracedIndexJoin mirrors benchscen.IndexJoin(false) with tracing
+// tracedIndexJoin mirrors benchscen.IndexJoin() with tracing
 // switchable — the warm-cache DHT index-join path.
 func tracedIndexJoin(tracing bool) *unistore.Cluster {
 	ds := workload.Generate(workload.Options{Seed: 9, Persons: 60})

@@ -83,15 +83,13 @@
 // With Config.Replicas > 1 every remote read targets the partition's
 // replica SET: the routing cache learns whole replica groups from
 // responses, probes pick a replica by load-aware power-of-two-choices
-// and transparently hedge to a sibling after Config.HedgeAfter, range
-// scans re-shower partitions that never finished answering, and paged
-// scans resume on a sibling replica when their server dies between
-// pages — so killing peers mid-workload (Cluster.Kill) leaves query
-// results exact. Config.ReadReplicas bounds the candidate replicas
-// (1 pins reads to the single-owner baseline the benchmarks compare
-// against), and Config.AntiEntropyInterval turns on digest-based
-// replica reconciliation that ships version summaries instead of full
-// state.
+// and transparently hedge to a sibling after 100 ms of simulated
+// silence, range scans re-shower partitions that never finished
+// answering, and paged scans resume on a sibling replica when their
+// server dies between pages — so killing peers mid-workload
+// (Cluster.Kill) leaves query results exact.
+// Config.AntiEntropyInterval turns on digest-based replica
+// reconciliation that ships version summaries instead of full state.
 //
 // See the examples directory for complete programs, README.md for the
 // module layout, docs/architecture.md for the query lifecycle and the

@@ -244,9 +244,10 @@ func benchMultiLookup(b *testing.B, parallelism int) {
 func BenchmarkMultiLookupSequential(b *testing.B) { benchMultiLookup(b, 1) }
 func BenchmarkMultiLookupParallel(b *testing.B)   { benchMultiLookup(b, 0) }
 
-// Insert throughput: per-triple Insert settles the network after every
-// call (round trips serialize), while BulkInsert issues the whole
-// batch before one quiescence (round trips overlap).
+// Insert throughput: per-triple Insert awaits its acks and settles the
+// network after every call (round trips serialize), while BulkInsert
+// puts the whole batch in flight before awaiting any ack (round trips
+// overlap).
 const insertBatch = 128
 
 func benchInsert(b *testing.B, bulk bool) {

@@ -202,44 +202,79 @@ var (
 	fieldName = regexp.MustCompile(`^[A-Z]\w*`)
 )
 
-// configRef matches a Config.X or NodeConfig.X the prose names.
-var configRef = regexp.MustCompile(`\b(Node)?Config\.([A-Z]\w*)`)
+// memberRef matches a Config.X, NodeConfig.X, Cluster.X or Peer.X the
+// prose names; documented names the type each one stands for.
+var (
+	memberRef  = regexp.MustCompile(`\b(NodeConfig|Config|Cluster|Peer)\.([A-Z]\w*)`)
+	documented = map[string]string{
+		"Config": "core.Config", "NodeConfig": "core.NodeConfig",
+		"Cluster": "core.Cluster", "Peer": "pgrid.Peer",
+	}
+)
 
 // TestDocsConfigFieldsCurrent: every Config.X / NodeConfig.X named in
 // README.md, docs/*.md and unistore.go must be an exported field of
-// core.Config / core.NodeConfig, so a deleted option cannot stay
-// documented.
+// core.Config / core.NodeConfig, and every Cluster.X / Peer.X a method
+// of core.Cluster / pgrid.Peer, so a deleted option or method cannot
+// stay documented.
 func TestDocsConfigFieldsCurrent(t *testing.T) {
+	// members maps "pkg.Type" to its exported struct fields and methods,
+	// read from the non-test sources of internal/core and internal/pgrid.
+	members := map[string]map[string]bool{}
+	add := func(typ string, name *ast.Ident) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		if name.IsExported() {
+			members[typ][name.Name] = true
+		}
+	}
 	fset := token.NewFileSet()
-	fields := map[string]map[string]bool{} // struct name -> exported fields
-	for _, file := range []string{"internal/core/core.go", "internal/core/node.go"} {
+	core, _ := filepath.Glob("internal/core/*.go")
+	pgrid, _ := filepath.Glob("internal/pgrid/*.go")
+	for _, file := range append(core, pgrid...) {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
 		f, err := parser.ParseFile(fset, file, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "NodeConfig") {
-				return false
-			}
-			fs := map[string]bool{}
-			for _, fl := range st.Fields.List {
-				for _, name := range fl.Names {
-					if name.IsExported() {
-						fs[name.Name] = true
+		pkg := f.Name.Name
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					add(pkg+"."+id.Name, d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						for _, fl := range st.Fields.List {
+							for _, name := range fl.Names {
+								add(pkg+"."+ts.Name.Name, name)
+							}
+						}
 					}
 				}
 			}
-			fields[ts.Name.Name] = fs
-			return false
-		})
+		}
 	}
-	if fields["Config"] == nil || fields["NodeConfig"] == nil {
-		t.Fatal("internal/core no longer declares Config and NodeConfig")
+	for _, typ := range documented {
+		if len(members[typ]) == 0 {
+			t.Fatalf("no exported members of %s found; the check is vacuous", typ)
+		}
 	}
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
@@ -251,16 +286,16 @@ func TestDocsConfigFieldsCurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range configRef.FindAllStringSubmatch(string(data), -1) {
-			typ := m[1] + "Config"
-			if !fields[typ][m[2]] {
-				t.Errorf("%s names %s.%s, which core.%s does not have", file, typ, m[2], typ)
+		for _, m := range memberRef.FindAllStringSubmatch(string(data), -1) {
+			typ := documented[m[1]]
+			if !members[typ][m[2]] {
+				t.Errorf("%s names %s.%s, which %s does not have", file, m[1], m[2], typ)
 			}
 			checked++
 		}
 	}
 	if checked == 0 {
-		t.Error("no Config fields named in the docs; the check is vacuous")
+		t.Error("no Config fields or Cluster/Peer methods named in the docs; the check is vacuous")
 	}
 }
 

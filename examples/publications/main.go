@@ -27,7 +27,7 @@ func main() {
 	// conference series names carry typos ("ICDEE", "ICD", ...), which
 	// is exactly what the edist filter is for.
 	ds := workload.Generate(workload.Options{Seed: 7, Persons: 150, TypoRate: 0.2})
-	c.BulkInsert(ds.Triples...) // parallel bulk load: one settle for the batch
+	c.BulkInsert(ds.Triples...) // bulk load: overlapping acked writes, one settle
 
 	fmt.Printf("loaded %d triples over %d peers\n\n", len(ds.Triples), c.Size())
 

@@ -17,8 +17,8 @@ func main() {
 
 	// The two example tuples of the paper's Fig. 2: each 3-attribute
 	// tuple becomes 3 triples, each indexed 3 ways → 18 entries.
-	// BulkInsertTuples loads the batch through the parallel insert
-	// path: all DHT puts overlap, one quiescence at the end.
+	// BulkInsertTuples loads the batch with every acked DHT put in
+	// flight at once, then one quiescence at the end.
 	c.BulkInsertTuples(
 		unistore.NewTuple("a12").
 			Set("title", unistore.S("Similarity...")).

@@ -177,7 +177,7 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 		ex := c.Engine(0).Start(plan, nil)
 		batch := workload.Generate(workload.Options{
 			Seed: int64(45 + r), Persons: FlowRoundPersons})
-		c.BulkInsertAcked(batch.Triples...)
+		c.BulkInsert(batch.Triples...)
 		ex.Wait()
 	}
 	net.Settle()

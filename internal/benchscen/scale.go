@@ -46,12 +46,7 @@ func RoutingCurvePoint(n int) ScalePoint {
 	})
 	peers := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
 	ds := workload.Generate(workload.Options{Seed: 31, Persons: 40})
-	v := uint64(0)
-	for _, tr := range ds.Triples {
-		v++
-		peers[0].InsertTriple(tr, v)
-	}
-	net.Settle()
+	load(net, ds.Triples, func(int) *pgrid.Peer { return peers[0] })
 	var ks []keys.Key
 	for _, tr := range ds.Triples {
 		if tr.Attr == "name" {
@@ -72,6 +67,19 @@ func RoutingCurvePoint(n int) ScalePoint {
 		MsgsPerLookup: float64(msgs) / scaleProbes,
 		MeanHops:      float64(hops) / scaleProbes,
 	}
+}
+
+// load writes ts[i] at version i+1 from origin(i), waits for every ack
+// and settles the network.
+func load(net *simnet.Network, ts []triple.Triple, origin func(i int) *pgrid.Peer) {
+	hs := make([]*pgrid.Handle, len(ts))
+	for i, tr := range ts {
+		hs[i] = origin(i).InsertTripleAcked(tr, uint64(i+1), nil)
+	}
+	for _, h := range hs {
+		h.Wait(0)
+	}
+	net.Settle()
 }
 
 // RoutingCurve measures a curve point per size.
@@ -120,12 +128,7 @@ func HotShard(n int, zipfS float64) (maxLoad, groupLoad int) {
 	})
 	peers := pgrid.BuildBalanced(net, parts, 2, pgrid.DefaultConfig())
 	ts := workload.SkewedValues(42, 1500, zipfS)
-	v := uint64(0)
-	for i, tr := range ts {
-		v++
-		peers[(i*13)%len(peers)].InsertTriple(tr, v)
-	}
-	net.Settle()
+	load(net, ts, func(i int) *pgrid.Peer { return peers[(i*13)%len(peers)] })
 	// Query popularity is itself Zipf over the stored values: the pool's
 	// head ranks absorb most lookups, concentrating load on their owners.
 	pool := make([]string, 0, 256)

@@ -392,6 +392,58 @@ func (c *Cluster) recoverSeq() {
 
 // --- Data ingestion ---------------------------------------------------------
 
+// ingest is the one write path every Cluster write goes through. It
+// writes ts at one fresh version — as tombstones when del is set, else
+// with their q-gram postings when the similarity index is on — each
+// triple as one acked pgrid Write issued from a live hosted peer: the
+// first live one at or after index first, or, with spread set, the
+// live peers round-robin from there (a dead origin would apply locally
+// and never replicate). The writes are all in flight before ingest
+// waits on any of them, so a batch's round trips overlap. Each handle
+// waits up to timeout; with timeout 0 ingest waits until every write
+// completes or expires and then drains the overlay, replica pushes
+// included, while a bounded write returns at its acks (the daemon's
+// INSERT, which leaves replica push to Barrier). It reports whether
+// every write was acked.
+func (c *Cluster) ingest(first int, spread bool, ts []triple.Triple, del bool, timeout time.Duration) bool {
+	var live []*pgrid.Peer
+	for i := range c.peers {
+		if p := c.peers[(first+i)%len(c.peers)]; c.tr.Alive(p.ID()) {
+			live = append(live, p)
+		}
+	}
+	if len(live) == 0 {
+		return len(ts) == 0
+	}
+	v := c.nextVersion()
+	var hs []*pgrid.Handle
+	for i, tr := range ts {
+		p := live[0]
+		if spread {
+			p = live[i%len(live)]
+		}
+		es := make([]store.Entry, 0, len(triple.AllIndexKinds))
+		for _, kind := range triple.AllIndexKinds {
+			es = append(es, store.Entry{Kind: kind, Key: triple.IndexKey(tr, kind),
+				Triple: tr, Version: v, Deleted: del})
+		}
+		hs = append(hs, p.Write(es, nil))
+		if c.cfg.EnableQGram && !del {
+			hs = append(hs, physical.InsertGrams(p, tr, v)...)
+		}
+	}
+	acked := true
+	for _, h := range hs {
+		if !h.Wait(timeout).Complete {
+			acked = false
+		}
+	}
+	if timeout == 0 {
+		c.settle()
+	}
+	return acked
+}
+
 // Insert stores triples from an arbitrary peer and drains the network
 // (all index entries and replicas placed). Statistics update so the
 // optimizer sees real attribute cardinalities.
@@ -399,25 +451,19 @@ func (c *Cluster) Insert(ts ...triple.Triple) {
 	c.InsertFrom(c.anyPeer(), ts...)
 }
 
-// InsertFrom stores triples entering the system at a specific peer.
+// InsertFrom stores triples entering the system at a specific peer (the
+// next live one if it is down).
 func (c *Cluster) InsertFrom(peerIdx int, ts ...triple.Triple) {
-	p := c.peers[peerIdx%len(c.peers)]
-	v := c.nextVersion()
-	for _, tr := range ts {
-		c.insertAt(p, tr, v)
-	}
 	c.noteInserted(ts)
-	c.settle()
+	c.ingest(peerIdx, false, ts, false, 0)
 }
 
-// InsertAcked stores one triple through the acked write path and blocks
-// until every index entry reached a responsible peer, or fails after
-// timeout (replica push stays asynchronous; a TCP host's Barrier covers
-// it). Origins rotate over the hosted peers with the write clock.
+// InsertAcked stores one triple and blocks until every index entry
+// reached a responsible peer, or fails after timeout (replica push
+// stays asynchronous; Settle or a TCP host's Barrier covers it).
+// Origins rotate over the hosted peers with the write clock.
 func (c *Cluster) InsertAcked(tr triple.Triple, timeout time.Duration) error {
-	p := c.peers[int(c.seq.Load())%len(c.peers)]
-	h := p.InsertTripleAcked(tr, c.nextVersion(), nil)
-	if res := h.Wait(timeout); !res.Complete {
+	if !c.ingest(int(c.seq.Load()), false, []triple.Triple{tr}, false, timeout) {
 		return fmt.Errorf("core: insert %s/%s not acked within %v", tr.OID, tr.Attr, timeout)
 	}
 	c.noteInserted([]triple.Triple{tr})
@@ -435,91 +481,18 @@ func (c *Cluster) noteInserted(ts []triple.Triple) {
 	c.statsMu.Unlock()
 }
 
-// bulkLoaders bounds the goroutines a concurrent-mode BulkInsert uses.
-const bulkLoaders = 8
-
-// BulkInsert loads triples through the parallel bulk-insert path: the
-// batch is split across source peers (spreading the routing load over
-// the overlay instead of funnelling every insert through one origin)
-// and, in concurrent mode, issued from a bounded pool of loader
-// goroutines. One network quiescence at the end replaces the per-call
-// settling of Insert, so the DHT round trips of a batch overlap
-// instead of serializing — O(1) wall-clock per batch rather than
-// O(triples).
+// BulkInsert loads triples with the batch split round-robin across the
+// live source peers, spreading the routing load over the overlay
+// instead of funnelling every insert through one origin. The whole
+// batch is in flight before the first ack is awaited, so its DHT round
+// trips overlap instead of serializing — O(1) wall-clock per batch
+// rather than O(triples).
 func (c *Cluster) BulkInsert(ts ...triple.Triple) {
 	if len(ts) == 0 {
 		return
 	}
-	v := c.nextVersion()
 	c.noteInserted(ts)
-	loaders := len(c.peers)
-	if loaders > bulkLoaders {
-		loaders = bulkLoaders
-	}
-	if !c.tr.Concurrent() || loaders <= 1 {
-		// Deterministic mode: issue everything fire-and-forget from
-		// round-robin origins, then drain the network once.
-		for i, tr := range ts {
-			c.insertAt(c.peers[i%len(c.peers)], tr, v)
-		}
-		c.settle()
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(ts) + loaders - 1) / loaders
-	for w := 0; w < loaders; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w int, part []triple.Triple) {
-			defer wg.Done()
-			p := c.peers[w%len(c.peers)]
-			for _, tr := range part {
-				c.insertAt(p, tr, v)
-			}
-		}(w, ts[lo:hi])
-	}
-	wg.Wait()
-	c.settle()
-}
-
-// BulkInsertAcked loads triples through the acked, replica-aware write
-// path: every entry is tracked to its ack (dead or slow owners retried
-// to siblings), and sends toward a known partition owner are
-// credit-gated against that receiver's advertised flow window — the
-// write path benchmarks exercise when measuring backpressure. Origins
-// rotate round-robin like BulkInsert but skip dead peers (a dead
-// origin would apply locally and never replicate); one quiescence at
-// the end covers the acks.
-func (c *Cluster) BulkInsertAcked(ts ...triple.Triple) {
-	if len(ts) == 0 {
-		return
-	}
-	var live []*pgrid.Peer
-	for _, p := range c.peers {
-		if c.tr.Alive(p.ID()) {
-			live = append(live, p)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	v := c.nextVersion()
-	c.noteInserted(ts)
-	for i, tr := range ts {
-		p := live[i%len(live)]
-		p.InsertTripleAcked(tr, v, nil)
-		if c.cfg.EnableQGram {
-			physical.InsertGrams(p, tr, v)
-		}
-	}
-	c.settle()
+	c.ingest(0, true, ts, false, 0)
 }
 
 // BulkInsertTuples decomposes and bulk-loads logical tuples.
@@ -531,14 +504,6 @@ func (c *Cluster) BulkInsertTuples(tps ...*triple.Tuple) {
 	c.BulkInsert(ts...)
 }
 
-// insertAt issues one triple (and its q-gram postings) from peer p.
-func (c *Cluster) insertAt(p *pgrid.Peer, tr triple.Triple, v uint64) {
-	p.InsertTriple(tr, v)
-	if c.cfg.EnableQGram {
-		physical.InsertGrams(p, tr, v)
-	}
-}
-
 // InsertTuple decomposes and stores one logical tuple.
 func (c *Cluster) InsertTuple(tp *triple.Tuple) {
 	c.Insert(tp.Triples()...)
@@ -547,16 +512,12 @@ func (c *Cluster) InsertTuple(tp *triple.Tuple) {
 // Update overwrites fact (oid, attr) with a new value at a fresh
 // version; replicas converge by gossip/anti-entropy.
 func (c *Cluster) Update(tr triple.Triple) {
-	p := c.peers[c.anyPeer()]
-	c.insertAt(p, tr, c.nextVersion())
-	c.settle()
+	c.ingest(c.anyPeer(), false, []triple.Triple{tr}, false, 0)
 }
 
 // Delete tombstones fact (oid, attr).
 func (c *Cluster) Delete(oid, attr string) {
-	p := c.peers[c.anyPeer()]
-	p.DeleteTriple(oid, attr, c.nextVersion())
-	c.settle()
+	c.ingest(c.anyPeer(), false, []triple.Triple{{OID: oid, Attr: attr}}, true, 0)
 }
 
 // AddMapping publishes an attribute correspondence into the overlay.

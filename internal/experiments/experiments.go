@@ -303,9 +303,11 @@ func E8Updates(scale Scale) *trace.Series {
 		peers := pgrid.BuildBalanced(net, n, 3, cfg)
 		tr := triple.T("p1", "phone", "111")
 		key := triple.AVKey("phone", triple.S("222"))
-		peers[0].InsertTriple(tr, 1)
+		// Each write waits out its retries (not the operation deadline,
+		// which would let anti-entropy run first), then settles.
+		peers[0].InsertTripleAcked(tr, 1, nil).Wait(time.Second)
 		net.Settle()
-		peers[1].InsertTriple(triple.T("p1", "phone", "222"), 2)
+		peers[1].InsertTripleAcked(triple.T("p1", "phone", "222"), 2, nil).Wait(time.Second)
 		net.Settle()
 		fresh := func() int {
 			c := 0
@@ -337,7 +339,7 @@ func E9RangeVsChord(scale Scale) *trace.Series {
 			netP := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 13})
 			peersP := pgrid.BuildBalanced(netP, n, 1, pgrid.DefaultConfig())
 			for y := 1950; y < 2010; y++ {
-				peersP[y%n].InsertTriple(triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)), 1)
+				peersP[y%n].InsertTripleSync(triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)), 1)
 			}
 			netP.Settle()
 			lo, hi := triple.N(1990), triple.N(float64(1990+width))

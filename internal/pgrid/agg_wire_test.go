@@ -38,12 +38,13 @@ func buildAggOverlay(t *testing.T, n, replicas, pageSize int, seed int64) (*simn
 func loadGroups(net *simnet.Network, peers []*Peer, persons int) map[string]float64 {
 	groups := []string{"db", "os", "net"}
 	want := map[string]float64{}
+	var ts []triple.Triple
 	for i := 0; i < persons; i++ {
 		g := groups[i%len(groups)]
 		want[g]++
-		peers[i%len(peers)].InsertTriple(triple.T(fmt.Sprintf("p%03d", i), "group", g), 1)
+		ts = append(ts, triple.T(fmt.Sprintf("p%03d", i), "group", g))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	return want
 }
 
@@ -119,12 +120,13 @@ func TestRangeQueryAggChurn(t *testing.T) {
 func TestAggPullHedgeForkFoldsOnce(t *testing.T) {
 	net, peers := buildAggOverlay(t, 4, 1, 64, 59)
 	want := map[string]float64{}
+	var ts []triple.Triple
 	for i := 0; i < 400; i++ {
 		g := fmt.Sprintf("group-%03d", i%200)
 		want[g]++
-		peers[i%len(peers)].InsertTriple(triple.T(fmt.Sprintf("p%03d", i), "group", g), 1)
+		ts = append(ts, triple.T(fmt.Sprintf("p%03d", i), "group", g))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	r := triple.AVPrefixRange("group")
 	origin := slowServersFor(t, net, peers, r)
 	spec := countSpec()

@@ -14,10 +14,11 @@ import (
 func TestRouteCacheLearnsAndGoesDirect(t *testing.T) {
 	net := newNet(51)
 	peers := BuildBalanced(net, 32, 1, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 64; i++ {
-		peers[i%32].InsertTriple(triple.TN(fmt.Sprintf("rc%02d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("rc%02d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 
 	q := peers[0]
 	key := triple.AVKey("age", triple.N(7))
@@ -54,10 +55,11 @@ func TestRouteCacheLearnsAndGoesDirect(t *testing.T) {
 func TestRouteCacheFallbackOnDeadOwner(t *testing.T) {
 	net := newNet(52)
 	peers := BuildBalanced(net, 16, 2, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 32; i++ {
-		peers[i%len(peers)].InsertTriple(triple.TN(fmt.Sprintf("fd%02d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("fd%02d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 
 	q := peers[0]
 	key := triple.AVKey("age", triple.N(11))
@@ -134,10 +136,7 @@ func TestRouteCacheSurvivesChurn(t *testing.T) {
 		samples = append(samples, triple.IndexKey(tr, triple.ByOID))
 	}
 	a := BuildAdaptive(net, 16, 1, samples, DefaultConfig())
-	for i, tr := range data {
-		a[i%len(a)].InsertTriple(tr, 1)
-	}
-	net.Run()
+	write(net, a, data...)
 
 	// Warm the cache of a querying peer across many partitions.
 	q := a[0]
@@ -186,10 +185,11 @@ func TestRouteCacheSurvivesChurn(t *testing.T) {
 func TestRouteCacheStaleEntryRepairs(t *testing.T) {
 	net := newNet(54)
 	peers := BuildBalanced(net, 32, 1, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 64; i++ {
-		peers[i%32].InsertTriple(triple.TN(fmt.Sprintf("st%02d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("st%02d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 
 	q := peers[0]
 	key := triple.AVKey("age", triple.N(5))

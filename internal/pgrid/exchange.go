@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"unistore/internal/simnet"
+	"unistore/internal/store"
 )
 
 // This file implements P-Grid's decentralized construction: the trie
@@ -184,7 +185,7 @@ func (p *Peer) becomeReplicaOf(msg exchangeMsg, from simnet.NodeID) {
 	p.openDigestRound(from)
 }
 
-// rehomeEntries re-inserts every entry the peer no longer covers; the
+// rehomeEntries re-writes every entry the peer no longer covers; the
 // overlay routes each to its new responsible peer. Entries for which no
 // live route exists yet are parked locally instead of dropped — a later
 // path change re-homes them again, and serving stale data beats losing
@@ -192,6 +193,7 @@ func (p *Peer) becomeReplicaOf(msg exchangeMsg, from simnet.NodeID) {
 func (p *Peer) rehomeEntries() {
 	path := p.Path()
 	levels := p.Levels()
+	var moved []store.Entry
 	for kind := 0; kind < 3; kind++ {
 		r := partitionRange(path)
 		dropped := p.store.RetainRange(kindOf(kind), r)
@@ -199,12 +201,17 @@ func (p *Peer) rehomeEntries() {
 			level := e.Key.CommonPrefixLen(path)
 			if level < levels {
 				if _, ok := p.pickRef(level); ok {
-					p.route(e.Key, insertReq{Entry: e})
+					moved = append(moved, e)
 					continue
 				}
 			}
 			p.store.Apply(e)
 		}
+	}
+	for len(moved) > 0 {
+		n := min(len(moved), MaxWriteEntries)
+		p.Write(moved[:n], nil)
+		moved = moved[n:]
 	}
 }
 

@@ -1,6 +1,7 @@
 package pgrid
 
 import (
+	"slices"
 	"sync"
 
 	"unistore/internal/simnet"
@@ -347,21 +348,23 @@ func (t *flowTable) releaseKey(key flowKey) []func() {
 }
 
 // releaseOp settles every charge of one operation (completion, expiry
-// or cancel), flushing whatever the returned credit admits.
+// or cancel), flushing whatever the returned credit admits — receivers
+// in address order, so a seeded run repeats exactly.
 func (t *flowTable) releaseOp(qid uint64) []func() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	touched := map[simnet.NodeID]bool{}
+	var touched []simnet.NodeID
 	for k, c := range t.charges {
 		if k.qid != qid {
 			continue
 		}
 		delete(t.charges, k)
 		t.unchargeLocked(c)
-		touched[c.node] = true
+		touched = append(touched, c.node)
 	}
+	slices.Sort(touched)
 	var out []func()
-	for id := range touched {
+	for _, id := range slices.Compact(touched) {
 		out = append(out, t.flushLocked(id)...)
 	}
 	return out

@@ -1,6 +1,7 @@
 package pgrid
 
 import (
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -146,6 +147,26 @@ func TestFlowTableZeroCreditDeadlock(t *testing.T) {
 	runSends(ft2.releaseOp(77))
 	if sent2 != 2 {
 		t.Fatalf("releaseOp did not free credit for the next operation: %d sends", sent2)
+	}
+}
+
+// TestFlowReleaseOpFlushesInAddressOrder: settling an operation whose
+// charges span several receivers flushes their parked sends receiver by
+// receiver in address order, never in map order — the flushed sends are
+// messages, and their order is part of what a seeded run repeats.
+func TestFlowReleaseOpFlushesInAddressOrder(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		ft := newFlowTable()
+		var sent []simnet.NodeID
+		for to := simnet.NodeID(8); to >= 1; to-- {
+			runSends(ft.window(to, 1<<20, 1))
+			ft.submit(to, flowKey{qid: 1, seq: uint8(to)}, 10, func() {}) // fills the 1-msg window
+			ft.submit(to, flowKey{qid: 2, seq: uint8(to)}, 10, func() { sent = append(sent, to) })
+		}
+		runSends(ft.releaseOp(1))
+		if len(sent) != 8 || !slices.IsSorted(sent) {
+			t.Fatalf("releaseOp flushed receivers %v, want all 8 in address order", sent)
+		}
 	}
 }
 
@@ -308,6 +329,40 @@ func TestGossipPendingDrainsInArrivalOrder(t *testing.T) {
 	}
 	if !slices.Equal(got, parked) {
 		t.Fatalf("batches left in order %v, want the arrival order %v", got, parked)
+	}
+}
+
+// TestGossipCutMemoMatchesFreshCut: the memoized front batch of a
+// pending gossip buffer must equal a fresh cut after any sequence of
+// merges (new facts, replacements, superseded losers), takes and
+// budget changes — the memo is what keeps a refused flush O(1), and a
+// stale one would send the wrong batch.
+func TestGossipCutMemoMatchesFreshCut(t *testing.T) {
+	p := BuildBalanced(newNet(14), 2, 1, DefaultConfig())[0]
+	const to = simnet.NodeID(99)
+	rng := rand.New(rand.NewSource(1))
+	budgets := []int{200, 600, 2000}
+	p.gossipMu.Lock()
+	defer p.gossipMu.Unlock()
+	for step := 0; step < 3000; step++ {
+		if b := p.gossipPend[to]; b == nil || rng.Intn(10) < 6 {
+			oid := personOID(rng.Intn(40))
+			val := strings.Repeat("v", 1+rng.Intn(120))
+			e := store.Entry{Kind: triple.ByOID, Triple: triple.T(oid, "name", val), Version: uint64(1 + rng.Intn(3))}
+			p.mergeGossipLocked(to, []store.Entry{e})
+		} else if n, _ := b.head(budgets[rng.Intn(len(budgets))]); rng.Intn(2) == 0 {
+			if b.take(n); len(b.order) == 0 {
+				delete(p.gossipPend, to)
+				continue
+			}
+		}
+		b := p.gossipPend[to]
+		budget := budgets[rng.Intn(len(budgets))]
+		n, size := b.head(budget)
+		fresh := &gossipBuf{latest: b.latest, order: b.order}
+		if fn, fsize := fresh.head(budget); n != fn || size != fsize {
+			t.Fatalf("step %d: memoized cut %d entries / %d B, fresh cut %d / %d B", step, n, size, fn, fsize)
+		}
 	}
 }
 

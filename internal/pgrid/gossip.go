@@ -82,7 +82,8 @@ func (p *Peer) gossipTo(to simnet.NodeID, batch []store.Entry) {
 		return
 	}
 	p.gossipMu.Unlock()
-	if !p.tryGossipSend(to, batch) {
+	size := gossipMsg{Entries: batch}.WireSize()
+	if !p.tryGossipSend(to, size, func() []store.Entry { return batch }) {
 		p.gossipMu.Lock()
 		p.mergeGossipLocked(to, batch)
 		p.gossipMu.Unlock()
@@ -90,14 +91,15 @@ func (p *Peer) gossipTo(to simnet.NodeID, batch []store.Entry) {
 	}
 }
 
-// tryGossipSend charges and sends one gossip batch if the replica's
-// window admits it now.
-func (p *Peer) tryGossipSend(to simnet.NodeID, batch []store.Entry) bool {
+// tryGossipSend charges and sends one gossip batch of the given wire
+// size if the replica's window admits it now; batch is called for the
+// entries only then.
+func (p *Peer) tryGossipSend(to simnet.NodeID, size int, batch func() []store.Entry) bool {
 	qid := p.nextQID()
-	msg := gossipMsg{Entries: batch, AckID: qid}
 	p.stats.flowBulkSends.Add(1)
-	return p.flow.trySubmit(to, flowKey{qid: qid}, msg.WireSize(),
-		func() { p.net.Send(p.id, to, KindGossip, msg) })
+	return p.flow.trySubmit(to, flowKey{qid: qid}, size, func() {
+		p.net.Send(p.id, to, KindGossip, gossipMsg{Entries: batch(), AckID: qid})
+	})
 }
 
 // gossipBuf is the pending gossip toward one replica: the winning
@@ -107,17 +109,50 @@ func (p *Peer) tryGossipSend(to simnet.NodeID, batch []store.Entry) bool {
 type gossipBuf struct {
 	latest map[factKey]store.Entry
 	order  []factKey
+	// cut memoizes the front batch (entry count, 0 when not cut, and
+	// wire size) for the byte budget it was cut under, so a flush the
+	// window refuses again costs O(1). Changes that could move it reset
+	// it.
+	cut, cutBytes, cutBudget int
+}
+
+// head returns the next flush batch under budget: the count of oldest
+// entries that fit it with the gossipMsg framing (at least one), and
+// their wire size.
+func (b *gossipBuf) head(budget int) (n, bytes int) {
+	if b.cut == 0 || b.cutBudget != budget {
+		b.cut, b.cutBytes, b.cutBudget = 0, 16, budget // gossipMsg framing
+		for _, fk := range b.order {
+			sz := b.latest[fk].WireSize()
+			if b.cut > 0 && b.cutBytes+sz > budget {
+				break
+			}
+			b.cut++
+			b.cutBytes += sz
+		}
+	}
+	return b.cut, b.cutBytes
+}
+
+// take removes and returns the n oldest entries.
+func (b *gossipBuf) take(n int) []store.Entry {
+	batch := make([]store.Entry, n)
+	for i, fk := range b.order[:n] {
+		batch[i] = b.latest[fk]
+		delete(b.latest, fk)
+	}
+	b.order, b.cut = b.order[n:], 0
+	return batch
 }
 
 // mergeGossipLocked folds a batch into the pending buffer toward one
 // replica, keeping only the winning entry per fact under the store's
 // own LWW rule; a fact already parked keeps its place in line, and new
-// facts join at the back (their count is returned). Using
-// store.Entry.Supersedes (not just the version) matters: multi-valued
-// attributes can collide on (kind, OID, attr) at equal versions, and
-// the buffer must drop the same loser every store would. Superseded
-// entries are counted as suppressed.
-func (p *Peer) mergeGossipLocked(to simnet.NodeID, batch []store.Entry) (added int) {
+// facts join at the back. Using store.Entry.Supersedes (not just the
+// version) matters: multi-valued attributes can collide on (kind, OID,
+// attr) at equal versions, and the buffer must drop the same loser
+// every store would. Superseded entries are counted as suppressed.
+func (p *Peer) mergeGossipLocked(to simnet.NodeID, batch []store.Entry) {
 	b := p.gossipPend[to]
 	if b == nil {
 		b = &gossipBuf{latest: make(map[factKey]store.Entry)}
@@ -130,58 +165,47 @@ func (p *Peer) mergeGossipLocked(to simnet.NodeID, batch []store.Entry) (added i
 			if !e.Supersedes(old) {
 				continue
 			}
+			b.cut = 0 // a replaced entry may sit in the cut
 		} else {
+			if b.cut == len(b.order) {
+				b.cut = 0 // the cut took everything; the newcomer may fit
+			}
 			b.order = append(b.order, fk)
-			added++
 		}
 		b.latest[fk] = e
 	}
-	return added
 }
 
 // flushGossip drains the pending buffer toward one replica for as long
 // as its window keeps admitting batches. Each batch takes the oldest
 // parked entries up to the replica's advertised byte window — the
 // "effective page" of the gossip stream — so a shrunken window trickles
-// small messages instead of one huge flush.
+// small messages instead of one huge flush. A batch leaves the buffer
+// only once the window admitted it, so a refused flush changes nothing
+// and, with the cut memoized, costs O(1).
+//
+// gossipMu is held across the send. That cannot deadlock: the flow
+// table's lock and the peer's mu (taken for the batch's qid) are never
+// held while gossipMu is acquired, and Send never blocks or delivers
+// synchronously on either transport.
 func (p *Peer) flushGossip(to simnet.NodeID) {
+	p.gossipMu.Lock()
+	defer p.gossipMu.Unlock()
 	for {
+		b := p.gossipPend[to]
+		if b == nil {
+			return
+		}
 		budget := p.flow.windowBytesOf(to)
 		if budget <= 0 {
 			budget = DefaultFlowWindowBytes
 		}
-		p.gossipMu.Lock()
-		b := p.gossipPend[to]
-		if b == nil {
-			p.gossipMu.Unlock()
+		n, size := b.head(budget)
+		if !p.tryGossipSend(to, size, func() []store.Entry { return b.take(n) }) {
 			return
 		}
-		var batch []store.Entry
-		used := 16 // gossipMsg framing
-		for _, fk := range b.order {
-			e := b.latest[fk]
-			sz := e.WireSize()
-			if len(batch) > 0 && used+sz > budget {
-				break
-			}
-			batch = append(batch, e)
-			used += sz
-			delete(b.latest, fk)
-		}
-		if b.order = b.order[len(batch):]; len(b.order) == 0 {
+		if len(b.order) == 0 {
 			delete(p.gossipPend, to)
-		}
-		p.gossipMu.Unlock()
-		if !p.tryGossipSend(to, batch) {
-			// Credit ran out again: the batch goes back to the front of
-			// the line (a fresher entry merged meanwhile keeps its place).
-			p.gossipMu.Lock()
-			added := p.mergeGossipLocked(to, batch)
-			b := p.gossipPend[to]
-			n := len(b.order) - added
-			b.order = slices.Concat(b.order[n:], b.order[:n])
-			p.gossipMu.Unlock()
-			return
 		}
 	}
 }
@@ -543,13 +567,4 @@ func (p *Peer) handleAntiEntropy(msg antiEntropyMsg, from simnet.NodeID) {
 	if len(msg.More) > 0 {
 		p.pull(from, msg.More, msg.After)
 	}
-}
-
-// UpdateTriple writes a new value for fact (oid, attr) with a version
-// from this peer's clock and routes it to all index peers; replicas
-// receive it via eager push at the responsible peer.
-func (p *Peer) UpdateTriple(tr triple.Triple) uint64 {
-	v := p.NextClock()
-	p.InsertTriple(tr, v)
-	return v
 }

@@ -15,10 +15,11 @@ import (
 func TestLateJoinIntegrates(t *testing.T) {
 	net := newNet(41)
 	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 40; i++ {
-		peers[i%16].InsertTriple(triple.TN(fmt.Sprintf("d%d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("d%d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 
 	joiner := NewPeer(net, DefaultConfig())
 	// A few exchange rounds against random existing peers; the
@@ -78,10 +79,11 @@ func TestRouteFailureCounting(t *testing.T) {
 func TestShowerShareConservation(t *testing.T) {
 	net := newNet(43)
 	peers := BuildBalanced(net, 24, 1, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 60; i++ {
-		peers[i%24].InsertTriple(triple.TN(fmt.Sprintf("s%d", i), "age", float64(i%50)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("s%d", i), "age", float64(i%50)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	ranges := []struct {
 		lo, hi float64
 	}{
@@ -101,10 +103,11 @@ func TestShowerShareConservation(t *testing.T) {
 func TestConcurrentQueriesInterleave(t *testing.T) {
 	net := newNet(44)
 	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 30; i++ {
-		peers[i%16].InsertTriple(triple.TN(fmt.Sprintf("c%d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("c%d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	type pending struct {
 		h    *Handle
 		want float64

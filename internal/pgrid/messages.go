@@ -65,12 +65,13 @@ func (e routeEnvelope) WireSize() int {
 	return s
 }
 
-// insertReq asks the responsible peer to apply one index entry. Seq
-// identifies the entry within an acked insert operation, echoed in the
-// ack so the origin's retry bookkeeping is per-entry exact.
+// insertReq asks the responsible peer to apply one index entry and ack
+// it to Origin. Seq identifies the entry within its Write operation,
+// echoed in the ack so the origin's retry bookkeeping is per-entry
+// exact.
 type insertReq struct {
 	Entry  store.Entry
-	QID    uint64 // 0 for fire-and-forget
+	QID    uint64
 	Origin simnet.NodeID
 	Seq    uint8
 	// TC is the trace context (zero when tracing is off): the serving

@@ -1,6 +1,7 @@
 package pgrid
 
 import (
+	"fmt"
 	"time"
 
 	"unistore/internal/agg"
@@ -556,47 +557,50 @@ func (p *Peer) maybeCompleteLocked(qid uint64, op *pendingOp) {
 	fire()
 }
 
-// --- Inserts ------------------------------------------------------------
+// --- Writes -------------------------------------------------------------
 
-// InsertEntry routes one prepared index entry to its responsible peer.
-func (p *Peer) InsertEntry(e store.Entry) {
-	p.route(e.Key, insertReq{Entry: e})
-}
+// MaxWriteEntries bounds one Write: an entry's sequence number within
+// its operation is one byte on the wire.
+const MaxWriteEntries = 1 << 8
 
-// InsertTriple inserts tr under all three index kinds (paper Fig. 2) at
-// the given version, fire-and-forget.
-func (p *Peer) InsertTriple(tr triple.Triple, version uint64) {
-	for _, kind := range triple.AllIndexKinds {
-		p.InsertEntry(store.Entry{
-			Kind: kind, Key: triple.IndexKey(tr, kind),
-			Triple: tr, Version: version,
-		})
+// Write stores index entries — inserts, overwrites and tombstones alike
+// — and reports completion (every entry acked by a responsible peer)
+// through the returned handle; es holds 1..MaxWriteEntries entries. It
+// is the overlay's one write path. Routing is replica-aware like the
+// read path: it consults the cached owner set (dead primaries fail over
+// to live siblings at send time), and entries whose ack is still
+// missing when the hedge deadline passes are re-routed — safely,
+// because the store resolves duplicate entries by version, so a
+// retried write is idempotent. The responsible peer pushes what it
+// applied on to its replica group.
+func (p *Peer) Write(es []store.Entry, cb func(OpResult), opts ...OpOption) *Handle {
+	if len(es) == 0 || len(es) > MaxWriteEntries {
+		panic(fmt.Sprintf("pgrid: Write of %d entries (want 1..%d)", len(es), MaxWriteEntries))
 	}
-}
-
-// InsertTripleAcked inserts tr under all three kinds and reports
-// completion (all three acks) through the returned handle. The write
-// path is replica-aware like the read path: routing consults the
-// cached owner set (dead primaries fail over to live siblings at send
-// time), and entries whose ack is still missing when the hedge
-// deadline passes are re-routed — safely, because the store resolves
-// duplicate entries by version, so a retried insert is idempotent.
-func (p *Peer) InsertTripleAcked(tr triple.Triple, version uint64, cb func(OpResult), opts ...OpOption) *Handle {
 	op := &pendingOp{
-		needResponses: len(triple.AllIndexKinds),
-		insertPend:    make(map[uint8]store.Entry, len(triple.AllIndexKinds)),
+		needResponses: len(es),
+		insertPend:    make(map[uint8]store.Entry, len(es)),
 	}
-	for i, kind := range triple.AllIndexKinds {
-		op.insertPend[uint8(i)] = store.Entry{Kind: kind, Key: triple.IndexKey(tr, kind),
-			Triple: tr, Version: version}
+	for i, e := range es {
+		op.insertPend[uint8(i)] = e
 	}
 	qid := p.newOp(op, trace.OpInsert, cb, resolveOpts(opts))
-	for i, kind := range triple.AllIndexKinds {
-		p.sendInsert(qid, uint8(i), store.Entry{Kind: kind, Key: triple.IndexKey(tr, kind),
-			Triple: tr, Version: version}, op.tc)
+	for i, e := range es {
+		p.sendInsert(qid, uint8(i), e, op.tc)
 	}
 	p.armInsertRetry(qid, 0)
 	return &Handle{peer: p, op: op, qid: qid}
+}
+
+// InsertTripleAcked writes tr under all three index kinds (paper
+// Fig. 2) at the given version.
+func (p *Peer) InsertTripleAcked(tr triple.Triple, version uint64, cb func(OpResult), opts ...OpOption) *Handle {
+	es := make([]store.Entry, 0, len(triple.AllIndexKinds))
+	for _, kind := range triple.AllIndexKinds {
+		es = append(es, store.Entry{Kind: kind, Key: triple.IndexKey(tr, kind),
+			Triple: tr, Version: version})
+	}
+	return p.Write(es, cb, opts...)
 }
 
 // sendInsert issues one acked-insert entry, credit-gated against the
@@ -621,25 +625,6 @@ func (p *Peer) sendInsert(qid uint64, seq uint8, e store.Entry, tc trace.Ctx) {
 		func() { p.route(e.Key, req) }) {
 		p.stats.flowStalls.Add(1)
 		p.noteTraceStall(qid)
-	}
-}
-
-// InsertTuple decomposes a logical tuple and inserts all its triples.
-func (p *Peer) InsertTuple(tp *triple.Tuple, version uint64) {
-	for _, tr := range tp.Triples() {
-		p.InsertTriple(tr, version)
-	}
-}
-
-// DeleteTriple routes tombstones for fact (oid, attr) at the given
-// version to all three index peers.
-func (p *Peer) DeleteTriple(oid, attr string, version uint64) {
-	tr := triple.Triple{OID: oid, Attr: attr}
-	for _, kind := range triple.AllIndexKinds {
-		p.InsertEntry(store.Entry{
-			Kind: kind, Key: triple.IndexKey(tr, kind),
-			Triple: tr, Version: version, Deleted: true,
-		})
 	}
 }
 
@@ -731,11 +716,4 @@ func (p *Peer) RangeQuerySync(kind triple.IndexKind, r keys.Range) OpResult {
 // InsertTripleSync inserts and waits for all three acks.
 func (p *Peer) InsertTripleSync(tr triple.Triple, version uint64) OpResult {
 	return p.InsertTripleAcked(tr, version, nil).Wait(defaultOpTimeout)
-}
-
-// InsertTupleSync inserts a tuple and waits for all acks.
-func (p *Peer) InsertTupleSync(tp *triple.Tuple, version uint64) {
-	for _, tr := range tp.Triples() {
-		p.InsertTripleSync(tr, version)
-	}
 }

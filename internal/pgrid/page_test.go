@@ -30,10 +30,11 @@ func TestPagedRangeEquivalence(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.PageSize = pageSize
 		peers := BuildBalanced(net, 16, 1, cfg)
+		var ts []triple.Triple
 		for i := 0; i < 50; i++ {
-			peers[i%16].InsertTriple(triple.TN(fmt.Sprintf("pg%02d", i), "age", float64(i%25)), 1)
+			ts = append(ts, triple.TN(fmt.Sprintf("pg%02d", i), "age", float64(i%25)))
 		}
-		net.Run()
+		write(net, peers, ts...)
 		return peers, func() {}
 	}
 
@@ -75,10 +76,11 @@ func TestPagedResponseBounded(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 1
 	peers := BuildBalanced(net, 4, 1, cfg) // few peers → fat partitions
+	var ts []triple.Triple
 	for i := 0; i < 30; i++ {
-		peers[i%4].InsertTriple(triple.TN(fmt.Sprintf("pb%02d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("pb%02d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	net.ResetStats()
 	res := peers[0].RangeQuerySync(triple.ByAV, triple.AVPrefixRange("age"))
 	if !res.Complete || len(res.Entries) != 30 {
@@ -101,10 +103,11 @@ func TestPagedScanStableUnderMutation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 2
 	peers := BuildBalanced(net, 4, 1, cfg)
+	var ts []triple.Triple
 	for i := 0; i < 12; i++ {
-		peers[i%4].InsertTriple(triple.TN(fmt.Sprintf("mu%02d", i), "age", float64(10+i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("mu%02d", i), "age", float64(10+i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 
 	h := peers[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil)
 	// Step until at least two pages have been pulled, then mutate the
@@ -147,12 +150,13 @@ func TestMultiLookupMatchesIndividualLookups(t *testing.T) {
 	net := newNet(63)
 	peers := BuildBalanced(net, 16, 1, DefaultConfig())
 	var ks []keys.Key
+	var ts []triple.Triple
 	for i := 0; i < 20; i++ {
 		tr := triple.TN(fmt.Sprintf("%c-ml%02d", 'a'+i, i), "age", float64(i))
-		peers[i%16].InsertTriple(tr, 1)
+		ts = append(ts, tr)
 		ks = append(ks, triple.OIDKey(tr.OID))
 	}
-	net.Run()
+	write(net, peers, ts...)
 
 	q := peers[0]
 	var want []store.Entry
@@ -185,12 +189,13 @@ func TestMultiLookupBatchesMessages(t *testing.T) {
 	net := newNet(64)
 	peers := BuildBalanced(net, 32, 1, DefaultConfig())
 	var ks []keys.Key
+	var ts []triple.Triple
 	for i := 0; i < 24; i++ {
 		tr := triple.TN(fmt.Sprintf("%c-mb%02d", 'a'+i, i), "age", float64(i))
-		peers[i%32].InsertTriple(tr, 1)
+		ts = append(ts, tr)
 		ks = append(ks, triple.OIDKey(tr.OID))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	q := peers[0]
 
 	before := net.Stats().MessagesSent

@@ -127,8 +127,8 @@ type Peer struct {
 	// gossipPend coalesces eager pushes a replica's window would not
 	// admit: one latest-version entry per fact per replica, flushed
 	// oldest-first in window-sized batches as credit frees (gossip.go).
-	// Guarded by
-	// gossipMu (innermost, never held across sends).
+	// Guarded by gossipMu, which a flush holds across its send; it is
+	// never acquired with mu or the flow table's lock held.
 	gossipMu   sync.Mutex
 	gossipPend map[simnet.NodeID]*gossipBuf
 
@@ -139,9 +139,6 @@ type Peer struct {
 	// (guarded by mu).
 	reqSeq  uint64
 	pending map[uint64]*pendingOp
-
-	// Monotonic version source for locally issued updates.
-	clock atomic.Uint64
 
 	app AppHandler
 
@@ -491,12 +488,6 @@ func (p *Peer) Responsible(k keys.Key) bool {
 	return k.HasPrefix(p.path)
 }
 
-// NextClock returns a fresh version for an update issued at this peer.
-// P-Grid's loose consistency needs only per-fact monotonicity at the
-// writer; cross-writer conflicts resolve by the store's deterministic
-// tie-break.
-func (p *Peer) NextClock() uint64 { return p.clock.Add(1) }
-
 // runFlow performs the sends a flow-table release returned (outside
 // any peer lock), then gives every replica with parked gossip a flush
 // chance: wherever credit frees, a pending push must get its shot, or
@@ -601,21 +592,17 @@ func (p *Peer) deliver(env routeEnvelope, from simnet.NodeID, size int) {
 func (p *Peer) applyInsert(req insertReq, hops int, from simnet.NodeID, size int) {
 	ws := p.beginSpan(req.TC, trace.OpInsert, hops, hops*size)
 	won := p.store.Apply(req.Entry)
+	rows := 0
 	if won {
+		rows = 1
 		p.pushToReplicas([]store.Entry{req.Entry}, from)
 	}
-	if req.QID != 0 {
-		rows := 0
-		if won {
-			rows = 1
-		}
-		wb, wm := p.advertiseWindow()
-		p.net.Send(p.id, req.Origin, KindAck, ackMsg{
-			QID: req.QID, Hops: hops, Seq: req.Seq,
-			WinBytes: wb, WinMsgs: wm,
-			TS: p.finishSpan(ws, req.TC.TraceID, rows),
-		})
-	}
+	wb, wm := p.advertiseWindow()
+	p.net.Send(p.id, req.Origin, KindAck, ackMsg{
+		QID: req.QID, Hops: hops, Seq: req.Seq,
+		WinBytes: wb, WinMsgs: wm,
+		TS: p.finishSpan(ws, req.TC.TraceID, rows),
+	})
 }
 
 // advertiseWindow computes the receive window this peer piggybacks on

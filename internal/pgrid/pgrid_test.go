@@ -8,11 +8,26 @@ import (
 
 	"unistore/internal/keys"
 	"unistore/internal/simnet"
+	"unistore/internal/store"
 	"unistore/internal/triple"
 )
 
 func newNet(seed int64) *simnet.Network {
 	return simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: seed})
+}
+
+// write stores ts through acked writes at version 1, ts[i] from
+// peers[i%len(peers)], waits for every ack and settles the network (a
+// plain net.Run would also drain each operation's deadline timer).
+func write(net *simnet.Network, peers []*Peer, ts ...triple.Triple) {
+	hs := make([]*Handle, len(ts))
+	for i, tr := range ts {
+		hs[i] = peers[i%len(peers)].InsertTripleAcked(tr, 1, nil)
+	}
+	for _, h := range hs {
+		h.Wait(0)
+	}
+	net.Settle()
 }
 
 func TestBuildBalancedTrieInvariant(t *testing.T) {
@@ -59,13 +74,14 @@ func TestRoutingReachesResponsiblePeer(t *testing.T) {
 func TestDataPlacementMatchesPartition(t *testing.T) {
 	net := newNet(4)
 	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 200; i++ {
 		tp := triple.NewTuple(triple.GenerateOID("pl")).
 			Set("name", triple.S(fmt.Sprintf("person-%03d", i))).
 			Set("age", triple.N(float64(20+i%60)))
-		peers[i%len(peers)].InsertTuple(tp, 1)
+		ts = append(ts, tp.Triples()...)
 	}
-	net.Run()
+	write(net, peers, ts...)
 	// Every stored entry must live on the peer whose partition holds
 	// its placement key.
 	total := 0
@@ -114,11 +130,11 @@ func TestRoutingHopsLogarithmic(t *testing.T) {
 func TestRangeQueryShower(t *testing.T) {
 	net := newNet(6)
 	peers := BuildBalanced(net, 32, 1, DefaultConfig())
+	var ts []triple.Triple
 	for y := 1990; y < 2010; y++ {
-		tr := triple.TN(fmt.Sprintf("pub%d", y), "year", float64(y))
-		peers[y%32].InsertTriple(tr, 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("pub%d", y), "year", float64(y)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	lo, hi := triple.N(1995), triple.N(2000)
 	res := peers[3].RangeQuerySync(triple.ByAV, triple.AVRange("year", lo, &hi))
 	if !res.Complete {
@@ -137,10 +153,11 @@ func TestRangeQueryShower(t *testing.T) {
 func TestRangeQueryUnboundedAndEmpty(t *testing.T) {
 	net := newNet(7)
 	peers := BuildBalanced(net, 8, 1, DefaultConfig())
+	var ts []triple.Triple
 	for y := 2000; y < 2006; y++ {
-		peers[0].InsertTriple(triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)))
 	}
-	net.Run()
+	write(net, peers[:1], ts...)
 	res := peers[1].RangeQuerySync(triple.ByAV, triple.AVRange("year", triple.N(2003), nil))
 	if len(res.Entries) != 3 {
 		t.Fatalf("year >= 2003 returned %d, want 3", len(res.Entries))
@@ -154,10 +171,11 @@ func TestRangeQueryUnboundedAndEmpty(t *testing.T) {
 func TestBroadcastReachesAllPartitions(t *testing.T) {
 	net := newNet(8)
 	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 64; i++ {
-		peers[i%16].InsertTriple(triple.T(fmt.Sprintf("o%d", i), "name", fmt.Sprintf("n%02d", i)), 1)
+		ts = append(ts, triple.T(fmt.Sprintf("o%d", i), "name", fmt.Sprintf("n%02d", i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	res := peers[5].RangeQuery(triple.ByAV, keys.Range{}, nil).Wait(0)
 	if !res.Complete {
 		t.Fatal("broadcast incomplete")
@@ -264,8 +282,15 @@ func TestDeleteTombstonePropagates(t *testing.T) {
 	peers := BuildBalanced(net, 8, 1, DefaultConfig())
 	tr := triple.T("doomed", "name", "x")
 	peers[0].InsertTripleSync(tr, 1)
-	peers[2].DeleteTriple("doomed", "name", 2)
-	net.Run()
+	dead := triple.Triple{OID: "doomed", Attr: "name"}
+	var es []store.Entry
+	for _, kind := range triple.AllIndexKinds {
+		es = append(es, store.Entry{Kind: kind, Key: triple.IndexKey(dead, kind),
+			Triple: dead, Version: 2, Deleted: true})
+	}
+	if res := peers[2].Write(es, nil).Wait(0); !res.Complete {
+		t.Fatal("tombstone write not acked")
+	}
 	res := peers[4].LookupSync(triple.ByAV, triple.AVKey("name", triple.S("x")))
 	if len(res.Entries) != 0 {
 		t.Errorf("deleted fact still visible: %v", res.Entries)
@@ -392,10 +417,11 @@ func TestAdaptiveBuildBalancesSkew(t *testing.T) {
 func TestChurnLookupsSurvive(t *testing.T) {
 	net := newNet(17)
 	peers := BuildBalanced(net, 32, 2, DefaultConfig())
+	var ts []triple.Triple
 	for i := 0; i < 50; i++ {
-		peers[i%32].InsertTriple(triple.TN(fmt.Sprintf("c%d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("c%d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	// Kill 20% of peers.
 	for i := 0; i < len(peers); i += 5 {
 		net.Kill(peers[i].ID())
@@ -517,10 +543,11 @@ func BenchmarkLookup64(b *testing.B) {
 func BenchmarkRangeQuery64(b *testing.B) {
 	net := newNet(23)
 	peers := BuildBalanced(net, 64, 1, DefaultConfig())
+	var ts []triple.Triple
 	for y := 1950; y < 2010; y++ {
-		peers[0].InsertTriple(triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)))
 	}
-	net.Run()
+	write(net, peers[:1], ts...)
 	lo, hi := triple.N(1990), triple.N(2000)
 	r := triple.AVRange("year", lo, &hi)
 	b.ResetTimer()

@@ -1,6 +1,9 @@
 package pgrid
 
 import (
+	"maps"
+	"slices"
+
 	"unistore/internal/agg"
 	"unistore/internal/keys"
 	"unistore/internal/simnet"
@@ -371,7 +374,8 @@ func (p *Peer) armInsertRetry(qid uint64, attempt int) {
 // message in flight. Routing re-consults the cached owner set and the
 // liveness-checked reference tables, so the retry lands on a live
 // replica of the partition; the store's version tie-break makes a
-// duplicate delivery harmless.
+// duplicate delivery harmless. Entries re-send in Seq order, so a
+// seeded run repeats exactly.
 func (p *Peer) retryInserts(qid uint64, attempt int) {
 	p.mu.Lock()
 	op, ok := p.pending[qid]
@@ -379,26 +383,23 @@ func (p *Peer) retryInserts(qid uint64, attempt int) {
 		p.mu.Unlock()
 		return
 	}
-	type pend struct {
-		seq uint8
-		e   store.Entry
-	}
-	var missing []pend
-	for seq, e := range op.insertPend {
-		missing = append(missing, pend{seq, e})
+	seqs := slices.Sorted(maps.Keys(op.insertPend))
+	missing := make([]store.Entry, len(seqs))
+	for i, seq := range seqs {
+		missing[i] = op.insertPend[seq]
 	}
 	tc := op.tc
 	tc.Flags |= trace.FlagRetry
 	p.mu.Unlock()
 	p.stats.writeRetries.Add(int64(len(missing)))
-	for _, m := range missing {
+	for i, e := range missing {
 		// Refund the entry's flow-control charge first: the original
 		// send (possibly still parked in a dead receiver's deferred
 		// queue) is superseded by this retry, which goes UNGATED — the
 		// failover path must never wait on credit a dead receiver can
 		// no longer return.
-		p.runFlow(p.flow.releaseKey(flowKey{qid: qid, seq: m.seq}))
-		p.route(m.e.Key, insertReq{Entry: m.e, QID: qid, Origin: p.id, Seq: m.seq, TC: tc})
+		p.runFlow(p.flow.releaseKey(flowKey{qid: qid, seq: seqs[i]}))
+		p.route(e.Key, insertReq{Entry: e, QID: qid, Origin: p.id, Seq: seqs[i], TC: tc})
 	}
 	p.armInsertRetry(qid, attempt+1)
 }

@@ -29,10 +29,11 @@ func inflightTarget(net *simnet.Network, peers []*Peer, q *Peer) (simnet.NodeID,
 func loadReplicated(seed int64, n, replicas, facts int, cfg Config) (*simnet.Network, []*Peer) {
 	net := newNet(seed)
 	peers := BuildBalanced(net, n, replicas, cfg)
+	var ts []triple.Triple
 	for i := 0; i < facts; i++ {
-		peers[i%len(peers)].InsertTriple(triple.TN(fmt.Sprintf("rp%02d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("rp%02d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	return net, peers
 }
 
@@ -100,10 +101,11 @@ func TestProbeServingPathsAgree(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Tracing = true
 	peers := BuildBalanced(net, 8, 1, cfg)
+	var ts []triple.Triple
 	for i := 0; i < 5; i++ {
-		peers[i%len(peers)].InsertTriple(triple.T(fmt.Sprintf("sp%d", i), "group", "db"), 1)
+		ts = append(ts, triple.T(fmt.Sprintf("sp%d", i), "group", "db"))
 	}
-	net.Run()
+	write(net.Network, peers, ts...)
 	k := triple.AVKey("group", triple.S("db"))
 	var owner, q *Peer
 	for _, p := range peers {
@@ -541,10 +543,11 @@ func TestDescPagedScanStreamsInOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 3
 	peers := BuildBalanced(net, 4, 1, cfg)
+	var ts []triple.Triple
 	for i := 0; i < 30; i++ {
-		peers[i%4].InsertTriple(triple.TN(fmt.Sprintf("ds%02d", i), "age", float64(i)), 1)
+		ts = append(ts, triple.TN(fmt.Sprintf("ds%02d", i), "age", float64(i)))
 	}
-	net.Run()
+	write(net, peers, ts...)
 	q := peers[0]
 	r := triple.AVPrefixRange("age")
 

@@ -127,9 +127,9 @@ func (p *Peer) routeSpent(target keys.Key, inner any, spent int) {
 		return
 	}
 	// Hit/miss counters track probe traffic only: they feed the cost
-	// model's CacheHitRate, which prices lookups — a bulk load's
-	// fire-and-forget inserts (which get no learning response) would
-	// otherwise dilute the rate toward zero forever.
+	// model's CacheHitRate, which prices lookups — a bulk load's writes
+	// (whose acks carry no routing news) would otherwise dilute the rate
+	// toward zero forever.
 	_, probe := inner.(lookupReq)
 	if ref, ok := p.cachedOwner(target); ok {
 		if probe {

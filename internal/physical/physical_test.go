@@ -57,15 +57,20 @@ func buildNetLossy(t testing.TB, n int, seed int64, loss float64) *testNet {
 	return tn
 }
 
-// load inserts triples (with gram postings) and drains the network.
+// load writes triples (with gram postings), waits for every ack and
+// drains the network.
 func (tn *testNet) load(ts []triple.Triple) {
+	var hs []*pgrid.Handle
 	for i, tr := range ts {
 		p := tn.peers[i%len(tn.peers)]
-		p.InsertTriple(tr, 1)
-		InsertGrams(p, tr, 1)
+		hs = append(hs, p.InsertTripleAcked(tr, 1, nil))
+		hs = append(hs, InsertGrams(p, tr, 1)...)
+	}
+	for _, h := range hs {
+		h.Wait(0)
 	}
 	tn.triples = append(tn.triples, ts...)
-	tn.net.Run()
+	tn.net.Settle()
 }
 
 func paperData() []triple.Triple {

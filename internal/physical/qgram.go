@@ -18,14 +18,15 @@ import (
 // edit distance, and resolves the matching values with exact A#v
 // lookups — touching only O(|c|) regions instead of every peer.
 
-// InsertGrams publishes the q-gram postings for a string-valued triple.
-// Call alongside the triple insert when the similarity index is
-// enabled; version follows the triple's version. Grams are inserted in
-// sorted order so the message sequence (and thus every seeded run) is
-// deterministic.
-func InsertGrams(p *pgrid.Peer, tr triple.Triple, version uint64) int {
+// InsertGrams writes the q-gram postings for a string-valued triple
+// and returns the handles of those writes (none for other values), one
+// per pgrid.MaxWriteEntries postings. Call alongside the triple insert
+// when the similarity index is enabled; version follows the triple's
+// version. Grams are written in sorted order so the message sequence
+// (and thus every seeded run) is deterministic.
+func InsertGrams(p *pgrid.Peer, tr triple.Triple, version uint64) []*pgrid.Handle {
 	if tr.Val.Kind != triple.KindString {
-		return 0
+		return nil
 	}
 	set := qgram.GramSet(tr.Val.Str, qgram.Q)
 	grams := make([]string, 0, len(set))
@@ -33,16 +34,22 @@ func InsertGrams(p *pgrid.Peer, tr triple.Triple, version uint64) int {
 		grams = append(grams, g)
 	}
 	sort.Strings(grams)
+	es := make([]store.Entry, 0, len(grams))
 	for _, g := range grams {
-		gt := triple.GramTriple(tr.Attr, g, tr.Val.Str)
-		p.InsertEntry(store.Entry{
+		es = append(es, store.Entry{
 			Kind:    triple.ByVal,
 			Key:     triple.GramKey(tr.Attr, g, tr.Val.Str),
-			Triple:  gt,
+			Triple:  triple.GramTriple(tr.Attr, g, tr.Val.Str),
 			Version: version,
 		})
 	}
-	return len(grams)
+	var hs []*pgrid.Handle
+	for len(es) > 0 {
+		n := min(len(es), pgrid.MaxWriteEntries)
+		hs = append(hs, p.Write(es[:n], nil))
+		es = es[n:]
+	}
+	return hs
 }
 
 // classifyQGram configures a stage resolving a pattern (?s, attr, ?v)

@@ -21,12 +21,14 @@
 // PlanetLab testbed, so clusters of hundreds of peers run in-process,
 // repeatably, in milliseconds of wall time; the simulator runs
 // deterministically by default, and Config.Concurrent switches it to
-// goroutine-driven delivery, where peers handle messages in parallel,
-// queries can be issued from many goroutines at once, and batches load
-// through the parallel bulk-insert path. The same Cluster type also
-// runs as a multi-process daemon over real TCP (cmd/unistore -listen),
-// hosting one process's share of the peers — only the transport
-// differs.
+// goroutine-driven delivery, where peers handle messages in parallel
+// and queries and writes can be issued from many goroutines at once.
+// The same Cluster type also runs as a multi-process daemon over real
+// TCP (cmd/unistore -listen), hosting one process's share of the peers
+// — only the transport differs. Every write (Insert, BulkInsert,
+// Update, Delete, AddMapping) is an acked overlay write on either
+// transport: an index entry lost in transit is retried until a
+// responsible peer acks it.
 //
 // # Quickstart
 //
@@ -40,12 +42,13 @@
 // # Bulk loading
 //
 // Datasets load fastest through BulkInsert / BulkInsertTuples, which
-// spread the batch across source peers and overlap every DHT round
-// trip instead of settling the network per call:
+// spread the batch across the live source peers and put every write in
+// flight before awaiting the first ack, so the batch's DHT round trips
+// overlap instead of serializing per call:
 //
 //	c := unistore.New(unistore.Config{Peers: 64, Concurrent: true})
 //	defer c.Close()
-//	c.BulkInsert(dataset...) // one quiescence for the whole batch
+//	c.BulkInsert(dataset...) // every ack awaited, then one quiescence
 //
 // # Streaming queries
 //

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench ci \
+.PHONY: all build vet fmt fmt-check test examples race bench ci \
 	lint integration integration-race fuzz-smoke obs-smoke
 
 all: build test
@@ -32,6 +32,14 @@ fmt-check:
 test:
 	$(GO) test ./...
 	bash bench/run.sh test
+
+# Runs the four example programs end to end; a failed query exits
+# non-zero. `go build` alone only proves they compile.
+examples:
+	@for ex in quickstart publications conference heterogeneous; do \
+		echo "== examples/$$ex"; \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
 
 race:
 	$(GO) test -race ./...
@@ -80,4 +88,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 30s ./internal/netx/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime 30s ./internal/store/wal/
 
-ci: fmt-check build vet test race bench integration integration-race obs-smoke fuzz-smoke
+ci: fmt-check build vet test examples race bench integration integration-race obs-smoke fuzz-smoke

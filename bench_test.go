@@ -9,6 +9,7 @@
 package unistore_test
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -168,9 +169,9 @@ func BenchmarkInsertTuple(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.InsertTuple(unistore.NewTuple(unistore.GenerateOID("b")).
+		c.Insert(unistore.NewTuple(unistore.GenerateOID("b")).
 			Set("name", unistore.S("bench person")).
-			Set("age", unistore.N(float64(20+i%60))))
+			Set("age", unistore.N(float64(20+i%60))).Triples()...)
 	}
 }
 
@@ -331,13 +332,13 @@ func BenchmarkIndexJoinWarmCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm run (teaches the caches).
-	c.Engine(0).RunPlan(plan)
+	c.Engine(0).RunPlanCtx(context.Background(), plan)
 	c.Net().Settle()
 	var msgs, simMS float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		before := c.Net().Stats().MessagesSent
-		bs, ex := c.Engine(0).RunPlan(plan)
+		bs, ex := c.Engine(0).RunPlanCtx(context.Background(), plan)
 		c.Net().Settle()
 		if len(bs) == 0 {
 			b.Fatal("index join returned nothing")

@@ -140,7 +140,7 @@ func serveCommand(c *core.Cluster, logger *log.Logger, out io.Writer, line strin
 	case "QUERY":
 		// Queries originate at hosted peer 0, whose routing cache the
 		// preceding queries warmed.
-		res, err := c.QueryFrom(0, rest)
+		res, err := c.Query(rest, core.From(0))
 		if err != nil {
 			logger.Printf("query: %v", err)
 			fmt.Fprintf(out, "ERR %v\n", strings.ReplaceAll(err.Error(), "\n", " "))

@@ -165,7 +165,7 @@ func command(c *core.Cluster, line string) {
 		fmt.Printf("mapping %s = %s published\n", fields[1], fields[2])
 	case `\mq`:
 		src := strings.TrimSpace(strings.TrimPrefix(line, `\mq`))
-		res, err := c.QueryWithMappings(src)
+		res, err := c.Query(src, core.WithMappings())
 		if err != nil {
 			fmt.Println("error:", err)
 			return

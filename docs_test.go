@@ -202,24 +202,28 @@ var (
 	fieldName = regexp.MustCompile(`^[A-Z]\w*`)
 )
 
-// memberRef matches a Config.X, NodeConfig.X, Cluster.X or Peer.X the
-// prose names; documented names the type each one stands for.
+// memberRef matches a Config.X, NodeConfig.X, Cluster.X, Stream.X,
+// Peer.X or Engine.X the prose names; documented names the type each
+// one stands for.
 var (
-	memberRef  = regexp.MustCompile(`\b(NodeConfig|Config|Cluster|Peer)\.([A-Z]\w*)`)
+	memberRef  = regexp.MustCompile(`\b(NodeConfig|Config|Cluster|Stream|Peer|Engine)\.([A-Z]\w*)`)
 	documented = map[string]string{
 		"Config": "core.Config", "NodeConfig": "core.NodeConfig",
-		"Cluster": "core.Cluster", "Peer": "pgrid.Peer",
+		"Cluster": "core.Cluster", "Stream": "core.Stream",
+		"Peer": "pgrid.Peer", "Engine": "physical.Engine",
 	}
 )
 
 // TestDocsConfigFieldsCurrent: every Config.X / NodeConfig.X named in
 // README.md, docs/*.md and unistore.go must be an exported field of
-// core.Config / core.NodeConfig, and every Cluster.X / Peer.X a method
-// of core.Cluster / pgrid.Peer, so a deleted option or method cannot
+// core.Config / core.NodeConfig, and every Cluster.X / Stream.X /
+// Peer.X / Engine.X a member of core.Cluster / core.Stream /
+// pgrid.Peer / physical.Engine, so a deleted option or method cannot
 // stay documented.
 func TestDocsConfigFieldsCurrent(t *testing.T) {
 	// members maps "pkg.Type" to its exported struct fields and methods,
-	// read from the non-test sources of internal/core and internal/pgrid.
+	// read from the non-test sources of internal/core, internal/pgrid
+	// and internal/physical.
 	members := map[string]map[string]bool{}
 	add := func(typ string, name *ast.Ident) {
 		if members[typ] == nil {
@@ -232,7 +236,8 @@ func TestDocsConfigFieldsCurrent(t *testing.T) {
 	fset := token.NewFileSet()
 	core, _ := filepath.Glob("internal/core/*.go")
 	pgrid, _ := filepath.Glob("internal/pgrid/*.go")
-	for _, file := range append(core, pgrid...) {
+	physical, _ := filepath.Glob("internal/physical/*.go")
+	for _, file := range append(append(core, pgrid...), physical...) {
 		if strings.HasSuffix(file, "_test.go") {
 			continue
 		}

@@ -20,9 +20,9 @@ func ExampleConfig() {
 		ProbeParallelism: 4,    // at most 4 overlay ops in flight per query
 		RangeShards:      8,    // split each range scan into 8 showers
 	})
-	c.InsertTuple(unistore.NewTuple("a12").
+	c.Insert(unistore.NewTuple("a12").
 		Set("title", unistore.S("Similarity Queries")).
-		Set("year", unistore.N(2006)))
+		Set("year", unistore.N(2006)).Triples()...)
 	res, err := c.Query(`SELECT ?t WHERE {(?p,'title',?t) (?p,'year',?y) FILTER ?y >= 2006}`)
 	if err != nil {
 		panic(err)
@@ -38,8 +38,8 @@ func ExampleConfig() {
 func ExampleCluster_QueryStream() {
 	c := unistore.New(unistore.Config{Peers: 32, Seed: 1, RangeShards: 8})
 	for i, name := range []string{"carol", "alice", "dave", "bob", "erin"} {
-		c.InsertTuple(unistore.NewTuple(fmt.Sprintf("p%d", i)).
-			Set("name", unistore.S(name)))
+		c.Insert(unistore.NewTuple(fmt.Sprintf("p%d", i)).
+			Set("name", unistore.S(name)).Triples()...)
 	}
 	st, err := c.QueryStream(context.Background(),
 		`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 3`)

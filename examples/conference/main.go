@@ -33,14 +33,14 @@ func main() {
 		{"manfred", "manfred@epfl.ch", "BC148"},
 		{"roman", "roman@epfl.ch", "BC149"},
 	}
-	var contacts []*unistore.Tuple
+	var contacts []unistore.Triple
 	for _, p := range people {
 		contacts = append(contacts, unistore.NewTuple(unistore.GenerateOID("contact")).
 			Set("name", unistore.S(p.name)).
 			Set("email", unistore.S(p.email)).
-			Set("office", unistore.S(p.office)))
+			Set("office", unistore.S(p.office)).Triples()...)
 	}
-	c.BulkInsertTuples(contacts...)
+	c.BulkInsert(contacts...)
 
 	// ...and restaurant recommendations with price and rating.
 	restaurants := []struct {
@@ -56,14 +56,14 @@ func main() {
 		{"Tapas Corner", 30, 8.0},
 		{"Curry House", 22, 8.6},
 	}
-	var recs []*unistore.Tuple
+	var recs []unistore.Triple
 	for _, r := range restaurants {
 		recs = append(recs, unistore.NewTuple(unistore.GenerateOID("rest")).
 			Set("restname", unistore.S(r.name)).
 			Set("price", unistore.N(r.price)).
-			Set("rating", unistore.N(r.rating)))
+			Set("rating", unistore.N(r.rating)).Triples()...)
 	}
-	c.BulkInsertTuples(recs...)
+	c.BulkInsert(recs...)
 	fmt.Printf("conference data shared across %d peers (3 replicas each)\n\n", c.Size())
 
 	// Where to eat tonight: cheap AND good — a skyline.

@@ -51,7 +51,7 @@ func main() {
 
 	// ...or applied automatically: the system fetches the mappings,
 	// rewrites the query across the closure, and unites the results.
-	mapped, err := c.QueryWithMappings(query)
+	mapped, err := c.Query(query, unistore.WithMappings())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,9 +59,9 @@ func main() {
 
 	// The rewriting composes with the full query surface: a skyline
 	// across both communities.
-	sky, err := c.QueryWithMappings(`SELECT ?n,?age,?cnt WHERE {
+	sky, err := c.Query(`SELECT ?n,?age,?cnt WHERE {
 		(?p,'dblp:name',?n) (?p,'dblp:age',?age) (?p,'dblp:num_of_pubs',?cnt)
-	} ORDER BY SKYLINE OF ?age MIN, ?cnt MAX`)
+	} ORDER BY SKYLINE OF ?age MIN, ?cnt MAX`, unistore.WithMappings())
 	if err != nil {
 		log.Fatal(err)
 	}

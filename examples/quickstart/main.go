@@ -17,17 +17,17 @@ func main() {
 
 	// The two example tuples of the paper's Fig. 2: each 3-attribute
 	// tuple becomes 3 triples, each indexed 3 ways → 18 entries.
-	// BulkInsertTuples loads the batch with every acked DHT put in
-	// flight at once, then one quiescence at the end.
-	c.BulkInsertTuples(
-		unistore.NewTuple("a12").
-			Set("title", unistore.S("Similarity...")).
-			Set("confname", unistore.S("ICDE 2006 - Workshops")).
-			Set("year", unistore.N(2006)),
-		unistore.NewTuple("v34").
-			Set("title", unistore.S("Progressive...")).
-			Set("confname", unistore.S("ICDE 2005")).
-			Set("year", unistore.N(2005)))
+	// BulkInsert loads the batch with every acked DHT put in flight at
+	// once, then one quiescence at the end.
+	a12 := unistore.NewTuple("a12").
+		Set("title", unistore.S("Similarity...")).
+		Set("confname", unistore.S("ICDE 2006 - Workshops")).
+		Set("year", unistore.N(2006))
+	v34 := unistore.NewTuple("v34").
+		Set("title", unistore.S("Progressive...")).
+		Set("confname", unistore.S("ICDE 2005")).
+		Set("year", unistore.N(2005))
+	c.BulkInsert(append(a12.Triples(), v34.Triples()...)...)
 
 	run := func(label, q string) *unistore.Result {
 		res, err := c.Query(q)
@@ -59,7 +59,7 @@ func main() {
 	run("reconstruct a12", `SELECT ?attr,?val WHERE {('a12',?attr,?val)}`)
 
 	// Every peer sees the same data; ask another peer.
-	res, err := c.QueryFrom(5, `SELECT ?t WHERE {(?p,'title',?t)} ORDER BY ?t`)
+	res, err := c.Query(`SELECT ?t WHERE {(?p,'title',?t)} ORDER BY ?t`, unistore.From(5))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package benchscen
 
 import (
+	"context"
 	"fmt"
 
 	"unistore/internal/algebra"
@@ -148,7 +149,7 @@ func ChurnTopKRun(c *core.Cluster) (ChurnResult, error) {
 func ChurnRun(c *core.Cluster, plan *physical.Plan) (ChurnResult, error) {
 	net := c.Net()
 	before := net.Stats()
-	ex := c.Engine(0).Start(plan, nil)
+	ex := c.Engine(0).Open(context.Background(), plan).Exec()
 	// The first-hop branch envelopes are now queued; kill their targets.
 	want := int(float64(c.Size()) * ChurnDeadFraction)
 	origin := c.Peers()[0].ID()

@@ -1,6 +1,7 @@
 package benchscen
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -174,7 +175,7 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 		return res, fmt.Errorf("benchscen: flow plan: %w", err)
 	}
 	for r := 0; r < FlowRounds; r++ {
-		ex := c.Engine(0).Start(plan, nil)
+		ex := c.Engine(0).Open(context.Background(), plan).Exec()
 		batch := workload.Generate(workload.Options{
 			Seed: int64(45 + r), Persons: FlowRoundPersons})
 		c.BulkInsert(batch.Triples...)

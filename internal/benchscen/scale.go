@@ -200,7 +200,7 @@ func ChurnScale(n int) ChurnScaleResult {
 			expected[tr.Val.Str]++
 		}
 	}
-	stream, err := c.QueryStreamFrom(context.Background(), 0, ScanQuery)
+	stream, err := c.QueryStream(context.Background(), ScanQuery, core.From(0))
 	if err != nil {
 		panic(fmt.Sprintf("benchscen: churn scale: %v", err))
 	}

@@ -495,20 +495,6 @@ func (c *Cluster) BulkInsert(ts ...triple.Triple) {
 	c.ingest(0, true, ts, false, 0)
 }
 
-// BulkInsertTuples decomposes and bulk-loads logical tuples.
-func (c *Cluster) BulkInsertTuples(tps ...*triple.Tuple) {
-	var ts []triple.Triple
-	for _, tp := range tps {
-		ts = append(ts, tp.Triples()...)
-	}
-	c.BulkInsert(ts...)
-}
-
-// InsertTuple decomposes and stores one logical tuple.
-func (c *Cluster) InsertTuple(tp *triple.Tuple) {
-	c.Insert(tp.Triples()...)
-}
-
 // Update overwrites fact (oid, attr) with a new value at a fresh
 // version; replicas converge by gossip/anti-entropy.
 func (c *Cluster) Update(tr triple.Triple) {
@@ -552,20 +538,6 @@ type Result struct {
 	Trace *trace.QueryTrace
 }
 
-// newResult fills a Result from a finished execution; Messages is the
-// caller's to set.
-func newResult(q *vql.Query, plan *physical.Plan, bs []algebra.Binding, ex *physical.Exec) *Result {
-	return &Result{
-		Bindings:    bs,
-		Vars:        resultVars(q),
-		Elapsed:     ex.Elapsed(),
-		TimeToFirst: ex.TimeToFirst(),
-		Hops:        ex.MaxHops(),
-		Plan:        plan.String(),
-		Trace:       ex.Trace(),
-	}
-}
-
 // Rows renders the bindings as string rows following Vars order — the
 // demo UI's result tab.
 func (r *Result) Rows() [][]string {
@@ -582,67 +554,85 @@ func (r *Result) Rows() [][]string {
 	return rows
 }
 
-// Query parses and executes VQL from a random peer.
-func (c *Cluster) Query(src string) (*Result, error) {
-	return c.QueryFrom(c.anyPeer(), src)
+// QueryOption adjusts one query.
+type QueryOption func(*queryOpts)
+
+type queryOpts struct {
+	origin   int
+	pinned   bool
+	mappings bool
 }
 
-// QueryFrom executes VQL originating at a specific peer.
+// From originates the query at hosted peer peerIdx instead of a random
+// one.
+func From(peerIdx int) QueryOption {
+	return func(o *queryOpts) { o.origin, o.pinned = peerIdx, true }
+}
+
+// WithMappings answers the query over heterogeneous schemas — the
+// paper's "automatically by the system" path: the correspondence
+// triples are retrieved from the overlay first, then every rewriting of
+// the query runs and the results are united. Its tail clauses apply to
+// the union, so the stream is blocking, like a skyline: rows appear
+// once the union is complete.
+func WithMappings() QueryOption {
+	return func(o *queryOpts) { o.mappings = true }
+}
+
+// Query parses VQL and runs it to completion: it opens the query's
+// stream, waits for the end, closes it and returns its Result.
+func (c *Cluster) Query(src string, opts ...QueryOption) (*Result, error) {
+	st, err := c.QueryStream(context.Background(), src, opts...)
+	if err != nil {
+		return nil, err
+	}
+	st.drain()
+	return st.Result(), nil
+}
+
+// QueryFrom is Query(src, From(peerIdx)).
 func (c *Cluster) QueryFrom(peerIdx int, src string) (*Result, error) {
-	return c.QueryFromCtx(context.Background(), peerIdx, src)
+	return c.Query(src, From(peerIdx))
 }
 
-// QueryCtx executes VQL from a random peer under a cancellation
-// context: canceling ctx terminates the query early — unissued probes
-// and shards are never sent, pending overlay operations are released —
-// and returns the rows produced so far.
-func (c *Cluster) QueryCtx(ctx context.Context, src string) (*Result, error) {
-	return c.QueryFromCtx(ctx, c.anyPeer(), src)
-}
-
-// QueryFromCtx is QueryCtx originating at a specific peer.
-func (c *Cluster) QueryFromCtx(ctx context.Context, peerIdx int, src string) (*Result, error) {
+// QueryStream parses VQL and opens it as a pull stream over its
+// results, from a random hosted peer unless From says otherwise.
+// Canceling ctx terminates the query early — unissued probes and
+// shards are never sent, pending overlay operations are released,
+// migrated plan remainders are chased down — and the stream ends with
+// the rows produced so far. The caller must exhaust or Close it.
+func (c *Cluster) QueryStream(ctx context.Context, src string, opts ...QueryOption) (*Stream, error) {
+	var o queryOpts
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if !o.pinned {
+		o.origin = c.anyPeer()
+	}
 	q, err := vql.ParseQuery(src)
 	if err != nil {
 		return nil, err
 	}
-	return c.execQueryCtx(ctx, peerIdx, q)
+	if o.mappings {
+		return c.openMapped(ctx, o.origin, q)
+	}
+	return c.open(ctx, o.origin, q)
 }
 
-// execQueryCtx is the one query path: compile, run at the origin peer,
-// build the Result. Traced queries land in the trace log, and — past
-// the slow-query threshold — in the slow-query log with the optimizer's
-// estimate beside what the query actually cost.
-func (c *Cluster) execQueryCtx(ctx context.Context, peerIdx int, q *vql.Query) (*Result, error) {
+// open is where every query starts: it compiles q and opens its
+// pipeline at the origin peer. The stream's finish step builds the
+// Result.
+func (c *Cluster) open(ctx context.Context, origin int, q *vql.Query) (*Stream, error) {
 	plan, err := c.compile(q)
 	if err != nil {
 		return nil, err
 	}
-	eng := c.engines[peerIdx%len(c.engines)]
-	before, counted := c.sent()
-	start := time.Now()
-	bs, ex := eng.RunPlanCtx(ctx, plan)
-	wall := time.Since(start)
-	res := newResult(q, plan, bs, ex)
-	if counted {
-		after, _ := c.sent()
-		res.Messages = after - before
-	} else if res.Trace != nil {
-		res.Messages, _ = res.Trace.Totals()
-	}
-	if res.Trace == nil {
-		return res, nil
-	}
-	c.tlog.Add(res.Trace)
-	if c.slowQuery > 0 && wall >= c.slowQuery && c.logf != nil {
-		c.statsMu.RLock()
-		est := c.opt.EstimatePlan(plan)
-		c.statsMu.RUnlock()
-		msgs, bytes := res.Trace.Totals()
-		c.logf("slow query (%v wall, %v simulated): estimate %.0f msgs / %v latency, observed %d msgs / %d bytes\nplan: %s\n%s",
-			wall, res.Elapsed, est.Messages, est.Latency, msgs, bytes, res.Plan, res.Trace.String())
-	}
-	return res, nil
+	eng := c.engines[origin%len(c.engines)]
+	st := &Stream{Vars: resultVars(q), c: c, plan: plan}
+	st.before, st.counted = c.sent()
+	st.start = time.Now()
+	st.cur = eng.Open(ctx, plan)
+	return st, nil
 }
 
 // compile parses nothing — it lowers and cost-optimizes a parsed query
@@ -740,71 +730,125 @@ func (c *Cluster) scanCacheRates() (hitRate, retryRate float64, probeRTT time.Du
 	return hitRate, retryRate, probeRTT, pressure
 }
 
-// Stream is an open streaming query: rows arrive through Next as the
-// distributed pipeline produces them, before the query has finished —
-// the time-to-first-result interface. Close abandons the remainder.
+// Stream is an open query: rows arrive through Next as the distributed
+// pipeline produces them, before the query has finished — the
+// time-to-first-result interface. Close abandons the remainder. A
+// Stream is intended for a single consuming goroutine.
 type Stream struct {
 	// Vars lists the result variables in projection order.
 	Vars []string
+	c    *Cluster
+	plan *physical.Plan
 	cur  *physical.Cursor
-	plan string
-}
-
-// QueryStream opens a VQL query from a random peer and returns a pull
-// cursor over its result stream. The caller must exhaust or Close it.
-func (c *Cluster) QueryStream(ctx context.Context, src string) (*Stream, error) {
-	return c.QueryStreamFrom(ctx, c.anyPeer(), src)
-}
-
-// QueryStreamFrom is QueryStream originating at a specific peer.
-func (c *Cluster) QueryStreamFrom(ctx context.Context, peerIdx int, src string) (*Stream, error) {
-	q, err := vql.ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := c.compile(q)
-	if err != nil {
-		return nil, err
-	}
-	eng := c.engines[peerIdx%len(c.engines)]
-	return &Stream{
-		Vars: resultVars(q),
-		cur:  eng.Open(ctx, plan),
-		plan: plan.String(),
-	}, nil
+	// before, counted and start are the message counter and wall clock
+	// at open, for the finish step.
+	before  int
+	counted bool
+	start   time.Time
+	// union is a mapped query's complete Result (cur is nil then); pos
+	// counts the rows Next has returned from it.
+	union *Result
+	pos   int
+	res   *Result
 }
 
 // Next returns the next result row; ok is false at end of stream. In
 // deterministic mode it drives the simulated network; in concurrent
 // mode it blocks until the pipeline emits.
-func (s *Stream) Next() (algebra.Binding, bool) { return s.cur.Next() }
+func (s *Stream) Next() (algebra.Binding, bool) {
+	if s.union != nil {
+		if s.pos < len(s.union.Bindings) {
+			s.pos++
+			return s.union.Bindings[s.pos-1], true
+		}
+	} else if b, ok := s.cur.Next(); ok {
+		return b, true
+	}
+	s.finish()
+	return nil, false
+}
 
 // Close terminates the query early, canceling its remaining overlay
-// operations. Safe after exhaustion.
-func (s *Stream) Close() { s.cur.Close() }
-
-// Plan renders the executed physical plan.
-func (s *Stream) Plan() string { return s.plan }
-
-// TimeToFirst reports the simulated time until the first row was
-// available (valid once at least one row arrived or the stream ended).
-func (s *Stream) TimeToFirst() time.Duration { return s.cur.Exec().TimeToFirst() }
-
-// Elapsed reports the query's total simulated time (valid once the
-// stream ended).
-func (s *Stream) Elapsed() time.Duration { return s.cur.Exec().Elapsed() }
-
-// QueryWithMappings answers a query over heterogeneous schemas: it
-// first retrieves all correspondence triples from the overlay, then
-// executes every rewriting of the query and unites the results — the
-// paper's "automatically by the system" path.
-func (c *Cluster) QueryWithMappings(src string) (*Result, error) {
-	q, err := vql.ParseQuery(src)
-	if err != nil {
-		return nil, err
+// operations, and ends the stream. Safe after exhaustion.
+func (s *Stream) Close() {
+	if s.cur != nil {
+		s.cur.Close()
 	}
-	peerIdx := c.anyPeer()
-	mapRes, err := c.execQueryCtx(context.Background(), peerIdx, schema.MappingQuery())
+	s.finish()
+}
+
+// Result returns the finished query's Result; nil until the stream has
+// ended (exhausted or closed).
+func (s *Stream) Result() *Result { return s.res }
+
+// drain runs the stream to its end without pulling rows through Next,
+// then closes it.
+func (s *Stream) drain() {
+	if s.cur != nil {
+		s.cur.Exec().Wait()
+	}
+	s.Close()
+}
+
+// finish is the one step every query ends in, run once when its stream
+// ends: it builds the Result and, for a traced query, adds the trace
+// to the trace log and — past the slow-query threshold — logs it with
+// the optimizer's estimate beside what the query actually cost.
+func (s *Stream) finish() {
+	if s.res != nil {
+		return
+	}
+	if s.union != nil {
+		s.res = s.union
+		return
+	}
+	c, ex := s.c, s.cur.Exec()
+	wall := time.Since(s.start)
+	res := &Result{
+		Bindings:    ex.Result(),
+		Vars:        s.Vars,
+		Elapsed:     ex.Elapsed(),
+		TimeToFirst: ex.TimeToFirst(),
+		Hops:        ex.MaxHops(),
+		Plan:        s.plan.String(),
+		Trace:       ex.Trace(),
+	}
+	s.res = res
+	if s.counted {
+		after, _ := c.sent()
+		res.Messages = after - s.before
+	} else if res.Trace != nil {
+		res.Messages, _ = res.Trace.Totals()
+	}
+	if res.Trace == nil {
+		return
+	}
+	c.tlog.Add(res.Trace)
+	if c.slowQuery > 0 && wall >= c.slowQuery && c.logf != nil {
+		c.statsMu.RLock()
+		est := c.opt.EstimatePlan(s.plan)
+		c.statsMu.RUnlock()
+		msgs, bytes := res.Trace.Totals()
+		c.logf("slow query (%v wall, %v simulated): estimate %.0f msgs / %v latency, observed %d msgs / %d bytes\nplan: %s\n%s",
+			wall, res.Elapsed, est.Messages, est.Latency, msgs, bytes, res.Plan, res.Trace.String())
+	}
+}
+
+// openMapped runs a WithMappings query at the origin peer: the
+// correspondence triples first, then every rewriting of q, each through
+// open and drain. The union, with q's tail applied, is the stream's
+// rows; its Plan lists the variants' plans, its Hops is their maximum
+// and, the tail being blocking, its TimeToFirst equals its Elapsed.
+func (c *Cluster) openMapped(ctx context.Context, origin int, q *vql.Query) (*Stream, error) {
+	run := func(q *vql.Query) (*Result, error) {
+		st, err := c.open(ctx, origin, q)
+		if err != nil {
+			return nil, err
+		}
+		st.drain()
+		return st.Result(), nil
+	}
+	mapRes, err := run(schema.MappingQuery())
 	if err != nil {
 		return nil, err
 	}
@@ -847,18 +891,18 @@ func (c *Cluster) QueryWithMappings(src string) (*Result, error) {
 	stripped.GroupBy = nil
 	stripped.Having = nil
 	stripped.Distinct = false
-	variants := schema.Rewrite(&stripped, closure)
-	union := &Result{Vars: resultVars(q)}
+	union := &Result{Vars: resultVars(q), Messages: mapRes.Messages}
+	var plans []string
 	seen := map[string]bool{}
-	for _, v := range variants {
-		r, err := c.execQueryCtx(context.Background(), peerIdx, v)
+	for _, v := range schema.Rewrite(&stripped, closure) {
+		r, err := run(v)
 		if err != nil {
 			return nil, err
 		}
 		union.Messages += r.Messages
-		if r.Elapsed > union.Elapsed {
-			union.Elapsed = r.Elapsed
-		}
+		union.Elapsed = max(union.Elapsed, r.Elapsed)
+		union.Hops = max(union.Hops, r.Hops)
+		plans = append(plans, r.Plan)
 		for _, b := range r.Bindings {
 			k := bindingKey(b)
 			if !seen[k] {
@@ -867,9 +911,10 @@ func (c *Cluster) QueryWithMappings(src string) (*Result, error) {
 			}
 		}
 	}
-	union.Messages += mapRes.Messages
 	union.Bindings = tail.Apply(union.Bindings)
-	return union, nil
+	union.TimeToFirst = union.Elapsed
+	union.Plan = strings.Join(plans, "\n")
+	return &Stream{Vars: union.Vars, union: union}, nil
 }
 
 func bindingKey(b algebra.Binding) string {

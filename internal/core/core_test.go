@@ -162,12 +162,23 @@ func TestQueryWithMappings(t *testing.T) {
 	for _, m := range ms {
 		c.AddMapping(m)
 	}
-	mapped, err := c.QueryWithMappings(`SELECT ?n WHERE {(?p,'dblp:name',?n)}`)
+	mapped, err := c.Query(`SELECT ?n WHERE {(?p,'dblp:name',?n)}`, WithMappings())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(mapped.Bindings) != 20 {
 		t.Fatalf("mapped recall = %d, want 20 (both schemas)", len(mapped.Bindings))
+	}
+	// The union reports its variants' plans, their deepest routing, and —
+	// its tail being blocking — a time-to-first equal to its elapsed time.
+	if !strings.Contains(mapped.Plan, "dblp:name") || !strings.Contains(mapped.Plan, "ceur:") {
+		t.Errorf("mapped plan does not list both variants: %q", mapped.Plan)
+	}
+	if mapped.Hops <= 0 {
+		t.Errorf("mapped hops = %d, want > 0", mapped.Hops)
+	}
+	if mapped.Elapsed <= 0 || mapped.TimeToFirst != mapped.Elapsed {
+		t.Errorf("mapped time-to-first %v, elapsed %v: want equal and positive", mapped.TimeToFirst, mapped.Elapsed)
 	}
 }
 

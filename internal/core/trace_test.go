@@ -7,6 +7,7 @@ package core
 // query survives peer kills through hedges and re-showers.
 
 import (
+	"context"
 	"testing"
 
 	"unistore/internal/trace"
@@ -46,7 +47,7 @@ func TestQueryTraceReconcilesExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.net.Stats()
-	bs, ex := c.engines[0].RunPlan(plan)
+	bs, ex := c.engines[0].RunPlanCtx(context.Background(), plan)
 	// Drain stragglers (late shard pages, cancels): their riders fold
 	// into a repeated Trace() call, their cost into the stats delta.
 	c.net.Settle()
@@ -173,7 +174,7 @@ func TestTraceCompleteUnderPeerKills(t *testing.T) {
 	// are in flight toward (visible as network backlog) — their branch
 	// shares are genuinely lost, forcing hedged pulls and re-showers.
 	// At most one replica per partition dies and never the origin.
-	ex := c.engines[0].Start(plan, nil)
+	ex := c.engines[0].Open(context.Background(), plan).Exec()
 	byPath := map[string]bool{c.peers[0].Path().String(): true}
 	killed := 0
 	kill := func(i int) {
@@ -227,5 +228,61 @@ func TestTraceCompleteUnderPeerKills(t *testing.T) {
 			t.Fatalf("duplicate span id %d in assembled trace", s.ID)
 		}
 		seen[s.ID] = true
+	}
+}
+
+// TestStreamedQueryReachesTraceLog: a query read through QueryStream
+// (drained, then closed) ends in the same finish step as Query — one
+// trace-log entry, the same trace totals and the same message count as
+// the identical query through Query on an identical cluster.
+func TestStreamedQueryReachesTraceLog(t *testing.T) {
+	const src = `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 4`
+	build := func() *Cluster {
+		c := NewCluster(Config{Peers: 16, Seed: 3, Tracing: true})
+		c.BulkInsert(workload.Generate(workload.Options{Seed: 13, Persons: 60}).Triples...)
+		c.net.Settle()
+		return c
+	}
+
+	qc := build()
+	want, err := qc.Query(src, From(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(qc.TraceLog().Recent()); n != 1 {
+		t.Fatalf("Query added %d trace-log entries, want 1", n)
+	}
+
+	sc := build()
+	st, err := sc.QueryStream(context.Background(), src, From(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, ok := st.Next(); ok; _, ok = st.Next() {
+		rows++
+	}
+	st.Close()
+	got := st.Result()
+	if n := len(sc.TraceLog().Recent()); n != 1 {
+		t.Fatalf("QueryStream added %d trace-log entries, want 1", n)
+	}
+	if got == nil || got.Trace == nil {
+		t.Fatal("drained stream has no traced Result")
+	}
+	if rows != 4 || len(got.Bindings) != 4 {
+		t.Errorf("stream yielded %d rows, Result holds %d; want 4", rows, len(got.Bindings))
+	}
+	wm, wb := want.Trace.Totals()
+	gm, gb := got.Trace.Totals()
+	if gm != wm || gb != wb {
+		t.Errorf("stream trace totals %d msgs / %d bytes, Query's %d / %d", gm, gb, wm, wb)
+	}
+	if got.Messages != want.Messages || got.Messages == 0 {
+		t.Errorf("stream Result.Messages = %d, Query's %d", got.Messages, want.Messages)
+	}
+	if got.TimeToFirst > got.Elapsed || got.Plan != want.Plan {
+		t.Errorf("stream Result time-to-first %v / elapsed %v / plan %q; Query's plan %q",
+			got.TimeToFirst, got.Elapsed, got.Plan, want.Plan)
 	}
 }

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -56,8 +57,8 @@ func E1TriplePlacement() *trace.Series {
 		Set("title", triple.S("Progressive...")).
 		Set("confname", triple.S("ICDE 2005")).
 		Set("year", triple.N(2005))
-	c.InsertTuple(t1)
-	c.InsertTuple(t2)
+	c.Insert(t1.Triples()...)
+	c.Insert(t2.Triples()...)
 	total := 0
 	for _, p := range c.Peers() {
 		st := p.Store()
@@ -186,7 +187,7 @@ func E5Similarity(scale Scale) *trace.Series {
 			opt.Optimize(plan)
 			before := c.Net().Stats().MessagesSent
 			eng := physical.NewEngine(c.Peers()[0], opt)
-			bs, _ := eng.RunPlan(plan)
+			bs, _ := eng.RunPlanCtx(context.Background(), plan)
 			return c.Net().Stats().MessagesSent - before, len(bs)
 		}
 		qm, qr := run(physical.StratQGram)
@@ -384,7 +385,7 @@ func E10Mappings(scale Scale) *trace.Series {
 	for _, m := range ms {
 		c.AddMapping(m)
 	}
-	mapped, err := c.QueryWithMappings(q)
+	mapped, err := c.Query(q, core.WithMappings())
 	if err != nil {
 		panic(err)
 	}

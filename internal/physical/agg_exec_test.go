@@ -1,6 +1,7 @@
 package physical_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -54,7 +55,7 @@ func aggForcedRun(t *testing.T, tn *testNet, src string, pushdown bool) ([]strin
 		t.Fatalf("compile %q: %v", src, err)
 	}
 	plan.Tail.AggPushdown = pushdown
-	bs, ex := tn.engines[0].RunPlan(plan)
+	bs, ex := tn.engines[0].RunPlanCtx(context.Background(), plan)
 	return canon(bs), ex
 }
 

@@ -1,6 +1,7 @@
 package physical_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestCancelPropagatesToMigratedHost(t *testing.T) {
 	ref.load(corpus)
 	throttle(ref)
 	ref.net.ResetStats()
-	_, ex := ref.engines[0].RunPlan(shipPlan(t))
+	_, ex := ref.engines[0].RunPlanCtx(context.Background(), shipPlan(t))
 	if !ex.Done() {
 		t.Fatal("reference shipped query did not complete")
 	}
@@ -94,7 +95,7 @@ func TestCancelPropagatesToMigratedHost(t *testing.T) {
 	tn.load(corpus)
 	throttle(tn)
 	tn.net.ResetStats()
-	cx := tn.engines[0].Start(shipPlan(t), nil)
+	cx := tn.engines[0].Open(context.Background(), shipPlan(t)).Exec()
 	for !cx.Migrated() && tn.net.Step() {
 	}
 	if !cx.Migrated() {
@@ -126,7 +127,7 @@ func TestCancelBeforePlanArrives(t *testing.T) {
 	corpus := cancelCorpus()
 	tn := buildNet(t, 32, 212, nil)
 	tn.load(corpus)
-	cx := tn.engines[0].Start(shipPlan(t), nil)
+	cx := tn.engines[0].Open(context.Background(), shipPlan(t)).Exec()
 	for !cx.Migrated() && tn.net.Step() {
 	}
 	if !cx.Migrated() {
@@ -152,7 +153,7 @@ func TestShippedQueryStillCompletes(t *testing.T) {
 	corpus := cancelCorpus()
 	tn := buildNet(t, 32, 213, nil)
 	tn.load(corpus)
-	got, ex := tn.engines[0].RunPlan(shipPlan(t))
+	got, ex := tn.engines[0].RunPlanCtx(context.Background(), shipPlan(t))
 	if !ex.Done() {
 		t.Fatal("shipped query did not complete")
 	}
@@ -163,5 +164,34 @@ func TestShippedQueryStillCompletes(t *testing.T) {
 	tn.net.Settle()
 	if n := totalHosted(tn); n != 0 {
 		t.Errorf("%d hosted plans linger after completion", n)
+	}
+}
+
+// TestWaitCancelsWhenResultCannotArrive: when every peer but the
+// origin dies after the plan migrated, no result can ever come home.
+// Wait must still end with a completed query — canceled at its bound,
+// with a non-negative elapsed time — not return with the Exec
+// abandoned mid-flight.
+func TestWaitCancelsWhenResultCannotArrive(t *testing.T) {
+	tn := buildNet(t, 32, 211, nil)
+	tn.load(cancelCorpus())
+	ex := tn.engines[0].Open(context.Background(), shipPlan(t)).Exec()
+	for !ex.Migrated() && tn.net.Step() {
+	}
+	if !ex.Migrated() {
+		t.Fatal("plan never migrated")
+	}
+	for _, p := range tn.peers[1:] {
+		tn.net.Kill(p.ID())
+	}
+	ex.Wait()
+	if !ex.Done() {
+		t.Fatal("Wait returned with the query still running")
+	}
+	if ex.Elapsed() < 0 {
+		t.Errorf("elapsed %v < 0", ex.Elapsed())
+	}
+	if len(ex.Result()) != 0 {
+		t.Errorf("canceled shipped query returned %d rows", len(ex.Result()))
 	}
 }

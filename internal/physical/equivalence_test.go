@@ -1,6 +1,7 @@
 package physical_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -238,7 +239,7 @@ func TestPrefixPushdownCorrectAndCheaper(t *testing.T) {
 		t.Fatal("pushdown not applied")
 	}
 	tn.net.ResetStats()
-	got, _ := tn.engines[0].RunPlan(plan)
+	got, _ := tn.engines[0].RunPlanCtx(context.Background(), plan)
 	withMsgs := tn.net.Stats().MessagesSent
 	if !reflect.DeepEqual(canon(got), want) {
 		t.Fatalf("pushdown results: %v want %v", canon(got), want)
@@ -251,7 +252,7 @@ func TestPrefixPushdownCorrectAndCheaper(t *testing.T) {
 	opt.Optimize(plan2)
 	plan2.Steps[0].ValuePrefix = ""
 	tn.net.ResetStats()
-	got2, _ := tn.engines[0].RunPlan(plan2)
+	got2, _ := tn.engines[0].RunPlanCtx(context.Background(), plan2)
 	withoutMsgs := tn.net.Stats().MessagesSent
 	if !reflect.DeepEqual(canon(got2), want) {
 		t.Fatalf("full-scan results diverged")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,8 +38,8 @@ type hostKey struct {
 // Engine attaches query processing to one peer: it owns the peer's app
 // handler, hosts migrated plans, and tracks queries this peer
 // originated. An Engine is safe for concurrent use: multiple
-// goroutines may Start/Run/Open queries against it in the network's
-// concurrent mode.
+// goroutines may Open queries against it in the network's concurrent
+// mode.
 type Engine struct {
 	peer  *pgrid.Peer
 	reopt Reoptimizer
@@ -417,7 +418,6 @@ type Exec struct {
 	first    time.Duration
 	done     bool
 	result   []algebra.Binding
-	onDone   func(*Exec)
 	doneCh   chan struct{}
 	cursor   *Cursor
 
@@ -436,52 +436,22 @@ type Exec struct {
 	drained  []trace.Span
 }
 
-// Start begins executing a compiled plan at the engine's peer,
-// returning the Exec handle. The callback (optional) fires on
-// completion; Wait drives the network (deterministic mode) or blocks
-// until the responses land (concurrent mode).
-func (e *Engine) Start(p *Plan, onDone func(*Exec)) *Exec {
-	return e.StartCtx(context.Background(), p, onDone)
-}
-
-// StartCtx is Start with a cancellation context: canceling ctx stops
-// the pipeline, cancels the query's pending overlay operations and
-// completes the Exec with whatever rows had been produced.
-func (e *Engine) StartCtx(ctx context.Context, p *Plan, onDone func(*Exec)) *Exec {
-	ex := e.newExec(ctx, p, onDone)
-	ex.pmu.Lock()
-	ex.startPipeline()
-	ex.pmu.Unlock()
-	return ex
-}
-
-// Open starts a plan and returns a pull cursor over its result
-// stream — the Volcano-style Open half of the Open/Next/Close
-// contract; the cursor's Next and Close complete it. Rows become
-// available as the pipeline emits them, before the query finishes.
+// Open starts a plan at the engine's peer and returns a pull cursor
+// over its result stream — the one way a plan starts. Rows become
+// available through the cursor as the pipeline emits them, before the
+// query finishes; the cursor's Exec is the execution handle. Canceling
+// ctx stops the pipeline, cancels the query's pending overlay
+// operations and completes the Exec with the rows produced so far.
 func (e *Engine) Open(ctx context.Context, p *Plan) *Cursor {
-	ex := e.newExec(ctx, p, nil)
-	cur := newCursor(ex)
-	ex.cursor = cur
-	ex.pmu.Lock()
-	ex.startPipeline()
-	ex.pmu.Unlock()
-	return cur
-}
-
-func (e *Engine) newExec(ctx context.Context, p *Plan, onDone func(*Exec)) *Exec {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ex := &Exec{
 		eng:    e,
 		steps:  p.Steps,
 		tail:   p.Tail,
 		origin: e.peer.ID(),
 		ctx:    ctx,
-		onDone: onDone,
 		doneCh: make(chan struct{}),
 	}
+	ex.cursor = newCursor(ex)
 	e.mu.Lock()
 	e.seq++
 	ex.rootQID = e.seq
@@ -497,30 +467,15 @@ func (e *Engine) newExec(ctx context.Context, p *Plan, onDone func(*Exec)) *Exec
 		}
 		ex.tc = trace.Ctx{TraceID: ex.rootSpan.TraceID, Parent: ex.rootSpan.ID, Depth: 1}
 	}
-	return ex
+	ex.pmu.Lock()
+	ex.startPipeline()
+	ex.pmu.Unlock()
+	return ex.cursor
 }
 
-// Run compiles and executes a parsed query end to end, driving the
-// simulated network until completion; the synchronous entry point.
-func (e *Engine) Run(q *vql.Query) ([]algebra.Binding, *Exec, error) {
-	plan, err := CompileQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	ex := e.Start(plan, nil)
-	ex.Wait()
-	return ex.Result(), ex, nil
-}
-
-// RunPlan executes an already-compiled plan synchronously.
-func (e *Engine) RunPlan(p *Plan) ([]algebra.Binding, *Exec) {
-	return e.RunPlanCtx(context.Background(), p)
-}
-
-// RunPlanCtx executes a compiled plan synchronously under a
-// cancellation context.
+// RunPlanCtx opens a compiled plan and waits for it to complete.
 func (e *Engine) RunPlanCtx(ctx context.Context, p *Plan) ([]algebra.Binding, *Exec) {
-	ex := e.StartCtx(ctx, p, nil)
+	ex := e.Open(ctx, p).Exec()
 	ex.Wait()
 	return ex.Result(), ex
 }
@@ -531,30 +486,47 @@ func (e *Engine) RunPlanCtx(ctx context.Context, p *Plan) ([]algebra.Binding, *E
 // the event queue alive.
 const waitTimeout = 5 * time.Minute
 
-// Wait blocks until the query completes. In deterministic mode it
-// pumps the network; in concurrent mode it waits on the completion
-// signal (the network's own goroutines deliver the responses). A
-// canceled context terminates the query early with partial results.
-func (ex *Exec) Wait() {
-	net := ex.eng.peer.Net()
-	d := pgrid.DriverOf(net)
-	if d == nil {
-		select {
-		case <-ex.doneCh:
-		case <-ex.ctx.Done():
-			ex.Cancel()
-			<-ex.doneCh
-		case <-time.After(net.WallTimeout(waitTimeout)):
-		}
+// Wait blocks until the query completes (see await).
+func (ex *Exec) Wait() { ex.await(ex.Done, nil) }
+
+// await is every synchronous wait on a query: it returns once ready
+// reports true, which must hold whenever the Exec is Done. In
+// deterministic mode it pumps the simulated network; otherwise it
+// sleeps until wake fires, the query completes or ctx is canceled.
+// The wait is bounded by waitTimeout, and when the bound passes, ctx is
+// canceled, or the simulated network runs out of events first, await
+// cancels the query — so the Exec is complete, with the rows produced
+// so far, rather than abandoned mid-flight.
+func (ex *Exec) await(ready func() bool, wake <-chan struct{}) {
+	if ready() {
 		return
 	}
+	net := ex.eng.peer.Net()
+	d := pgrid.DriverOf(net)
 	deadline := net.Now() + waitTimeout
-	for !ex.Done() && d.Pending() > 0 && net.Now() < deadline {
-		if ex.ctx.Err() != nil {
+	var bound <-chan time.Time
+	if d == nil {
+		t := time.NewTimer(net.WallTimeout(waitTimeout))
+		defer t.Stop()
+		bound = t.C
+	}
+	for !ready() {
+		switch {
+		case ex.ctx.Err() != nil:
 			ex.Cancel()
-			return
+		case d == nil:
+			select {
+			case <-wake:
+			case <-ex.doneCh:
+			case <-ex.ctx.Done():
+			case <-bound:
+				ex.Cancel()
+			}
+		case d.Pending() == 0 || net.Now() >= deadline:
+			ex.Cancel()
+		default:
+			d.Step()
 		}
-		d.Step()
 	}
 }
 
@@ -604,24 +576,6 @@ func (ex *Exec) MaxHops() int {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	return ex.maxHops
-}
-
-// Bindings returns the rows the tail sink has accumulated so far
-// (diagnostics; the final result once Done). The completed path reads
-// only the result, so completion callbacks may call it safely.
-func (ex *Exec) Bindings() []algebra.Binding {
-	ex.mu.Lock()
-	if ex.done {
-		defer ex.mu.Unlock()
-		return ex.result
-	}
-	ex.mu.Unlock()
-	ex.pmu.Lock()
-	defer ex.pmu.Unlock()
-	if ex.sink == nil {
-		return nil
-	}
-	return ex.sink.rows
 }
 
 func (ex *Exec) noteOp() {
@@ -772,6 +726,11 @@ func (ex *Exec) earlyOut() {
 // re-aggregating group rows would count groups instead of rows.
 func (ex *Exec) finishPipeline(rows []algebra.Binding) {
 	ex.win.close()
+	if ex.sink.mode == sinkRank {
+		// The cursor may still be reading the streamed rows, which the
+		// tail's ORDER BY would sort in place; at most LIMIT rows.
+		rows = slices.Clone(rows)
+	}
 	if ex.agg != nil {
 		ex.finishWith(ex.tail.post(ex.agg.drainInto(rows)))
 		return
@@ -785,8 +744,12 @@ func (ex *Exec) finishPipeline(rows []algebra.Binding) {
 // the plan migrated, a cancel message chases it to the hosting peer
 // (and onward along any further migrations) so the remote remainder
 // stops too instead of running to completion. Canceling a completed
-// query is a no-op.
+// query is a no-op, and does not wait for the pipeline lock, which a
+// network goroutine may still hold while it returns from completing it.
 func (ex *Exec) Cancel() {
+	if ex.Done() {
+		return
+	}
 	ex.pmu.Lock()
 	defer ex.pmu.Unlock()
 	if ex.Done() {
@@ -905,19 +868,15 @@ func (ex *Exec) finishWith(bs []algebra.Binding) {
 	ex.result = bs
 	ex.finished = ex.eng.peer.Net().Now()
 	ex.done = true
+	if ex.cursor != nil {
+		// The cursor holds the final rows before doneCh wakes its reader.
+		ex.cursor.finish(bs)
+	}
 	close(ex.doneCh)
-	onDone := ex.onDone
-	cur := ex.cursor
 	ex.mu.Unlock()
 	ex.eng.mu.Lock()
 	delete(ex.eng.queries, ex.rootQID)
 	ex.eng.mu.Unlock()
-	if cur != nil {
-		cur.finish(bs)
-	}
-	if onDone != nil {
-		onDone(ex)
-	}
 }
 
 // applyStepPredicates evaluates the step's filters and similarity

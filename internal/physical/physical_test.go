@@ -1,6 +1,7 @@
 package physical_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sort"
@@ -142,11 +143,11 @@ func distributedRun(t testing.TB, tn *testNet, engineIdx int, src string) ([]alg
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	bs, ex, err := tn.engines[engineIdx].Run(q)
+	plan, err := CompileQuery(q)
 	if err != nil {
-		t.Fatalf("run: %v", err)
+		t.Fatalf("compile: %v", err)
 	}
-	return bs, ex
+	return tn.engines[engineIdx].RunPlanCtx(context.Background(), plan)
 }
 
 // checkAgainstReference asserts the distributed engine matches the
@@ -245,7 +246,7 @@ func TestShipModeMatchesFetchMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt.Optimize(plan)
-		got, ex := tn.engines[0].RunPlan(plan)
+		got, ex := tn.engines[0].RunPlanCtx(context.Background(), plan)
 		if !ex.Done() {
 			t.Fatalf("mode %v: did not complete", mode)
 		}
@@ -280,7 +281,7 @@ func TestMutantPlanActuallyMigrates(t *testing.T) {
 		t.Fatal("ModeShip must mark steps for migration")
 	}
 	tn.net.ResetStats()
-	got, ex := tn.engines[0].RunPlan(plan)
+	got, ex := tn.engines[0].RunPlanCtx(context.Background(), plan)
 	if !ex.Done() {
 		t.Fatal("shipped plan did not complete")
 	}
@@ -315,7 +316,7 @@ func TestQGramStrategyCorrect(t *testing.T) {
 	if plan.Steps[0].Strat != StratQGram {
 		t.Fatalf("forced strategy not applied: %v", plan.Steps[0].Strat)
 	}
-	got, ex := tn.engines[3].RunPlan(plan)
+	got, ex := tn.engines[3].RunPlanCtx(context.Background(), plan)
 	if !ex.Done() {
 		t.Fatal("q-gram query did not complete")
 	}
@@ -351,10 +352,10 @@ func TestQGramBeatsBroadcastOnMessages(t *testing.T) {
 		return plan
 	}
 	tn.net.ResetStats()
-	gotQ, _ := tn.engines[0].RunPlan(mkPlan(StratQGram))
+	gotQ, _ := tn.engines[0].RunPlanCtx(context.Background(), mkPlan(StratQGram))
 	qMsgs := tn.net.Stats().MessagesSent
 	tn.net.ResetStats()
-	gotB, _ := tn.engines[0].RunPlan(mkPlan(StratBroadcast))
+	gotB, _ := tn.engines[0].RunPlanCtx(context.Background(), mkPlan(StratBroadcast))
 	bMsgs := tn.net.Stats().MessagesSent
 	if !reflect.DeepEqual(canon(gotQ), canon(gotB)) {
 		t.Fatalf("access paths disagree: %v vs %v", canon(gotQ), canon(gotB))
@@ -401,7 +402,7 @@ func TestDisabledOptimizerKeepsOrder(t *testing.T) {
 			t.Error("disabled optimizer must not ship")
 		}
 	}
-	got, ex := tn.engines[0].RunPlan(plan)
+	got, ex := tn.engines[0].RunPlanCtx(context.Background(), plan)
 	if !ex.Done() {
 		t.Fatal("did not complete")
 	}
@@ -479,6 +480,6 @@ func BenchmarkDistributedTwoPatternJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tn.engines[i%32].RunPlan(plan)
+		tn.engines[i%32].RunPlanCtx(context.Background(), plan)
 	}
 }

@@ -9,7 +9,6 @@ package physical
 
 import (
 	"sync"
-	"time"
 
 	"unistore/internal/agg"
 	"unistore/internal/algebra"
@@ -792,7 +791,7 @@ func (k *tailSink) push(rows []algebra.Binding) {
 	case sinkLimit:
 		for _, b := range rows {
 			k.rows = append(k.rows, b)
-			k.deliver(b)
+			k.deliver()
 			if k.limit > 0 && len(k.rows) >= k.limit {
 				k.ex.earlyOut()
 				return
@@ -802,7 +801,7 @@ func (k *tailSink) push(rows []algebra.Binding) {
 		for _, b := range rows {
 			if k.topk.Offer(b) {
 				k.rows = append(k.rows, b)
-				k.deliver(b)
+				k.deliver()
 			}
 			// The final stage emits in ranking order, so the row just
 			// seen bounds everything still to come.
@@ -814,12 +813,13 @@ func (k *tailSink) push(rows []algebra.Binding) {
 	}
 }
 
-// deliver hands one streamed row to the cursor (projected as the final
-// result will be) and stamps time-to-first-result.
-func (k *tailSink) deliver(b algebra.Binding) {
+// deliver streams the row just appended to rows: it shows the cursor
+// the rows so far, without copying them, and stamps
+// time-to-first-result.
+func (k *tailSink) deliver() {
 	k.ex.noteFirstResult()
 	if cur := k.ex.cursor; cur != nil {
-		cur.push([]algebra.Binding{projectRow(b, k.ex.tail.Project)})
+		cur.push(k.rows)
 	}
 }
 
@@ -859,34 +859,36 @@ func projectRow(b algebra.Binding, vars []string) algebra.Binding {
 // mode) until a row or EOS; Close cancels the rest of the query. A
 // Cursor is intended for a single consuming goroutine.
 type Cursor struct {
-	ex     *Exec
-	mu     sync.Mutex
-	rows   []algebra.Binding
-	pos    int
-	done   bool
-	notify chan struct{}
+	ex *Exec
+	mu sync.Mutex
+	// streamed is the sink's own row slice as of its latest delivery,
+	// unprojected: the sink only appends to it, and finishPipeline
+	// orders a copy, so its first len(streamed) rows never change.
+	// final is the completed result, which extends the streamed prefix.
+	// pos counts the rows Next has returned.
+	streamed []algebra.Binding
+	final    []algebra.Binding
+	pos      int
+	done     bool
+	notify   chan struct{}
 }
 
 func newCursor(ex *Exec) *Cursor {
 	return &Cursor{ex: ex, notify: make(chan struct{}, 1)}
 }
 
-// push appends rows; called by the sink (streaming) or at finish.
+// push publishes the sink's rows after it delivered one more.
 func (c *Cursor) push(rows []algebra.Binding) {
 	c.mu.Lock()
-	c.rows = append(c.rows, rows...)
+	c.streamed = rows
 	c.mu.Unlock()
 	c.wake()
 }
 
-// finish tops the cursor up to the final result and marks EOS. Rows
-// already streamed stay as delivered; only the remainder is appended
-// (the final result always extends the streamed prefix).
+// finish records the final result and marks EOS.
 func (c *Cursor) finish(result []algebra.Binding) {
 	c.mu.Lock()
-	if n := len(c.rows); n < len(result) {
-		c.rows = append(c.rows, result[n:]...)
-	}
+	c.final = result
 	c.done = true
 	c.mu.Unlock()
 	c.wake()
@@ -899,52 +901,28 @@ func (c *Cursor) wake() {
 	}
 }
 
+// ready reports whether Next can answer without waiting.
+func (c *Cursor) ready() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.done || c.pos < len(c.streamed)
+}
+
 // Next returns the next result row, blocking (or pumping the simulated
 // network) until one is available; ok is false at end of stream.
 func (c *Cursor) Next() (algebra.Binding, bool) {
-	net := c.ex.eng.peer.Net()
-	drv := pgrid.DriverOf(net)
-	deadline := time.Duration(-1)
-	for {
-		c.mu.Lock()
-		if c.pos < len(c.rows) {
-			b := c.rows[c.pos]
+	c.ex.await(c.ready, c.notify)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done {
+		if c.pos < len(c.final) {
 			c.pos++
-			c.mu.Unlock()
-			return b, true
+			return c.final[c.pos-1], true
 		}
-		if c.done {
-			c.mu.Unlock()
-			return nil, false
-		}
-		c.mu.Unlock()
-		if c.ex.ctx.Err() != nil {
-			c.ex.Cancel()
-			continue
-		}
-		if drv == nil {
-			select {
-			case <-c.notify:
-			case <-c.ex.doneCh:
-				// The exec finalizes the cursor before closing doneCh,
-				// so the next pass observes done (or the final rows).
-			case <-c.ex.ctx.Done():
-			case <-time.After(net.WallTimeout(waitTimeout)):
-				// Mirror Exec.Wait's bound: a query whose responses
-				// were swallowed must not block the consumer forever.
-				c.ex.Cancel()
-			}
-			continue
-		}
-		if deadline < 0 {
-			deadline = net.Now() + waitTimeout
-		}
-		if drv.Pending() == 0 || net.Now() >= deadline {
-			c.ex.Cancel()
-			continue
-		}
-		drv.Step()
+		return nil, false
 	}
+	c.pos++
+	return projectRow(c.streamed[c.pos-1], c.ex.tail.Project), true
 }
 
 // Close terminates the query early (a no-op after completion) and

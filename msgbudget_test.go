@@ -16,6 +16,7 @@
 package unistore_test
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestMessageBudgetRankedTopK(t *testing.T) {
 func runIndexJoin(t *testing.T, c *core.Cluster, plan *physical.Plan) int {
 	t.Helper()
 	before := c.Net().Stats().MessagesSent
-	bs, _ := c.Engine(0).RunPlan(plan)
+	bs, _ := c.Engine(0).RunPlanCtx(context.Background(), plan)
 	c.Net().Settle()
 	if len(bs) == 0 {
 		t.Fatal("index join returned nothing")

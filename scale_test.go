@@ -85,7 +85,7 @@ func runEqScale(t *testing.T, cs eqScale) {
 
 	// A paged scan streams while the overlay churns between pulls.
 	want := aggCanon(aggOracle(t, benchscen.ScanQuery, ds.Triples))
-	st, err := c.QueryStreamFrom(context.Background(), 0, benchscen.ScanQuery)
+	st, err := c.QueryStream(context.Background(), benchscen.ScanQuery, unistore.From(0))
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}

@@ -195,8 +195,12 @@ func TestQueryStreamDeliversIncrementally(t *testing.T) {
 	if len(names) != 4 || !sort.StringsAreSorted(names) {
 		t.Fatalf("streamed top-4 = %v", names)
 	}
-	if st.TimeToFirst() > st.Elapsed() {
-		t.Errorf("time-to-first %v after completion %v", st.TimeToFirst(), st.Elapsed())
+	res := st.Result()
+	if res == nil || len(res.Bindings) != 4 {
+		t.Fatalf("exhausted stream's Result = %+v, want 4 rows", res)
+	}
+	if res.TimeToFirst > res.Elapsed {
+		t.Errorf("time-to-first %v after completion %v", res.TimeToFirst, res.Elapsed)
 	}
 }
 
@@ -216,7 +220,7 @@ func TestCancellationReleasesEverything(t *testing.T) {
 		loadPersons(c, 38, 100)
 		for i := 0; i < 8; i++ {
 			ctx, cancel := context.WithCancel(context.Background())
-			st, err := c.QueryStreamFrom(ctx, i, `SELECT ?n WHERE {(?p,'name',?n)}`)
+			st, err := c.QueryStream(ctx, `SELECT ?n WHERE {(?p,'name',?n)}`, unistore.From(i))
 			if err != nil {
 				t.Fatal(err)
 			}

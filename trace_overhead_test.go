@@ -7,6 +7,7 @@
 package unistore_test
 
 import (
+	"context"
 	"testing"
 
 	"unistore"
@@ -95,11 +96,11 @@ func benchIndexJoinTracing(b *testing.B, tracing bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.Engine(0).RunPlan(plan) // warm the route cache
+	c.Engine(0).RunPlanCtx(context.Background(), plan) // warm the route cache
 	c.Net().Settle()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bs, _ := c.Engine(0).RunPlan(plan)
+		bs, _ := c.Engine(0).RunPlanCtx(context.Background(), plan)
 		if len(bs) == 0 {
 			b.Fatal("join returned nothing")
 		}

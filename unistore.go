@@ -33,18 +33,18 @@
 // # Quickstart
 //
 //	c := unistore.New(unistore.Config{Peers: 64, EnableQGram: true})
-//	c.InsertTuple(unistore.NewTuple("a12").
+//	c.Insert(unistore.NewTuple("a12").
 //		Set("title", unistore.S("Similarity Queries")).
 //		Set("confname", unistore.S("ICDE 2006")).
-//		Set("year", unistore.N(2006)))
+//		Set("year", unistore.N(2006)).Triples()...)
 //	res, err := c.Query(`SELECT ?t WHERE {(?p,'title',?t) (?p,'year',?y) FILTER ?y >= 2006}`)
 //
 // # Bulk loading
 //
-// Datasets load fastest through BulkInsert / BulkInsertTuples, which
-// spread the batch across the live source peers and put every write in
-// flight before awaiting the first ack, so the batch's DHT round trips
-// overlap instead of serializing per call:
+// Datasets load fastest through BulkInsert, which spreads the batch
+// across the live source peers and puts every write in flight before
+// awaiting the first ack, so the batch's DHT round trips overlap
+// instead of serializing per call:
 //
 //	c := unistore.New(unistore.Config{Peers: 64, Concurrent: true})
 //	defer c.Close()
@@ -64,10 +64,14 @@
 //		fmt.Println(row["n"])
 //	}
 //
-// Queries accept a context (QueryCtx / QueryFromCtx / QueryStream):
-// canceling it stops the pipeline and releases its pending overlay
-// operations instead of letting them run to waste — including plans
-// that migrated to other peers, which are chased down and stopped.
+// Query runs the same stream to its end and returns st.Result(). Both
+// take options: From(i) picks the origin peer, WithMappings() rewrites
+// the query across published schema mappings. QueryStream's context
+// cancels the query: the pipeline stops and releases its pending
+// overlay operations instead of letting them run to waste — including
+// plans that migrated to other peers, which are chased down and
+// stopped. Every query, streamed or not, ends in one finish step that
+// builds its Result and, when Config.Tracing is on, records its trace.
 //
 // # Message-layer fast path
 //
@@ -122,8 +126,20 @@ type Result = core.Result
 
 // Stream is an open streaming query: Next yields rows as the
 // distributed pipeline produces them, before the query has finished;
-// Close cancels the remainder. Obtained from Cluster.QueryStream.
+// Close cancels the remainder; Result is the finished query's Result
+// once the stream has ended. Obtained from Cluster.QueryStream.
 type Stream = core.Stream
+
+// QueryOption adjusts one query (Cluster.Query, Cluster.QueryStream).
+type QueryOption = core.QueryOption
+
+// From originates a query at hosted peer peerIdx instead of a random
+// one.
+func From(peerIdx int) QueryOption { return core.From(peerIdx) }
+
+// WithMappings rewrites a query across the schema mappings published
+// with Cluster.AddMapping and unites the results of every rewriting.
+func WithMappings() QueryOption { return core.WithMappings() }
 
 // LatencyProfile selects the simulated network's delay model.
 type LatencyProfile = core.LatencyProfile

@@ -32,6 +32,9 @@ type ScalePoint struct {
 	MeanHops      float64
 }
 
+// opWait bounds each synchronous lookup in simulated time.
+const opWait = 5 * time.Minute
+
 // scaleProbes is how many routed lookups each curve point averages.
 const scaleProbes = 64
 
@@ -57,7 +60,7 @@ func RoutingCurvePoint(n int) ScalePoint {
 	hops := 0
 	for i := 0; i < scaleProbes; i++ {
 		origin := peers[(i*257+1)%n]
-		res := origin.LookupSync(triple.ByAV, ks[i%len(ks)])
+		res := origin.Lookup(triple.ByAV, []keys.Key{ks[i%len(ks)]}, nil).Wait(opWait)
 		hops += res.Hops
 	}
 	net.Settle()
@@ -142,7 +145,7 @@ func HotShard(n int, zipfS float64) (maxLoad, groupLoad int) {
 	// Warm the origin's routing cache so the measured probes go direct —
 	// the regime where replica spreading matters.
 	for _, val := range pool[:32] {
-		origin.LookupSync(triple.ByVal, valKey[val])
+		origin.Lookup(triple.ByVal, []keys.Key{valKey[val]}, nil).Wait(opWait)
 	}
 	net.Settle()
 	before := make([]int, len(peers))
@@ -150,7 +153,7 @@ func HotShard(n int, zipfS float64) (maxLoad, groupLoad int) {
 		before[i] = p.Stats().Delivered
 	}
 	for i := 0; i < hotShardProbes; i++ {
-		origin.LookupSync(triple.ByVal, valKey[hot.Next()])
+		origin.Lookup(triple.ByVal, []keys.Key{valKey[hot.Next()]}, nil).Wait(opWait)
 	}
 	net.Settle()
 	groups := make(map[string]int)

@@ -30,6 +30,11 @@ import (
 	"unistore/internal/workload"
 )
 
+// opWait bounds each synchronous overlay operation in simulated time:
+// generous enough for any experiment topology while guaranteeing
+// termination under message loss.
+const opWait = 5 * time.Minute
+
 // Scale trades experiment size for runtime; 1.0 is the full EXPERIMENTS
 // configuration, benchmarks may run smaller.
 type Scale float64
@@ -86,12 +91,12 @@ func E2RoutingHops(scale Scale) *trace.Series {
 	for _, n := range []int{16, 64, 256, scale.n(1024)} {
 		net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 2})
 		peers := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
-		peers[0].InsertTripleSync(triple.T("x", "year", "2006"), 1)
+		peers[0].InsertTripleAcked(triple.T("x", "year", "2006"), 1, nil).Wait(opWait)
 		key := triple.AVKey("year", triple.S("2006"))
 		sum, maxHops, count := 0, 0, 0
 		step := n/64 + 1
 		for i := 0; i < n; i += step {
-			res := peers[i].LookupSync(triple.ByAV, key)
+			res := peers[i].Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 			sum += res.Hops
 			if res.Hops > maxHops {
 				maxHops = res.Hops
@@ -340,12 +345,12 @@ func E9RangeVsChord(scale Scale) *trace.Series {
 			netP := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 13})
 			peersP := pgrid.BuildBalanced(netP, n, 1, pgrid.DefaultConfig())
 			for y := 1950; y < 2010; y++ {
-				peersP[y%n].InsertTripleSync(triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)), 1)
+				peersP[y%n].InsertTripleAcked(triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)), 1, nil).Wait(opWait)
 			}
 			netP.Settle()
 			lo, hi := triple.N(1990), triple.N(float64(1990+width))
 			netP.ResetStats()
-			resP := peersP[0].RangeQuerySync(triple.ByAV, triple.AVRange("year", lo, &hi))
+			resP := peersP[0].RangeQuery(triple.ByAV, triple.AVRange("year", lo, &hi), nil).Wait(opWait)
 			msgsP := netP.Stats().MessagesSent
 			// Chord.
 			netC := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 13})
@@ -404,8 +409,8 @@ func E11Merge(scale Scale) *trace.Series {
 	net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 16})
 	a := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
 	b := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
-	a[0].InsertTripleSync(triple.T("fromA", "name", "alice"), 1)
-	b[0].InsertTripleSync(triple.T("fromB", "name", "bob"), 1)
+	a[0].InsertTripleAcked(triple.T("fromA", "name", "alice"), 1, nil).Wait(opWait)
+	b[0].InsertTripleAcked(triple.T("fromB", "name", "bob"), 1, nil).Wait(opWait)
 	net.Settle()
 	net.ResetStats()
 	pgrid.RunMerge(net, a, b, 6)
@@ -413,10 +418,10 @@ func E11Merge(scale Scale) *trace.Series {
 	all := append(append([]*pgrid.Peer(nil), a...), b...)
 	okA, okB := 0, 0
 	for _, p := range all {
-		if r := p.LookupSync(triple.ByAV, triple.AVKey("name", triple.S("alice"))); len(r.Entries) >= 1 {
+		if r := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("name", triple.S("alice"))}, nil).Wait(opWait); len(r.Entries) >= 1 {
 			okA++
 		}
-		if r := p.LookupSync(triple.ByAV, triple.AVKey("name", triple.S("bob"))); len(r.Entries) >= 1 {
+		if r := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("name", triple.S("bob"))}, nil).Wait(opWait); len(r.Entries) >= 1 {
 			okB++
 		}
 	}

@@ -21,6 +21,9 @@ type netxCluster struct {
 	peers      [][]*pgrid.Peer // per transport, in hosted order
 }
 
+// opWait bounds a scan in simulated time (netx scales it to wall clock).
+const opWait = 5 * time.Minute
+
 func startNetxCluster(t *testing.T, procs, parts, replicas int, cfg pgrid.Config) *netxCluster {
 	t.Helper()
 	specs := pgrid.BalancedSpecs(parts, replicas, cfg, 99)
@@ -130,7 +133,7 @@ func TestPGridOverNetxEquivalence(t *testing.T) {
 	c.loadAges(t, facts)
 
 	q := c.scanOrigin(t)
-	res := q.RangeQuerySync(triple.ByAV, triple.AVPrefixRange("age"))
+	res := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait)
 	if !res.Complete {
 		t.Fatalf("scan incomplete: %+v", res)
 	}
@@ -197,7 +200,7 @@ func TestPGridOverNetxQueryAfterTransportDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := c.scanOrigin(t)
-	res := q.RangeQuerySync(triple.ByAV, triple.AVPrefixRange("age"))
+	res := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait)
 	if !res.Complete {
 		t.Fatalf("post-death scan incomplete: %+v", res)
 	}

@@ -43,7 +43,7 @@ func (p *Peer) aggStates(kind triple.IndexKind, r keys.Range, spec *agg.Spec) []
 // ships — a window smaller than a single state degrades to
 // group-at-a-time paging, never to silence). Shrinking is exact: the
 // dropped groups reappear behind the tightened AggAfter cursor.
-func (p *Peer) serveAggPage(qid uint64, origin simnet.NodeID, cont pageCont, winBytes int, ws *trace.WireSpan, traceID uint64) {
+func (p *Peer) serveAggPage(qid uint64, origin simnet.NodeID, cont pageCont, winBytes int, ws *trace.WireSpan) {
 	if cont.PageSize > 0 {
 		p.stats.pagesServed.Add(1)
 	}
@@ -80,7 +80,7 @@ func (p *Peer) serveAggPage(qid uint64, origin simnet.NodeID, cont pageCont, win
 		resp.Share = cont.Share
 		resp.Final = true
 	}
-	resp.TS = p.finishSpan(ws, traceID, resp.Count)
+	resp.TS = p.finishSpan(ws, resp.Count)
 	p.net.Send(p.id, origin, KindResponse, resp)
 }
 

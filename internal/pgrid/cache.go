@@ -347,23 +347,3 @@ func (p *Peer) RouteCacheLatency() (sum time.Duration, samples int) {
 	}
 	return sum, samples
 }
-
-// RouteCacheSize reports how many partition→owner-set entries the peer
-// has learned (tests and the demo UI's inspection tabs).
-func (p *Peer) RouteCacheSize() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.cache.entries)
-}
-
-// RouteCacheOwners reports how many replicas the cache tracks for the
-// partition covering target (tests).
-func (p *Peer) RouteCacheOwners(target keys.Key) int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	set, ok := p.cache.setLocked(target)
-	if !ok {
-		return 0
-	}
-	return len(set.owners)
-}

@@ -9,6 +9,26 @@ import (
 	"unistore/internal/triple"
 )
 
+// routeCacheSize reports how many partition→owner-set entries the peer
+// has learned.
+func (p *Peer) routeCacheSize() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.cache.entries)
+}
+
+// routeCacheOwners reports how many replicas the cache tracks for the
+// partition covering target.
+func (p *Peer) routeCacheOwners(target keys.Key) int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	set, ok := p.cache.setLocked(target)
+	if !ok {
+		return 0
+	}
+	return len(set.owners)
+}
+
 // TestRouteCacheLearnsAndGoesDirect: repeat probes for the same region
 // must hit the cache and reach the responsible peer in one hop.
 func TestRouteCacheLearnsAndGoesDirect(t *testing.T) {
@@ -22,16 +42,16 @@ func TestRouteCacheLearnsAndGoesDirect(t *testing.T) {
 
 	q := peers[0]
 	key := triple.AVKey("age", triple.N(7))
-	cold := q.LookupSync(triple.ByAV, key)
+	cold := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !cold.Complete || len(cold.Entries) != 1 {
 		t.Fatalf("cold lookup: %+v", cold)
 	}
-	if q.RouteCacheSize() == 0 {
+	if q.routeCacheSize() == 0 {
 		t.Fatal("response did not populate the routing cache")
 	}
 	hitsBefore := q.Stats().RouteCacheHits
 	msgsBefore := net.Stats().MessagesSent
-	warm := q.LookupSync(triple.ByAV, key)
+	warm := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !warm.Complete || len(warm.Entries) != 1 {
 		t.Fatalf("warm lookup: %+v", warm)
 	}
@@ -63,12 +83,12 @@ func TestRouteCacheFallbackOnDeadOwner(t *testing.T) {
 
 	q := peers[0]
 	key := triple.AVKey("age", triple.N(11))
-	cold := q.LookupSync(triple.ByAV, key)
+	cold := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !cold.Complete || len(cold.Entries) != 1 {
 		t.Fatalf("cold lookup: %+v", cold)
 	}
-	if q.RouteCacheOwners(key) < 2 {
-		t.Fatalf("response did not teach the replica set (owners %d)", q.RouteCacheOwners(key))
+	if q.routeCacheOwners(key) < 2 {
+		t.Fatalf("response did not teach the replica set (owners %d)", q.routeCacheOwners(key))
 	}
 	// Kill the peer that answered; the owner set still names its live
 	// sibling, so the follow-up probe stays direct — no invalidation.
@@ -81,7 +101,7 @@ func TestRouteCacheFallbackOnDeadOwner(t *testing.T) {
 	net.Kill(dead.ID)
 
 	hitsBefore := q.Stats().RouteCacheHits
-	again := q.LookupSync(triple.ByAV, key)
+	again := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !again.Complete || len(again.Entries) != 1 {
 		t.Fatalf("lookup after owner death: %+v", again)
 	}
@@ -106,7 +126,7 @@ func TestRouteCacheFallbackOnDeadOwner(t *testing.T) {
 	}
 	q.mu.Unlock()
 	invBefore := q.Stats().RouteCacheInvalidations
-	final := q.LookupSync(triple.ByAV, key)
+	final := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !final.Complete || len(final.Entries) != 1 {
 		t.Fatalf("lookup after owner-set death: %+v", final)
 	}
@@ -144,15 +164,15 @@ func TestRouteCacheSurvivesChurn(t *testing.T) {
 		t.Helper()
 		for i := 0; i < 40; i++ {
 			key := triple.OIDKey(chOID(i))
-			res := q.LookupSync(triple.ByOID, key)
+			res := q.Lookup(triple.ByOID, []keys.Key{key}, nil).Wait(opWait)
 			if !res.Complete || len(res.Entries) != 1 {
 				t.Fatalf("%s: lookup ch%02d got %+v", label, i, res)
 			}
 		}
 	}
 	lookupAll("pre-churn")
-	if q.RouteCacheSize() < 2 {
-		t.Fatalf("cache not warmed across partitions (size %d)", q.RouteCacheSize())
+	if q.routeCacheSize() < 2 {
+		t.Fatalf("cache not warmed across partitions (size %d)", q.routeCacheSize())
 	}
 
 	// Churn: an independent overlay merges in. Paths deepen, partitions
@@ -171,10 +191,10 @@ func TestRouteCacheSurvivesChurn(t *testing.T) {
 	invBefore := q.Stats().RouteCacheInvalidations
 	lookupAll("post-churn")
 	lookupAll("post-churn-rewarmed")
-	if q.RouteCacheSize() == 0 {
+	if q.routeCacheSize() == 0 {
 		t.Error("cache never re-learned the merged trie")
 	}
-	t.Logf("churn: cache size %d, invalidations %d → %d", q.RouteCacheSize(),
+	t.Logf("churn: cache size %d, invalidations %d → %d", q.routeCacheSize(),
 		invBefore, q.Stats().RouteCacheInvalidations)
 }
 
@@ -210,7 +230,7 @@ func TestRouteCacheStaleEntryRepairs(t *testing.T) {
 	q.cache.learnLocked(owner.Path(), Ref{ID: wrong.ID(), Path: owner.Path()})
 	q.mu.Unlock()
 
-	res := q.LookupSync(triple.ByAV, key)
+	res := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !res.Complete || len(res.Entries) != 1 {
 		t.Fatalf("lookup through stale entry: %+v", res)
 	}
@@ -223,7 +243,7 @@ func TestRouteCacheStaleEntryRepairs(t *testing.T) {
 	if !ok || ref.ID != owner.ID() {
 		t.Errorf("cache not repaired: %+v ok=%v want owner %d", ref, ok, owner.ID())
 	}
-	repaired := q.LookupSync(triple.ByAV, key)
+	repaired := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if repaired.Hops > 1 {
 		t.Errorf("post-repair lookup took %d hops, want 1", repaired.Hops)
 	}

@@ -33,8 +33,8 @@ import (
 // Depth 20 supports ~10^6 partitions, far beyond the experiments.
 const MaxSplitDepth = 20
 
-// StartExchange initiates one exchange round-trip with peer `to`.
-func (p *Peer) StartExchange(to simnet.NodeID) {
+// startExchange initiates one exchange round-trip with peer `to`.
+func (p *Peer) startExchange(to simnet.NodeID) {
 	p.net.Send(p.id, to, KindExchange, p.exchangePayload(false))
 }
 
@@ -123,7 +123,7 @@ func (p *Peer) recurseToward(msg exchangeMsg, cpl int) {
 		}
 	}
 	if bestCpl > cpl && p.net.Alive(best.ID) {
-		p.StartExchange(best.ID)
+		p.startExchange(best.ID)
 	}
 }
 
@@ -146,7 +146,7 @@ func (p *Peer) exchangeEqualPaths(msg exchangeMsg, from simnet.NodeID) {
 		// limit the peers are replicas by design — no follow-up, or
 		// the pair would re-exchange forever.
 		if path.Len() < MaxSplitDepth {
-			p.StartExchange(from)
+			p.startExchange(from)
 		}
 		return
 	}
@@ -223,7 +223,7 @@ func RunBootstrap(net *simnet.Network, peers []*Peer, rounds int) int {
 	for r := 0; r < rounds; r++ {
 		perm := net.Perm(len(peers))
 		for i := 0; i+1 < len(perm); i += 2 {
-			peers[perm[i]].StartExchange(peers[perm[i+1]].id)
+			peers[perm[i]].startExchange(peers[perm[i+1]].id)
 		}
 		// Let the exchanges (and any re-homing traffic) settle.
 		net.RunFor(5 * time.Second)
@@ -240,11 +240,11 @@ func RunMerge(net *simnet.Network, a, b []*Peer, rounds int) {
 	for r := 0; r < rounds; r++ {
 		for _, p := range a {
 			q := b[net.Intn(len(b))]
-			p.StartExchange(q.id)
+			p.startExchange(q.id)
 		}
 		for _, p := range b {
 			q := a[net.Intn(len(a))]
-			p.StartExchange(q.id)
+			p.startExchange(q.id)
 		}
 		net.RunFor(5 * time.Second)
 		net.Settle()

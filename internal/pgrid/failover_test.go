@@ -233,7 +233,7 @@ func TestPagePullHedgeQuietOnHealthyStream(t *testing.T) {
 	cfg.PageSize = 2
 	net, peers := loadReplicated(83, 4, 2, 40, cfg)
 	q := peers[0]
-	res := q.RangeQuerySync(triple.ByAV, triple.AVPrefixRange("age"))
+	res := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait)
 	net.Run()
 	if !res.Complete {
 		t.Fatalf("healthy scan incomplete: %+v", res)
@@ -287,7 +287,7 @@ func TestAckedInsertRetriesPastDeadOwner(t *testing.T) {
 	}
 	// The fact must be readable through every index from another peer.
 	for _, kind := range triple.AllIndexKinds {
-		got := peers[1].LookupSync(kind, triple.IndexKey(tr, kind))
+		got := peers[1].Lookup(kind, []keys.Key{triple.IndexKey(tr, kind)}, nil).Wait(opWait)
 		found := false
 		for _, e := range got.Entries {
 			if e.Triple.Equal(tr) {

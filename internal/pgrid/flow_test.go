@@ -241,7 +241,7 @@ func TestGossipPendingDrainsOnCredit(t *testing.T) {
 	origin := peers[0]
 	for i := 0; i < 40; i++ {
 		tr := triple.T(personOID(i), "name", personOID(i))
-		if res := origin.InsertTripleSync(tr, 1); !res.Complete {
+		if res := origin.InsertTripleAcked(tr, 1, nil).Wait(opWait); !res.Complete {
 			t.Fatalf("insert %d did not complete", i)
 		}
 	}

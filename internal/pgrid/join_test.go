@@ -25,7 +25,7 @@ func TestLateJoinIntegrates(t *testing.T) {
 	// A few exchange rounds against random existing peers; the
 	// recursive refinement walks the joiner into its niche.
 	for r := 0; r < 8; r++ {
-		joiner.StartExchange(peers[net.Rand().Intn(len(peers))].ID())
+		joiner.startExchange(peers[net.Rand().Intn(len(peers))].ID())
 		net.RunFor(2 * time.Second)
 		net.Settle()
 	}
@@ -33,15 +33,15 @@ func TestLateJoinIntegrates(t *testing.T) {
 		t.Fatal("joiner never specialized")
 	}
 	// The joiner can query the overlay.
-	res := joiner.LookupSync(triple.ByAV, triple.AVKey("age", triple.N(7)))
+	res := joiner.Lookup(triple.ByAV, []keys.Key{triple.AVKey("age", triple.N(7))}, nil).Wait(opWait)
 	if !res.Complete || len(res.Entries) != 1 {
 		t.Fatalf("joiner lookup failed: %+v", res)
 	}
 	// And the overlay can route inserts *to* the joiner's partition:
 	// data inserted after the join lands correctly wherever it belongs.
 	tr := triple.T("late", "name", "newcomer")
-	peers[0].InsertTripleSync(tr, 1)
-	res = joiner.LookupSync(triple.ByAV, triple.AVKey("name", triple.S("newcomer")))
+	peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
+	res = joiner.Lookup(triple.ByAV, []keys.Key{triple.AVKey("name", triple.S("newcomer"))}, nil).Wait(opWait)
 	if !res.Complete || len(res.Entries) != 1 {
 		t.Fatalf("post-join insert not visible to joiner: %+v", res)
 	}
@@ -91,7 +91,7 @@ func TestShowerShareConservation(t *testing.T) {
 	}
 	for _, r := range ranges {
 		lo, hi := triple.N(r.lo), triple.N(r.hi)
-		res := peers[5].RangeQuerySync(triple.ByAV, triple.AVRange("age", lo, &hi))
+		res := peers[5].RangeQuery(triple.ByAV, triple.AVRange("age", lo, &hi), nil).Wait(opWait)
 		if !res.Complete {
 			t.Fatalf("range [%v,%v) incomplete: shares lost", r.lo, r.hi)
 		}

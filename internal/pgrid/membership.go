@@ -84,73 +84,18 @@ func (p *Peer) handleJoinAck(ack joinAck, from simnet.NodeID) {
 	p.openDigestRound(from)
 }
 
-// sendStateChunks ships entries in pages of at most Config.PageSize
-// (everything at once when paging is off), as leave pages for a
-// departure or transfer pages for a merge.
-func (p *Peer) sendStateChunks(to simnet.NodeID, kind string, entries []store.Entry) {
+// sendStateChunks ships entries to `to` as transfer pages of at most
+// Config.PageSize entries (everything at once when paging is off) —
+// the one sender of xferMsg, for a split's dropped half and a merge's
+// data phase alike.
+func (p *Peer) sendStateChunks(to simnet.NodeID, entries []store.Entry) {
 	ps := p.cfg.PageSize
 	if ps <= 0 {
 		ps = len(entries)
 	}
-	if len(entries) == 0 {
-		if kind == KindLeave {
-			p.net.Send(p.id, to, kind, leaveMsg{})
-		}
-		return
-	}
 	for i := 0; i < len(entries); i += ps {
-		end := i + ps
-		if end > len(entries) {
-			end = len(entries)
-		}
-		chunk := entries[i:end]
-		if kind == KindLeave {
-			p.net.Send(p.id, to, kind, leaveMsg{Entries: chunk})
-		} else {
-			p.net.Send(p.id, to, kind, xferMsg{Entries: chunk})
-		}
-	}
-}
-
-// --- Leave ----------------------------------------------------------------
-
-// Leave announces a graceful departure: the peer hands its full state
-// (tombstones included) to every replica sibling, which also drops it
-// from the group roster. The caller kills the node afterwards — the
-// rest of the network observes the death through the transport, and
-// reads fail over exactly as they do for a crash, minus the risk of
-// losing a write only this peer had seen.
-func (p *Peer) Leave() {
-	facts := p.store.Facts()
-	for _, r := range p.Replicas() {
-		p.sendStateChunks(r.ID, KindLeave, facts)
-	}
-}
-
-// handleLeave applies a departing sibling's handoff and drops it from
-// the replica roster.
-func (p *Peer) handleLeave(l leaveMsg, from simnet.NodeID) {
-	p.removeReplica(from)
-	var won []store.Entry
-	for _, e := range l.Entries {
-		if p.store.Apply(e) {
-			won = append(won, e)
-		}
-	}
-	if len(won) > 0 {
-		p.pushToReplicas(won, from)
-	}
-}
-
-// removeReplica drops one member from the replica roster.
-func (p *Peer) removeReplica(id simnet.NodeID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, r := range p.replicas {
-		if r.ID == id {
-			p.replicas = append(p.replicas[:i], p.replicas[i+1:]...)
-			return
-		}
+		end := min(i+ps, len(entries))
+		p.net.Send(p.id, to, KindXferData, xferMsg{Entries: entries[i:end]})
 	}
 }
 
@@ -203,10 +148,10 @@ func SplitGroup(group []*Peer) error {
 // the trie it was learned against no longer exists), rebuild the
 // replica roster from the same-side members, and point the new
 // bottom routing level at the other side. Entries of the dropped half
-// are pushed to the other side once: both sides held the full
-// partition as replicas, so the transfer only matters for a write that
-// had not finished gossiping at the instant of the split (idempotent
-// on the receiver — the store's version tie-break).
+// are pushed to the other side once, in transfer pages: both sides
+// held the full partition as replicas, so the transfer only matters
+// for a write that had not finished gossiping at the instant of the
+// split (idempotent on the receiver — the store's version tie-break).
 func (p *Peer) applySplit(newPath keys.Key, sameSide, otherSide []Ref) {
 	var dropped []store.Entry
 	for _, kind := range triple.AllIndexKinds {
@@ -223,8 +168,8 @@ func (p *Peer) applySplit(newPath keys.Key, sameSide, otherSide []Ref) {
 	for _, r := range otherSide {
 		p.addRef(level, r)
 	}
-	if len(dropped) > 0 && len(otherSide) > 0 {
-		p.net.Send(p.id, otherSide[0].ID, KindXferData, xferMsg{Entries: dropped})
+	if len(otherSide) > 0 {
+		p.sendStateChunks(otherSide[0].ID, dropped)
 	}
 }
 
@@ -239,7 +184,7 @@ func (p *Peer) applySplit(newPath keys.Key, sameSide, otherSide []Ref) {
 // its live scans until WidenGroup makes them its own.
 func TransferStores(leavers []*Peer, to *Peer) {
 	for _, l := range leavers {
-		l.sendStateChunks(to.id, KindXferData, l.store.Facts())
+		l.sendStateChunks(to.id, l.store.Facts())
 	}
 }
 

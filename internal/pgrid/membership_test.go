@@ -1,6 +1,7 @@
 package pgrid
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -190,7 +191,7 @@ func TestExchangeReplicaPairConverges(t *testing.T) {
 		a.store.Apply(fact("xa1", "0000", 1))
 		a.store.Apply(fact("xa2", "0001", 2))
 		b.store.Apply(fact("xb1", "1110", 1))
-		a.StartExchange(b.ID())
+		a.startExchange(b.ID())
 		net.Settle()
 		if !converged(a, b, 3) {
 			t.Fatalf("pair did not converge in one round: a=%d b=%d facts", a.Store().FactCount(), b.Store().FactCount())
@@ -207,7 +208,7 @@ func TestExchangeReplicaPairConverges(t *testing.T) {
 		b.store.Apply(fact("xb1", "0110", 1))
 		b.store.Apply(fact("xb2", "0110", 3))
 		a.store.Apply(fact("xa1", "0110", 2))
-		a.StartExchange(b.ID())
+		a.startExchange(b.ID())
 		net.Settle()
 		for i := 0; i < 3 && !converged(a, b, 3); i++ {
 			net.RunFor(period)
@@ -303,6 +304,57 @@ func TestMergeDuringPagedPullResumesExact(t *testing.T) {
 	}
 }
 
+// xferTap is a simulated network that records the entry count of every
+// xferMsg sent.
+type xferTap struct {
+	*simnet.Network
+	sizes []int
+}
+
+func (t *xferTap) Send(from, to NodeID, kind string, payload any) {
+	if x, ok := payload.(xferMsg); ok {
+		t.sizes = append(t.sizes, len(x.Entries))
+	}
+	t.Network.Send(from, to, kind, payload)
+}
+
+// TestSplitTransfersInPages: a split ships its dropped half to the
+// other side in transfer pages of at most PageSize entries, as a
+// merge's data phase does, and both halves still answer exactly.
+func TestSplitTransfersInPages(t *testing.T) {
+	net := &xferTap{Network: newNet(97)}
+	cfg := DefaultConfig()
+	cfg.PageSize = 8
+	peers := BuildBalanced(net, 1, 2, cfg)
+	const facts = 40
+	var ts []triple.Triple
+	for i := 0; i < facts; i++ {
+		ts = append(ts, triple.TN(fmt.Sprintf("xp%02d", i), "age", float64(i)))
+	}
+	write(net.Network, peers, ts...)
+	if err := SplitGroup(peers); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	total := 0
+	for _, n := range net.sizes {
+		if n > cfg.PageSize {
+			t.Errorf("xferMsg carried %d entries, page size %d", n, cfg.PageSize)
+		}
+		total += n
+	}
+	if total <= cfg.PageSize {
+		t.Fatalf("split transferred %d entries, want a dropped half larger than one page (%d)", total, cfg.PageSize)
+	}
+	for _, q := range peers {
+		res := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait)
+		if !res.Complete || len(res.Entries) != facts {
+			t.Errorf("scan from %v after split: complete=%v, %d entries, want %d",
+				q.ID(), res.Complete, len(res.Entries), facts)
+		}
+	}
+}
+
 // TestSplitInvalidatesCachesWarmProbeRecovers: a live split must not
 // poison learned routing caches — the stale direct probe re-routes,
 // answers exactly, repairs the origin's cache (visible as an
@@ -317,12 +369,12 @@ func TestSplitInvalidatesCachesWarmProbeRecovers(t *testing.T) {
 			break
 		}
 	}
-	cold := q.LookupSync(triple.ByAV, key)
+	cold := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !cold.Complete || cold.Count != 1 {
 		t.Fatalf("cold lookup: %+v", cold)
 	}
 	before := net.Stats().MessagesSent
-	warm := q.LookupSync(triple.ByAV, key)
+	warm := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !warm.Complete || warm.Count != 1 {
 		t.Fatalf("warm lookup: %+v", warm)
 	}
@@ -353,7 +405,7 @@ func TestSplitInvalidatesCachesWarmProbeRecovers(t *testing.T) {
 	// Stale probe: the cached owner set predates the split. It must
 	// still answer exactly (re-routed if the chosen replica lost the
 	// key's half) and teach the origin the deeper partition.
-	res := q.LookupSync(triple.ByAV, key)
+	res := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !res.Complete || res.Count != 1 {
 		t.Fatalf("post-split probe: %+v", res)
 	}
@@ -366,7 +418,7 @@ func TestSplitInvalidatesCachesWarmProbeRecovers(t *testing.T) {
 	}
 	// Self-repaired: the re-learned set probes direct again.
 	before = net.Stats().MessagesSent
-	rewarm := q.LookupSync(triple.ByAV, key)
+	rewarm := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !rewarm.Complete || rewarm.Count != 1 {
 		t.Fatalf("re-warmed lookup: %+v", rewarm)
 	}
@@ -390,11 +442,11 @@ func TestWarmProbeAllocsBounded(t *testing.T) {
 			break
 		}
 	}
-	if warm := q.LookupSync(triple.ByAV, key); !warm.Complete || warm.Count != 1 {
+	if warm := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait); !warm.Complete || warm.Count != 1 {
 		t.Fatalf("warmup lookup: %+v", warm)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if res := q.LookupSync(triple.ByAV, key); !res.Complete {
+		if res := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait); !res.Complete {
 			t.Error("warm lookup incomplete")
 		}
 	})

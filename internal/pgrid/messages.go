@@ -35,7 +35,6 @@ const (
 	KindDigest      = "pgrid.digest"
 	KindDigestPull  = "pgrid.digestpull"
 	KindJoin        = "pgrid.join"
-	KindLeave       = "pgrid.leave"
 )
 
 // TotalShare is the share mass carried by a range/broadcast query;
@@ -541,22 +540,6 @@ func (a joinAck) WireSize() int {
 type memberMsg struct{ Member Ref }
 
 func (m memberMsg) WireSize() int { return m.Member.Path.Len()/8 + 10 }
-
-// leaveMsg announces a graceful departure to the sender's replica
-// group: each receiver drops the leaver from its membership and
-// applies the handed-off entries (chunked like anti-entropy pages), so
-// a write only the leaver had seen survives the departure.
-type leaveMsg struct {
-	Entries []store.Entry
-}
-
-func (l leaveMsg) WireSize() int {
-	s := 8
-	for _, e := range l.Entries {
-		s += e.WireSize()
-	}
-	return s
-}
 
 // appMsg wraps application-level payloads (mutant query plans and their
 // results). The overlay routes them like any other payload; the

@@ -694,26 +694,3 @@ func (p *Peer) SendApp(target keys.Key, payload any) {
 func (p *Peer) SendAppDirect(to simnet.NodeID, payload any) {
 	p.net.Send(p.id, to, KindApp, appMsg{Payload: payload})
 }
-
-// --- Synchronous conveniences ---------------------------------------------
-
-// defaultOpTimeout bounds synchronous waits in simulated time; generous
-// enough for any experiment topology while guaranteeing termination
-// under message loss.
-const defaultOpTimeout = 5 * time.Minute
-
-// LookupSync performs a lookup, driving the network until the response
-// arrives.
-func (p *Peer) LookupSync(kind triple.IndexKind, k keys.Key) OpResult {
-	return p.Lookup(kind, []keys.Key{k}, nil).Wait(defaultOpTimeout)
-}
-
-// RangeQuerySync performs a range query, driving the network.
-func (p *Peer) RangeQuerySync(kind triple.IndexKind, r keys.Range) OpResult {
-	return p.RangeQuery(kind, r, nil).Wait(defaultOpTimeout)
-}
-
-// InsertTripleSync inserts and waits for all three acks.
-func (p *Peer) InsertTripleSync(tr triple.Triple, version uint64) OpResult {
-	return p.InsertTripleAcked(tr, version, nil).Wait(defaultOpTimeout)
-}

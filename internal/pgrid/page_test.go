@@ -39,13 +39,13 @@ func TestPagedRangeEquivalence(t *testing.T) {
 	}
 
 	ref, _ := build(0)
-	want := entryKeys(ref[0].RangeQuerySync(triple.ByAV, triple.AVPrefixRange("age")).Entries)
+	want := entryKeys(ref[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait).Entries)
 	if len(want) == 0 {
 		t.Fatal("reference scan returned nothing")
 	}
 	for _, ps := range []int{1, 3, 7} {
 		peers, _ := build(ps)
-		res := peers[0].RangeQuerySync(triple.ByAV, triple.AVPrefixRange("age"))
+		res := peers[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait)
 		if !res.Complete {
 			t.Fatalf("PageSize=%d: shares lost, scan incomplete", ps)
 		}
@@ -82,7 +82,7 @@ func TestPagedResponseBounded(t *testing.T) {
 	}
 	write(net, peers, ts...)
 	net.ResetStats()
-	res := peers[0].RangeQuerySync(triple.ByAV, triple.AVPrefixRange("age"))
+	res := peers[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait)
 	if !res.Complete || len(res.Entries) != 30 {
 		t.Fatalf("paged fat-partition scan: complete=%v n=%d", res.Complete, len(res.Entries))
 	}
@@ -161,7 +161,7 @@ func TestMultiLookupMatchesIndividualLookups(t *testing.T) {
 	q := peers[0]
 	var want []store.Entry
 	for _, k := range ks {
-		res := q.LookupSync(triple.ByOID, k)
+		res := q.Lookup(triple.ByOID, []keys.Key{k}, nil).Wait(opWait)
 		if !res.Complete {
 			t.Fatalf("individual lookup incomplete for %s", k)
 		}

@@ -146,12 +146,11 @@ type Peer struct {
 	// snapshotted by experiment drivers).
 	stats peerCounters
 
-	// Tracing state (tracing.go), allocated only with cfg.Tracing set:
-	// tring buffers spans this peer served, traces accumulates the spans
-	// of operations this peer originated (keyed by qid, independent of
-	// the pendingOp lifetime so late riders still reconcile), spanSeq
-	// sources span ids. traceMu is innermost — never held across sends.
-	tring   *trace.SpanRing
+	// Tracing state (tracing.go): traces, allocated only with
+	// cfg.Tracing set, accumulates the spans of operations this peer
+	// originated (keyed by qid, independent of the pendingOp lifetime so
+	// late riders still reconcile); spanSeq sources span ids. traceMu is
+	// innermost — never held across sends.
 	traceMu sync.Mutex
 	traces  map[uint64][]trace.Span
 	spanSeq atomic.Uint64
@@ -388,7 +387,6 @@ func NewPeer(net Transport, cfg Config) *Peer {
 		pending:    make(map[uint64]*pendingOp),
 	}
 	if cfg.Tracing {
-		p.tring = trace.NewSpanRing(0)
 		p.traces = make(map[uint64][]trace.Span)
 	}
 	p.id = net.AddNode(p)
@@ -550,8 +548,6 @@ func (p *Peer) HandleMessage(m simnet.Message) {
 		case memberMsg:
 			p.addReplica(jm.Member)
 		}
-	case KindLeave:
-		p.handleLeave(m.Payload.(leaveMsg), m.From)
 	case KindApp:
 		a := m.Payload.(appMsg)
 		if h := p.appHandler(); h != nil {
@@ -573,13 +569,13 @@ func (p *Peer) deliver(env routeEnvelope, from simnet.NodeID, size int) {
 	case lookupReq:
 		ws := p.beginSpan(inner.TC, trace.OpLookup, env.Hops, env.Hops*size)
 		p.serveKeys(inner.QID, inner.Origin, inner.Kind, []keys.Key{inner.Key}, inner.Agg,
-			env.Hops+env.Spent, ws, inner.TC.TraceID)
+			env.Hops+env.Spent, ws)
 	case pageReq:
 		// A routed page pull: the churn re-shower resumes a dead
 		// server's paged stream at its cursor through whichever replica
 		// of the partition routing reaches.
 		ws := p.beginSpan(inner.TC, trace.OpPage, env.Hops, env.Hops*size)
-		p.servePage(inner.QID, inner.Origin, inner.Cont, inner.WinBytes, ws, inner.TC.TraceID)
+		p.servePage(inner.QID, inner.Origin, inner.Cont, inner.WinBytes, ws)
 	case appMsg:
 		if h := p.appHandler(); h != nil {
 			h(p, inner.Payload, from, env.Hops)
@@ -601,7 +597,7 @@ func (p *Peer) applyInsert(req insertReq, hops int, from simnet.NodeID, size int
 	p.net.Send(p.id, req.Origin, KindAck, ackMsg{
 		QID: req.QID, Hops: hops, Seq: req.Seq,
 		WinBytes: wb, WinMsgs: wm,
-		TS: p.finishSpan(ws, req.TC.TraceID, rows),
+		TS: p.finishSpan(ws, rows),
 	})
 }
 

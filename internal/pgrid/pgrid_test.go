@@ -12,6 +12,9 @@ import (
 	"unistore/internal/triple"
 )
 
+// opWait bounds the tests' synchronous operations in simulated time.
+const opWait = 5 * time.Minute
+
 func newNet(seed int64) *simnet.Network {
 	return simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: seed})
 }
@@ -59,12 +62,12 @@ func TestRoutingReachesResponsiblePeer(t *testing.T) {
 	// Insert from an arbitrary peer, then look up from every peer.
 	origin := peers[7]
 	tr := triple.T("a12", "confname", "ICDE 2006 - Workshops")
-	res := origin.InsertTripleSync(tr, 1)
+	res := origin.InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	if !res.Complete {
 		t.Fatal("insert did not complete")
 	}
 	for _, p := range peers {
-		got := p.LookupSync(triple.ByAV, triple.AVKey("confname", triple.S("ICDE 2006 - Workshops")))
+		got := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("confname", triple.S("ICDE 2006 - Workshops"))}, nil).Wait(opWait)
 		if !got.Complete || len(got.Entries) != 1 || !got.Entries[0].Triple.Equal(tr) {
 			t.Fatalf("lookup from peer %d failed: %+v", p.ID(), got)
 		}
@@ -106,11 +109,11 @@ func TestRoutingHopsLogarithmic(t *testing.T) {
 		net := newNet(5)
 		peers := BuildBalanced(net, n, 1, DefaultConfig())
 		tr := triple.T("x", "year", "2006")
-		peers[0].InsertTripleSync(tr, 1)
+		peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 		depth := int(math.Ceil(math.Log2(float64(n))))
 		sumHops, count := 0, 0
 		for _, p := range peers {
-			res := p.LookupSync(triple.ByAV, triple.AVKey("year", triple.S("2006")))
+			res := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("year", triple.S("2006"))}, nil).Wait(opWait)
 			if !res.Complete {
 				t.Fatalf("n=%d: lookup incomplete", n)
 			}
@@ -136,7 +139,7 @@ func TestRangeQueryShower(t *testing.T) {
 	}
 	write(net, peers, ts...)
 	lo, hi := triple.N(1995), triple.N(2000)
-	res := peers[3].RangeQuerySync(triple.ByAV, triple.AVRange("year", lo, &hi))
+	res := peers[3].RangeQuery(triple.ByAV, triple.AVRange("year", lo, &hi), nil).Wait(opWait)
 	if !res.Complete {
 		t.Fatal("range query incomplete")
 	}
@@ -158,11 +161,11 @@ func TestRangeQueryUnboundedAndEmpty(t *testing.T) {
 		ts = append(ts, triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)))
 	}
 	write(net, peers[:1], ts...)
-	res := peers[1].RangeQuerySync(triple.ByAV, triple.AVRange("year", triple.N(2003), nil))
+	res := peers[1].RangeQuery(triple.ByAV, triple.AVRange("year", triple.N(2003), nil), nil).Wait(opWait)
 	if len(res.Entries) != 3 {
 		t.Fatalf("year >= 2003 returned %d, want 3", len(res.Entries))
 	}
-	res = peers[1].RangeQuerySync(triple.ByAV, triple.AVRange("year", triple.N(2050), nil))
+	res = peers[1].RangeQuery(triple.ByAV, triple.AVRange("year", triple.N(2050), nil), nil).Wait(opWait)
 	if !res.Complete || len(res.Entries) != 0 {
 		t.Fatalf("empty range: complete=%v n=%d", res.Complete, len(res.Entries))
 	}
@@ -192,7 +195,7 @@ func TestReplicationAndFailover(t *testing.T) {
 	net := newNet(10)
 	peers := BuildBalanced(net, 8, 3, DefaultConfig()) // 8 partitions × 3 replicas
 	tr := triple.T("a12", "title", "Similarity...")
-	peers[0].InsertTripleSync(tr, 1)
+	peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	net.Run() // drain replica pushes
 	// Count replicas holding the A#v entry.
 	key := triple.AVKey("title", triple.S("Similarity..."))
@@ -212,7 +215,7 @@ func TestReplicationAndFailover(t *testing.T) {
 	ok := 0
 	for _, p := range peers {
 		if net.Alive(p.ID()) {
-			res := p.LookupSync(triple.ByAV, key)
+			res := p.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 			if res.Complete && len(res.Entries) == 1 {
 				ok++
 			}
@@ -227,9 +230,9 @@ func TestUpdatePropagationToReplicas(t *testing.T) {
 	net := newNet(11)
 	peers := BuildBalanced(net, 4, 3, DefaultConfig())
 	tr := triple.T("p1", "phone", "111")
-	peers[0].InsertTripleSync(tr, 1)
+	peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	net.Run()
-	peers[3].InsertTripleSync(triple.T("p1", "phone", "222"), 2)
+	peers[3].InsertTripleAcked(triple.T("p1", "phone", "222"), 2, nil).Wait(opWait)
 	net.Run()
 	key := triple.AVKey("phone", triple.S("222"))
 	holders := 0
@@ -264,7 +267,7 @@ func TestAntiEntropyConvergenceAfterPartition(t *testing.T) {
 	}
 	// One replica is down during the write.
 	net.Kill(group[0].ID())
-	peers[0].InsertTripleSync(tr, 5)
+	peers[0].InsertTripleAcked(tr, 5, nil).Wait(opWait)
 	net.RunFor(1 * time.Second)
 	if len(group[0].Store().Lookup(triple.ByAV, key)) != 0 {
 		t.Fatal("dead replica received the write")
@@ -281,7 +284,7 @@ func TestDeleteTombstonePropagates(t *testing.T) {
 	net := newNet(13)
 	peers := BuildBalanced(net, 8, 1, DefaultConfig())
 	tr := triple.T("doomed", "name", "x")
-	peers[0].InsertTripleSync(tr, 1)
+	peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	dead := triple.Triple{OID: "doomed", Attr: "name"}
 	var es []store.Entry
 	for _, kind := range triple.AllIndexKinds {
@@ -291,7 +294,7 @@ func TestDeleteTombstonePropagates(t *testing.T) {
 	if res := peers[2].Write(es, nil).Wait(0); !res.Complete {
 		t.Fatal("tombstone write not acked")
 	}
-	res := peers[4].LookupSync(triple.ByAV, triple.AVKey("name", triple.S("x")))
+	res := peers[4].Lookup(triple.ByAV, []keys.Key{triple.AVKey("name", triple.S("x"))}, nil).Wait(opWait)
 	if len(res.Entries) != 0 {
 		t.Errorf("deleted fact still visible: %v", res.Entries)
 	}
@@ -319,13 +322,13 @@ func TestBootstrapConvergence(t *testing.T) {
 	}
 	// Routing must work on the bootstrapped trie.
 	tr := triple.T("boot", "name", "strapped")
-	res := peers[0].InsertTripleSync(tr, 1)
+	res := peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	if !res.Complete {
 		t.Fatal("insert on bootstrapped trie failed")
 	}
 	okCount := 0
 	for _, p := range peers {
-		got := p.LookupSync(triple.ByAV, triple.AVKey("name", triple.S("strapped")))
+		got := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("name", triple.S("strapped"))}, nil).Wait(opWait)
 		if got.Complete && len(got.Entries) == 1 {
 			okCount++
 		}
@@ -340,18 +343,18 @@ func TestMergeTwoOverlays(t *testing.T) {
 	a := BuildBalanced(net, 8, 1, DefaultConfig())
 	b := BuildBalanced(net, 8, 1, DefaultConfig())
 	// Each overlay holds distinct data.
-	a[0].InsertTripleSync(triple.T("fromA", "name", "alice"), 1)
-	b[0].InsertTripleSync(triple.T("fromB", "name", "bob"), 1)
+	a[0].InsertTripleAcked(triple.T("fromA", "name", "alice"), 1, nil).Wait(opWait)
+	b[0].InsertTripleAcked(triple.T("fromB", "name", "bob"), 1, nil).Wait(opWait)
 	net.Run()
 	RunMerge(net, a, b, 6)
 	// After merging, peers from A must find B's data and vice versa.
 	all := append(append([]*Peer(nil), a...), b...)
 	okA, okB := 0, 0
 	for _, p := range all {
-		if r := p.LookupSync(triple.ByAV, triple.AVKey("name", triple.S("bob"))); r.Complete && len(r.Entries) >= 1 {
+		if r := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("name", triple.S("bob"))}, nil).Wait(opWait); r.Complete && len(r.Entries) >= 1 {
 			okA++
 		}
-		if r := p.LookupSync(triple.ByAV, triple.AVKey("name", triple.S("alice"))); r.Complete && len(r.Entries) >= 1 {
+		if r := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("name", triple.S("alice"))}, nil).Wait(opWait); r.Complete && len(r.Entries) >= 1 {
 			okB++
 		}
 	}
@@ -432,7 +435,7 @@ func TestChurnLookupsSurvive(t *testing.T) {
 			continue
 		}
 		tried++
-		res := p.LookupSync(triple.ByAV, triple.AVKey("age", triple.N(7)))
+		res := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("age", triple.N(7))}, nil).Wait(opWait)
 		if res.Complete && len(res.Entries) == 1 {
 			ok++
 		}
@@ -515,15 +518,15 @@ func TestSinglePeerOverlay(t *testing.T) {
 	peers := BuildBalanced(net, 1, 1, DefaultConfig())
 	p := peers[0]
 	tr := triple.T("solo", "name", "only")
-	res := p.InsertTripleSync(tr, 1)
+	res := p.InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	if !res.Complete {
 		t.Fatal("single-peer insert failed")
 	}
-	got := p.LookupSync(triple.ByAV, triple.AVKey("name", triple.S("only")))
+	got := p.Lookup(triple.ByAV, []keys.Key{triple.AVKey("name", triple.S("only"))}, nil).Wait(opWait)
 	if len(got.Entries) != 1 {
 		t.Fatal("single-peer lookup failed")
 	}
-	rng := p.RangeQuerySync(triple.ByAV, triple.AVPrefixRange("name"))
+	rng := p.RangeQuery(triple.ByAV, triple.AVPrefixRange("name"), nil).Wait(opWait)
 	if !rng.Complete || len(rng.Entries) != 1 {
 		t.Fatal("single-peer range failed")
 	}
@@ -532,11 +535,11 @@ func TestSinglePeerOverlay(t *testing.T) {
 func BenchmarkLookup64(b *testing.B) {
 	net := newNet(22)
 	peers := BuildBalanced(net, 64, 1, DefaultConfig())
-	peers[0].InsertTripleSync(triple.T("x", "year", "2006"), 1)
+	peers[0].InsertTripleAcked(triple.T("x", "year", "2006"), 1, nil).Wait(opWait)
 	key := triple.AVKey("year", triple.S("2006"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		peers[i%64].LookupSync(triple.ByAV, key)
+		peers[i%64].Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	}
 }
 
@@ -552,6 +555,6 @@ func BenchmarkRangeQuery64(b *testing.B) {
 	r := triple.AVRange("year", lo, &hi)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		peers[i%64].RangeQuerySync(triple.ByAV, r)
+		peers[i%64].RangeQuery(triple.ByAV, r, nil).Wait(opWait)
 	}
 }

@@ -71,7 +71,7 @@ func (p *Peer) dispatchProbes(qid uint64, op *pendingOp, kind uint8, ks []keys.K
 		// charged when the origin absorbs its rider.
 		p.stats.delivered.Add(int64(len(local)))
 		ws := p.beginSpan(tc, trace.OpMultiLookup, 0, 0)
-		p.serveKeys(qid, p.id, kind, local, op.aggSpec, 0, ws, tc.TraceID)
+		p.serveKeys(qid, p.id, kind, local, op.aggSpec, 0, ws)
 	}
 	for _, g := range groups {
 		p.sendProbeGroup(qid, op, kind, g.ks, g.path, nil, 0, tc)
@@ -90,7 +90,7 @@ func (p *Peer) dispatchProbes(qid uint64, op *pendingOp, kind uint8, ks []keys.K
 // the span it opened and the hops its request travelled. An empty ks
 // is the trace-only answer of a traced batch whose keys all re-routed:
 // no ProbeKeys, hence no completion signal.
-func (p *Peer) serveKeys(qid uint64, origin simnet.NodeID, kind uint8, ks []keys.Key, spec *agg.Spec, hops int, ws *trace.WireSpan, traceID uint64) {
+func (p *Peer) serveKeys(qid uint64, origin simnet.NodeID, kind uint8, ks []keys.Key, spec *agg.Spec, hops int, ws *trace.WireSpan) {
 	resp := queryResp{QID: qid, Hops: hops, ProbeKeys: ks}
 	p.stampResp(&resp)
 	var entries []store.Entry
@@ -103,7 +103,7 @@ func (p *Peer) serveKeys(qid uint64, origin simnet.NodeID, kind uint8, ks []keys
 		resp.Entries = entries
 		resp.Count = len(entries)
 	}
-	resp.TS = p.finishSpan(ws, traceID, resp.Count)
+	resp.TS = p.finishSpan(ws, resp.Count)
 	p.net.Send(p.id, origin, KindResponse, resp)
 }
 

@@ -45,12 +45,12 @@ func TestProbeHedgesToSiblingReplica(t *testing.T) {
 	net, peers := loadReplicated(61, 16, 2, 32, DefaultConfig())
 	q := peers[0]
 	key := triple.AVKey("age", triple.N(9))
-	cold := q.LookupSync(triple.ByAV, key)
+	cold := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !cold.Complete || len(cold.Entries) != 1 {
 		t.Fatalf("cold lookup: %+v", cold)
 	}
-	if q.RouteCacheOwners(key) < 2 {
-		t.Fatalf("owner set not learned: %d", q.RouteCacheOwners(key))
+	if q.routeCacheOwners(key) < 2 {
+		t.Fatalf("owner set not learned: %d", q.routeCacheOwners(key))
 	}
 	// Issue the warm probe and kill its target while the request is in
 	// flight: the request is dropped at delivery, so only the hedge
@@ -172,7 +172,7 @@ func TestMultiLookupFailoverExactCompletion(t *testing.T) {
 	}
 	// Warm the owner sets for every key.
 	for _, k := range ks {
-		if res := q.LookupSync(triple.ByAV, k); !res.Complete || len(res.Entries) != 1 {
+		if res := q.Lookup(triple.ByAV, []keys.Key{k}, nil).Wait(opWait); !res.Complete || len(res.Entries) != 1 {
 			t.Fatalf("warmup %s: %+v", k, res)
 		}
 	}
@@ -426,7 +426,7 @@ func TestForwardHopUsesOwnCache(t *testing.T) {
 	if hop.Responsible(key) {
 		t.Skip("first hop is already the owner; no intermediate leg to test")
 	}
-	if res := hop.LookupSync(triple.ByAV, key); !res.Complete {
+	if res := hop.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait); !res.Complete {
 		t.Fatalf("warming hop cache: %+v", res)
 	}
 	q.mu.Lock()
@@ -434,7 +434,7 @@ func TestForwardHopUsesOwnCache(t *testing.T) {
 	q.mu.Unlock()
 
 	fwdBefore := hop.Stats().RouteCacheFwdHits
-	res := q.LookupSync(triple.ByAV, key)
+	res := q.Lookup(triple.ByAV, []keys.Key{key}, nil).Wait(opWait)
 	if !res.Complete || len(res.Entries) != 1 {
 		t.Fatalf("routed lookup: %+v", res)
 	}
@@ -551,7 +551,7 @@ func TestDescPagedScanStreamsInOrder(t *testing.T) {
 	q := peers[0]
 	r := triple.AVPrefixRange("age")
 
-	asc := q.RangeQuerySync(triple.ByAV, r)
+	asc := q.RangeQuery(triple.ByAV, r, nil).Wait(opWait)
 	if !asc.Complete || asc.Count != 30 {
 		t.Fatalf("ascending scan: %+v", asc)
 	}

@@ -302,7 +302,7 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 			Kind: msg.Kind, R: r, Share: share,
 			PageSize: msg.PageSize, Hops: msg.Hops, Agg: msg.Agg,
 			StreamPath: path,
-		}, msg.WinBytes, ws, msg.TC.TraceID)
+		}, msg.WinBytes, ws)
 		return
 	}
 	if msg.PageSize > 0 {
@@ -310,7 +310,7 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 			Kind: msg.Kind, R: r, Share: share,
 			PageSize: msg.PageSize, Hops: msg.Hops, Desc: msg.Desc,
 			StreamPath: path,
-		}, msg.WinBytes, ws, msg.TC.TraceID)
+		}, msg.WinBytes, ws)
 		return
 	}
 	resp := queryResp{QID: msg.QID, Share: share, Hops: msg.Hops, Final: true}
@@ -324,7 +324,7 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 		return true
 	})
 	resp.Count = len(resp.Entries)
-	resp.TS = p.finishSpan(ws, msg.TC.TraceID, resp.Count)
+	resp.TS = p.finishSpan(ws, resp.Count)
 	p.net.Send(p.id, msg.Origin, KindResponse, resp)
 }
 
@@ -344,7 +344,7 @@ func (p *Peer) serveRange(msg rangeMsg, share int64, ws *trace.WireSpan) {
 // so PageSize is a CAP and the receiver's window sets the effective
 // page. A window smaller than one entry still ships one — progress
 // over precision, the receiver asked for data after all.
-func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winBytes int, ws *trace.WireSpan, traceID uint64) {
+func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winBytes int, ws *trace.WireSpan) {
 	// Reconcile the stream with the server's current partition first: a
 	// split deepens and clips it, a merge keeps it, an unrelated move
 	// drops the pull (the origin's hedge finds a live replica).
@@ -352,11 +352,11 @@ func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winByt
 		return
 	}
 	if cont.Agg != nil {
-		p.serveAggPage(qid, origin, cont, winBytes, ws, traceID)
+		p.serveAggPage(qid, origin, cont, winBytes, ws)
 		return
 	}
 	if cont.Desc {
-		p.servePageDesc(qid, origin, cont, winBytes, ws, traceID)
+		p.servePageDesc(qid, origin, cont, winBytes, ws)
 		return
 	}
 	p.stats.pagesServed.Add(1)
@@ -403,7 +403,7 @@ func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winByt
 		resp.Share = cont.Share
 		resp.Final = true
 	}
-	resp.TS = p.finishSpan(ws, traceID, resp.Count)
+	resp.TS = p.finishSpan(ws, resp.Count)
 	p.net.Send(p.id, origin, KindResponse, resp)
 }
 
@@ -415,7 +415,7 @@ func (p *Peer) servePage(qid uint64, origin simnet.NodeID, cont pageCont, winByt
 // token stays stateless and key-aligned, so any replica of the
 // partition can serve the next page without duplicating or dropping
 // rows. winBytes caps the page payload exactly as in servePage.
-func (p *Peer) servePageDesc(qid uint64, origin simnet.NodeID, cont pageCont, winBytes int, ws *trace.WireSpan, traceID uint64) {
+func (p *Peer) servePageDesc(qid uint64, origin simnet.NodeID, cont pageCont, winBytes int, ws *trace.WireSpan) {
 	p.stats.pagesServed.Add(1)
 	resp := queryResp{QID: qid, Hops: cont.Hops}
 	p.stampResp(&resp)
@@ -469,7 +469,7 @@ func (p *Peer) servePageDesc(qid uint64, origin simnet.NodeID, cont pageCont, wi
 		resp.Share = cont.Share
 		resp.Final = true
 	}
-	resp.TS = p.finishSpan(ws, traceID, resp.Count)
+	resp.TS = p.finishSpan(ws, resp.Count)
 	p.net.Send(p.id, origin, KindResponse, resp)
 }
 
@@ -479,7 +479,7 @@ func (p *Peer) servePageDesc(qid uint64, origin simnet.NodeID, cont pageCont, wi
 func (p *Peer) handlePage(req pageReq, size int) {
 	p.runFlow(p.flow.window(req.Origin, req.WinBytes, req.WinMsgs))
 	ws := p.beginSpan(req.TC, trace.OpPage, 1, size)
-	p.servePage(req.QID, req.Origin, req.Cont, req.WinBytes, ws, req.TC.TraceID)
+	p.servePage(req.QID, req.Origin, req.Cont, req.WinBytes, ws)
 }
 
 // handleMultiLookup answers a batch of exact-key probes in one
@@ -508,5 +508,5 @@ func (p *Peer) handleMultiLookup(req multiLookupReq, size int) {
 	}
 	// A traced batch that covered none of its keys still answers: the
 	// span must reach home or the re-routed lookups' spans would orphan.
-	p.serveKeys(req.QID, req.Origin, req.Kind, owned, req.Agg, 1, ws, req.TC.TraceID)
+	p.serveKeys(req.QID, req.Origin, req.Kind, owned, req.Agg, 1, ws)
 }

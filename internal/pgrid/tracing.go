@@ -39,19 +39,14 @@ func (p *Peer) beginSpan(tc trace.Ctx, op uint8, msgsIn, bytesIn int) *trace.Wir
 	}
 }
 
-// finishSpan stamps the reply instant and row count, buffers the span
-// in the peer's ring, and returns it for piggybacking on the response.
-func (p *Peer) finishSpan(ws *trace.WireSpan, traceID uint64, rows int) *trace.WireSpan {
+// finishSpan stamps the reply instant and row count and returns the
+// span for piggybacking on the response.
+func (p *Peer) finishSpan(ws *trace.WireSpan, rows int) *trace.WireSpan {
 	if ws == nil {
 		return nil
 	}
 	ws.Rows = int32(rows)
 	ws.Rep = int64(p.net.Now())
-	if p.tring != nil {
-		// The ring's copy cannot know the response cost yet; the
-		// origin-side copy carries it.
-		p.tring.Add(ws.Span(traceID, 0, 0))
-	}
 	return ws
 }
 
@@ -142,10 +137,6 @@ func (p *Peer) peekTrace(qid uint64) []trace.Span {
 	}
 	return append([]trace.Span(nil), tr...)
 }
-
-// SpanRing exposes the peer's bounded buffer of served spans (nil with
-// tracing off) — the raw material of daemon diagnostics.
-func (p *Peer) SpanRing() *trace.SpanRing { return p.tring }
 
 // TracingEnabled reports whether this peer records spans and honors
 // WithTrace contexts on the operations it originates.

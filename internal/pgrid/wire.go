@@ -31,7 +31,7 @@ var wireTypes = []any{
 	routeEnvelope{}, insertReq{}, lookupReq{}, multiLookupReq{}, rangeMsg{},
 	pageReq{}, queryResp{}, ackMsg{}, gossipMsg{}, gossipAckMsg{},
 	antiEntropyMsg{}, digestMsg{}, digestPullMsg{}, exchangeMsg{}, xferMsg{},
-	appMsg{}, joinReq{}, joinAck{}, memberMsg{}, leaveMsg{},
+	appMsg{}, joinReq{}, joinAck{}, memberMsg{},
 }
 
 func init() {

@@ -56,7 +56,6 @@ func samplePayloads() []any {
 		appMsg{Payload: xferMsg{Entries: []store.Entry{e}}, Hops: 2},
 		gossipAckMsg{ID: 11, WinBytes: 4096, WinMsgs: 8},
 		memberMsg{Member: Ref{ID: 3, Path: k}},
-		leaveMsg{Entries: []store.Entry{e}},
 	}
 }
 

@@ -14,9 +14,6 @@ import (
 	"unistore/internal/trace"
 )
 
-// Traced reports whether this execution records spans.
-func (ex *Exec) Traced() bool { return ex.tc.Active() }
-
 // recordTraceQID remembers a traced overlay operation's qid so span
 // collection can drain its accumulator from the peer.
 func (ex *Exec) recordTraceQID(qid uint64) {

@@ -194,7 +194,7 @@ type Network struct {
 	// yet fully handled (scheduled deliveries plus, in concurrent mode,
 	// the node's inbox). Replica choosers read it through Load as the
 	// "least loaded of two" signal. loadBytes is the same backlog in
-	// wire bytes, so payload pressure is visible, not just frame count.
+	// wire bytes; its peak per node is Stats.MaxInflightBytes.
 	load      map[NodeID]int
 	loadBytes map[NodeID]int
 
@@ -492,14 +492,6 @@ func (n *Network) Load(id NodeID) int {
 	return n.load[id]
 }
 
-// LoadBytes reports the same backlog in wire bytes — the payload
-// pressure toward a node, which frame counts alone understate.
-func (n *Network) LoadBytes(id NodeID) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.loadBytes[id]
-}
-
 // SetServiceDelay throttles a node to a fixed per-message service time:
 // every message addressed to it is handled d after both its network
 // arrival and the completion of the previous message's service —
@@ -568,15 +560,15 @@ func (n *Network) Settle() int {
 	}
 	n.mu.Unlock()
 	c := 0
-	for n.Inflight() > 0 && n.Step() {
+	for n.inflightNow() > 0 && n.Step() {
 		c++
 	}
 	return c
 }
 
-// Inflight returns the number of messages sent but not yet delivered
+// inflightNow returns the number of messages sent but not yet delivered
 // (or, in concurrent mode, not yet fully handled).
-func (n *Network) Inflight() int {
+func (n *Network) inflightNow() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.inflight

@@ -342,46 +342,6 @@ func (t *QueryTrace) String() string {
 	return sb.String()
 }
 
-// SpanRing is a peer's bounded buffer of completed spans: cheap to
-// append under load, snapshotable for diagnostics.
-type SpanRing struct {
-	mu   sync.Mutex
-	buf  []Span
-	next int
-	full bool
-}
-
-// NewSpanRing returns a ring holding the most recent `capacity` spans.
-func NewSpanRing(capacity int) *SpanRing {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &SpanRing{buf: make([]Span, capacity)}
-}
-
-// Add records one span, overwriting the oldest when full.
-func (r *SpanRing) Add(s Span) {
-	r.mu.Lock()
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % len(r.buf)
-	if r.next == 0 {
-		r.full = true
-	}
-	r.mu.Unlock()
-}
-
-// Snapshot returns the buffered spans, oldest first.
-func (r *SpanRing) Snapshot() []Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Span
-	if r.full {
-		out = append(out, r.buf[r.next:]...)
-	}
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
 // TraceLog is the daemon's bounded buffer of recently completed query
 // traces, served by /trace/recent.
 type TraceLog struct {

@@ -115,20 +115,6 @@ func TestTraceStringMarksFlagsAndCosts(t *testing.T) {
 	}
 }
 
-func TestSpanRingWraps(t *testing.T) {
-	r := NewSpanRing(4)
-	for i := 0; i < 6; i++ {
-		r.Add(Span{ID: uint64(i + 1)})
-	}
-	got := r.Snapshot()
-	if len(got) != 4 {
-		t.Fatalf("ring held %d spans, want 4", len(got))
-	}
-	if got[0].ID != 3 || got[3].ID != 6 {
-		t.Fatalf("ring must keep the most recent spans oldest-first: %v", got)
-	}
-}
-
 func TestTraceLogNewestFirst(t *testing.T) {
 	l := NewTraceLog(2)
 	l.Add(nil) // ignored

@@ -326,7 +326,7 @@ func BenchmarkTopKStreaming(b *testing.B) {
 // metric is the headline; TestMessageBudgetIndexJoinWarm gates it
 // against the cold first run.
 func BenchmarkIndexJoinWarmCache(b *testing.B) {
-	c := benchscen.IndexJoin()
+	c, _ := benchscen.IndexJoin()
 	plan, err := benchscen.IndexJoinPlan()
 	if err != nil {
 		b.Fatal(err)

@@ -33,6 +33,10 @@ const (
 	ScanQuery      = `SELECT ?n WHERE {(?p,'name',?n)}`
 	// ScanPageSize is the page bound of the paged full-scan scenario.
 	ScanPageSize = 8
+	// StarJoinQuery is a three-pattern star over IndexJoin's dataset:
+	// an exact lookup of a unique value binds the one subject the
+	// other two patterns join on.
+	StarJoinQuery = `SELECT ?n,?a WHERE {(?p,'email','p7@example.org') (?p,'name',?n) (?p,'age',?a)}`
 )
 
 // TopK builds the ranked top-5 scenario: deterministic 64-peer
@@ -52,7 +56,8 @@ func TopK() *core.Cluster {
 // one or two partitions and overstate the cache win), 60 persons
 // loaded. The first run on a fresh cluster is the cold baseline: every
 // probe pays the routed path while the caches learn the partition map.
-func IndexJoin() *core.Cluster {
+// The dataset is returned for reference-equivalence checks.
+func IndexJoin() (*core.Cluster, []triple.Triple) {
 	ds := workload.Generate(workload.Options{Seed: 9, Persons: 60})
 	var samples []keys.Key
 	for _, tr := range ds.Triples {
@@ -64,7 +69,7 @@ func IndexJoin() *core.Cluster {
 		Peers: Peers, Seed: 8, AdaptiveSamples: samples,
 	})
 	c.BulkInsert(ds.Triples...)
-	return c
+	return c, ds.Triples
 }
 
 // IndexJoinPlan compiles the two-pattern join with the second step
@@ -81,6 +86,23 @@ func IndexJoinPlan() (*physical.Plan, error) {
 		return nil, fmt.Errorf("benchscen: %w", err)
 	}
 	plan.Steps[1].Strat = physical.StratOIDLookup
+	return plan, nil
+}
+
+// StarJoinPlan compiles StarJoinQuery with both subject-bound steps
+// pinned to strat: StratOIDLookup probes each bound subject, while
+// StratAVRange ships the plan to the attribute's region and scans it,
+// as the default optimizer does for a region step with at most
+// ShipThreshold bindings upstream.
+func StarJoinPlan(strat physical.AccessStrategy) (*physical.Plan, error) {
+	plan, err := physical.CompileQuery(mustParse(StarJoinQuery))
+	if err != nil {
+		return nil, fmt.Errorf("benchscen: %w", err)
+	}
+	for i := 1; i < len(plan.Steps); i++ {
+		plan.Steps[i].Strat = strat
+		plan.Steps[i].Ship = strat == physical.StratAVRange
+	}
 	return plan, nil
 }
 

@@ -95,6 +95,7 @@ func TestNodeMatchesSimnetCluster(t *testing.T) {
 		`SELECT ?conf, count(*) AS ?cnt WHERE {(?u,'published_in',?conf)} GROUP BY ?conf`,
 		`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 5`,
 		`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n DESC LIMIT 5`,
+		`SELECT ?n,?a WHERE {(?p,'email','p3@example.org') (?p,'name',?n) (?p,'age',?a)}`,
 	}
 	for _, q := range queries {
 		want, err := ref.Query(q)

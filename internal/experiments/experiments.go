@@ -143,6 +143,7 @@ func E4PlanVariants(scale Scale) *trace.Series {
 		{"optimizer off (compiled order)", optimizer.Options{Disabled: true}},
 		{"force broadcast", optimizer.Options{Mode: optimizer.ModeFetch, ForceStrategy: physical.StratBroadcast}},
 		{"force av-range", optimizer.Options{Mode: optimizer.ModeFetch, ForceStrategy: physical.StratAVRange}},
+		{"force oid-lookup", optimizer.Options{Mode: optimizer.ModeFetch, ForceStrategy: physical.StratOIDLookup}},
 		{"mutant ship mode", optimizer.Options{Mode: optimizer.ModeShip}},
 	}
 	for _, v := range variants {

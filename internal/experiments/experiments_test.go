@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"unistore/internal/trace"
 )
 
 // The experiments are validated at reduced scale: each must run, and
@@ -62,6 +65,13 @@ func TestE4VariantsDiffer(t *testing.T) {
 	for _, r := range results[1:] {
 		if r != results[0] {
 			t.Fatalf("plan variants disagree on results: %v", results)
+		}
+	}
+	// The optimizer is no worse than the best forced plan.
+	auto, _ := strconv.Atoi(msgs["optimizer on (auto)"])
+	for name, m := range msgs {
+		if n, _ := strconv.Atoi(m); strings.HasPrefix(name, "force ") && n < auto {
+			t.Errorf("optimizer on sent %d messages, %s only %d", auto, name, n)
 		}
 	}
 }
@@ -167,5 +177,62 @@ func TestE12PaperQueryValid(t *testing.T) {
 	n, _ := strconv.Atoi(row[1])
 	if n <= 0 {
 		t.Errorf("paper query returned no results: %v", row)
+	}
+}
+
+// messageCells collects a table's message counts from every column
+// that counts messages, keyed "r<row index>:<first cell> / <column>"
+// (scaled-down tables can repeat a first cell).
+func messageCells(tab *trace.Series) map[string]int {
+	out := map[string]int{}
+	for r, row := range tab.Rows() {
+		for i, col := range tab.Columns {
+			if !strings.Contains(col, "msgs") && !strings.Contains(col, "messages") {
+				continue
+			}
+			if n, err := strconv.Atoi(row[i]); err == nil {
+				out[fmt.Sprintf("r%d:%s / %s", r, row[0], col)] = n
+			}
+		}
+	}
+	return out
+}
+
+// TestExperimentMessageCeilings pins the message counts of the
+// experiments whose queries join (at the scales the tests above use)
+// at their measured values: an access-path choice that looks cheap
+// to the cost model but costs more on the overlay, such as probing
+// every binding's subject through cold routing caches, fails here.
+func TestExperimentMessageCeilings(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		tab      *trace.Series
+		ceilings map[string]int
+	}{
+		{"E3", E3QueryLatency(0.25), map[string]int{
+			"r0:50 / messages": 10, "r1:100 / messages": 14,
+			"r2:200 / messages": 2, "r3:100 / messages": 14,
+		}},
+		{"E4", E4PlanVariants(0.5), map[string]int{"r0:optimizer on (auto) / messages": 7}},
+		{"E7", E7Skyline(0.25), map[string]int{
+			"r0:100 / sky msgs": 15, "r0:100 / top10 msgs": 14, "r0:100 / orderby msgs": 14,
+			"r1:100 / sky msgs": 15, "r1:100 / top10 msgs": 14, "r1:100 / orderby msgs": 14,
+		}},
+		{"E10", E10Mappings(0.5), map[string]int{
+			"r0:without mappings / messages": 5, "r1:with mappings (automatic) / messages": 12,
+		}},
+		{"E12", E12PaperQuery(0.25), map[string]int{"r0:16 / messages": 14}},
+	} {
+		got := messageCells(tc.tab)
+		for cell, ceiling := range tc.ceilings {
+			n, ok := got[cell]
+			if !ok {
+				t.Errorf("%s: no cell %q in %v", tc.name, cell, got)
+				continue
+			}
+			if n > ceiling {
+				t.Errorf("%s %s: %d messages, ceiling %d", tc.name, cell, n, ceiling)
+			}
+		}
 	}
 }

@@ -15,6 +15,7 @@ package optimizer
 
 import (
 	"math"
+	"slices"
 
 	"unistore/internal/cost"
 	"unistore/internal/pgrid"
@@ -121,7 +122,7 @@ func (o *Optimizer) EstimatePlan(p *physical.Plan) cost.Estimate {
 		if i == len(p.Steps)-1 {
 			stepLimit = limit
 		}
-		est := o.estimate(st.Strat, st, card, len(st.JoinOn) > 0).ScaledToLimit(stepLimit)
+		est := o.estimate(st.Strat, st, card).ScaledToLimit(stepLimit)
 		if i == 0 {
 			total = est
 		} else {
@@ -155,14 +156,14 @@ func (o *Optimizer) chooseAggStrategy(p *physical.Plan) {
 		return
 	}
 	st := p.Steps[0]
-	est := o.estimate(st.Strat, st, 1, false)
+	est := o.estimate(st.Strat, st, 1)
 	rows := math.Max(est.Results, 1)
 	groups := math.Max(rows*cost.GroupShare, 1)
 	attr := ""
 	if !st.Pat.A.IsVar() {
 		attr = st.Pat.A.Val.Str
 	}
-	frac := float64(o.Stats.AttrCount(attr)) / math.Max(float64(o.Stats.TotalTriples), 1)
+	frac := o.regionFraction(attr)
 	if st.Strat == physical.StratBroadcast {
 		frac = 1
 	}
@@ -229,7 +230,7 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 		out := make([]physical.Step, len(steps))
 		copy(out, steps)
 		for i := range out {
-			out[i].Strat = o.chooseStrategy(out[i], i > 0 || prevCard > 0, 0)
+			out[i].Strat = o.chooseStrategy(out[i], 1, 0)
 			out[i].Ship = false
 		}
 		return out
@@ -275,12 +276,13 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 		bestIdx, bestCost := -1, math.Inf(1)
 		var bestEst cost.Estimate
 		for _, ri := range remaining {
-			st := physical.Step{Pat: pool[ri].pat, Sims: simsFor(pool[ri].pat, allSims, usedSims)}
-			strat := o.chooseStrategy(st, len(out) > 0, stepLimit)
-			est := o.estimate(strat, st, card, connected(pool[ri].pat, bound)).ScaledToLimit(stepLimit)
+			pat := pool[ri].pat
+			st := physical.Step{Pat: pat, JoinOn: joinVars(pat, bound), Sims: simsFor(pat, allSims, usedSims)}
+			strat := o.chooseStrategy(st, card, stepLimit)
+			est := o.estimate(strat, st, card).ScaledToLimit(stepLimit)
 			// Prefer connected, cheap, selective steps.
-			c := est.Messages + est.Results*0.1
-			if !connected(pool[ri].pat, bound) && len(bound) > 0 {
+			c := joinCost(est)
+			if len(st.JoinOn) == 0 && len(bound) > 0 {
 				c *= 100 // cartesian products last
 			}
 			if c < bestCost {
@@ -289,14 +291,9 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 		}
 		// Build the chosen step.
 		pat := pool[bestIdx].pat
-		st := physical.Step{Pat: pat}
-		for _, v := range pat.Vars() {
-			if bound[v] {
-				st.JoinOn = append(st.JoinOn, v)
-			}
-		}
+		st := physical.Step{Pat: pat, JoinOn: joinVars(pat, bound)}
 		st.Sims = takeSims(pat, allSims, usedSims, bound)
-		st.Strat = o.chooseStrategy(st, len(out) > 0, stepLimit)
+		st.Strat = o.chooseStrategy(st, card, stepLimit)
 		for _, v := range pat.Vars() {
 			bound[v] = true
 		}
@@ -316,12 +313,14 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 		if st.Strat == physical.StratAVRange {
 			st.ValuePrefix = prefixFor(st)
 		}
-		// Ship decision.
+		// Ship decision. ModeAuto ships only to a region: the keys of
+		// a probe step scatter, so shipping it would only make it a
+		// barrier.
 		switch o.Opt.Mode {
 		case ModeShip:
 			st.Ship = len(out) > 0
 		case ModeAuto:
-			st.Ship = len(out) > 0 && card <= float64(o.Opt.ShipThreshold)
+			st.Ship = len(out) > 0 && card <= float64(o.Opt.ShipThreshold) && st.Shippable()
 		}
 		out = append(out, st)
 		card = math.Max(bestEst.Results, 1)
@@ -352,15 +351,22 @@ func (o *Optimizer) order(steps []physical.Step, prevCard float64, limit int) []
 	return out
 }
 
-// connected reports whether the pattern shares a variable with the
-// bound set.
-func connected(pat vql.Pattern, bound map[string]bool) bool {
+// joinVars lists the pattern's variables already in the bound set:
+// the step's join variables.
+func joinVars(pat vql.Pattern, bound map[string]bool) []string {
+	var on []string
 	for _, v := range pat.Vars() {
 		if bound[v] {
-			return true
+			on = append(on, v)
 		}
 	}
-	return false
+	return on
+}
+
+// joinCost is the scalar the join ordering and the access-path choice
+// minimize: messages, plus a tenth of a message per produced binding.
+func joinCost(e cost.Estimate) float64 {
+	return e.Messages + e.Results*0.1
 }
 
 // simsFor previews the sims applicable to a pattern (for costing).
@@ -472,12 +478,21 @@ func walkOperand(o vql.Operand, fn func(string)) {
 	}
 }
 
-// chooseStrategy selects the physical access path for a step. With a
+// chooseStrategy selects the physical access path for a step whose
+// JoinOn is set and whose upstream yields card bindings. With a
 // streamable limit in effect for this step, candidate costs are scaled
 // to what the early-terminating executor will actually pay — which
 // penalizes the q-gram path (its gram phase is pure startup) relative
 // to the shard-by-shard range scan.
-func (o *Optimizer) chooseStrategy(st physical.Step, hasBindings bool, limit int) physical.AccessStrategy {
+//
+// A step joined on its subject alone (its value unbound) runs either
+// as batched OID probes, one per upstream subject, or as a scan of the
+// attribute's region; the cheaper one wins. Warm routing caches batch
+// the probes per responsible peer, so a few bindings favour probes,
+// while cold caches or many bindings favour the region. ModeShip keeps
+// the region, the only one of the two a mutant plan can migrate to,
+// and the disabled optimizer keeps shape defaults.
+func (o *Optimizer) chooseStrategy(st physical.Step, card float64, limit int) physical.AccessStrategy {
 	if o.Opt.ForceStrategy != physical.StratAuto {
 		if applicable(o.Opt.ForceStrategy, st) {
 			return o.Opt.ForceStrategy
@@ -489,15 +504,29 @@ func (o *Optimizer) chooseStrategy(st physical.Step, hasBindings bool, limit int
 		attr := st.Pat.A.Val.Str
 		sim := st.Sims[0]
 		attrCount := float64(o.Stats.AttrCount(attr))
-		frac := attrCount / math.Max(float64(o.Stats.TotalTriples), 1)
+		frac := o.regionFraction(attr)
 		rangeCost := o.Stats.Range(frac, attrCount).ScaledToLimit(limit)
 		qgramCost := o.Stats.QGramSearch(len(sim.Target), 3, sim.MaxDist, 8).ScaledToLimit(limit)
 		if qgramCost.Messages < rangeCost.Messages {
 			return physical.StratQGram
 		}
 	}
-	_ = hasBindings
+	if shape == physical.StratAVRange && !o.Opt.Disabled && o.Opt.Mode != ModeShip && subjectOnly(st) {
+		probes := o.estimate(physical.StratOIDLookup, st, card).ScaledToLimit(limit)
+		region := o.estimate(physical.StratAVRange, st, card).ScaledToLimit(limit)
+		if joinCost(probes) < joinCost(region) {
+			return physical.StratOIDLookup
+		}
+	}
 	return shape
+}
+
+// subjectOnly reports whether the step is joined on its subject
+// variable but not on its value variable.
+func subjectOnly(st physical.Step) bool {
+	pat := st.Pat
+	return pat.S.IsVar() && slices.Contains(st.JoinOn, pat.S.Var) &&
+		!(pat.V.IsVar() && slices.Contains(st.JoinOn, pat.V.Var))
 }
 
 // applicable reports whether a forced strategy can execute the step's
@@ -506,7 +535,8 @@ func applicable(s physical.AccessStrategy, st physical.Step) bool {
 	pat := st.Pat
 	switch s {
 	case physical.StratOIDLookup:
-		return !pat.S.IsVar() || pat.S.IsVar() // runtime probes handle bound vars
+		// A ground subject, or one bound upstream to probe with.
+		return !pat.S.IsVar() || slices.Contains(st.JoinOn, pat.S.Var)
 	case physical.StratAVLookup:
 		return !pat.A.IsVar()
 	case physical.StratAVRange:
@@ -521,8 +551,17 @@ func applicable(s physical.AccessStrategy, st physical.Step) bool {
 	return false
 }
 
-// estimate prices one step.
-func (o *Optimizer) estimate(strat physical.AccessStrategy, st physical.Step, card float64, conn bool) cost.Estimate {
+// regionFraction is the share of the stored index entries that lie in
+// the attribute's A#v region: every triple is stored under three keys
+// (OID, A#v and v), and the attribute's triples fill one of them.
+func (o *Optimizer) regionFraction(attr string) float64 {
+	entries := float64(len(triple.AllIndexKinds) * o.Stats.TotalTriples)
+	return float64(o.Stats.AttrCount(attr)) / math.Max(entries, 1)
+}
+
+// estimate prices one step whose JoinOn is set, card upstream
+// bindings in.
+func (o *Optimizer) estimate(strat physical.AccessStrategy, st physical.Step, card float64) cost.Estimate {
 	s := o.Stats
 	attr := ""
 	if !st.Pat.A.IsVar() {
@@ -539,12 +578,17 @@ func (o *Optimizer) estimate(strat physical.AccessStrategy, st physical.Step, ca
 	case physical.StratAVLookup:
 		return s.Lookup(attrCount * cost.EqSelectivity)
 	case physical.StratAVRange:
-		if conn {
+		if len(st.JoinOn) > 0 && !subjectOnly(st) {
 			// Joins via bound values: parallel probes.
 			return s.MultiLookup(int(card), card)
 		}
-		frac := attrCount / math.Max(float64(s.TotalTriples), 1)
-		return s.Range(frac, attrCount)
+		est := s.Range(o.regionFraction(attr), attrCount)
+		if len(st.JoinOn) > 0 {
+			// Joined on the subject alone: the executor scans the whole
+			// region, and the join keeps about one row per binding.
+			est.Results = card
+		}
+		return est
 	case physical.StratValLookup:
 		return s.Lookup(attrCount * cost.EqSelectivity)
 	case physical.StratBroadcast:

@@ -227,3 +227,49 @@ func TestAggStrategyChoice(t *testing.T) {
 		t.Error("forced pushdown must still respect feasibility")
 	}
 }
+
+// TestSubjectJoinPricedChoice: a step joined on its subject alone is
+// planned as batched OID probes when warm routing caches make them
+// cheaper than the attribute's region scan, and as the shipped region
+// scan when the caches are cold; ModeShip keeps the region, which its
+// mutant plan migrates to, and a probe step never ships.
+func TestSubjectJoinPricedChoice(t *testing.T) {
+	const src = `SELECT ?n WHERE {(?p,'email','x@y') (?p,'name',?n)}`
+	for _, tc := range []struct {
+		name  string
+		mode  optimizer.Mode
+		hit   float64
+		strat physical.AccessStrategy
+		ship  bool
+	}{
+		{"cold auto", optimizer.ModeAuto, 0, physical.StratAVRange, true},
+		{"warm auto", optimizer.ModeAuto, 1, physical.StratOIDLookup, false},
+		{"warm fetch", optimizer.ModeFetch, 1, physical.StratOIDLookup, false},
+		{"warm ship", optimizer.ModeShip, 1, physical.StratAVRange, true},
+	} {
+		stats := cost.DefaultStats(64)
+		stats.TriplesPerAttr["email"] = 300 // three bindings expected
+		stats.TriplesPerAttr["name"] = 1000
+		stats.TotalTriples = 10000
+		stats.CacheHitRate = tc.hit
+		opt := optimizer.DefaultOptions()
+		opt.Mode = tc.mode
+		p := optimizer.New(stats, opt).Optimize(compile(t, src))
+		st := p.Steps[1]
+		if st.Strat != tc.strat || st.Ship != tc.ship {
+			t.Errorf("%s: %s, want %s with ship=%v", tc.name, p, tc.strat, tc.ship)
+		}
+	}
+}
+
+// TestForcedOIDLookupNeedsASubject: forcing OID lookups leaves a step
+// whose subject is neither ground nor bound upstream on its shape
+// default, which is the only way it can find anything.
+func TestForcedOIDLookupNeedsASubject(t *testing.T) {
+	o := optimizer.New(cost.DefaultStats(64), optimizer.Options{
+		Mode: optimizer.ModeFetch, ForceStrategy: physical.StratOIDLookup})
+	p := o.Optimize(compile(t, `SELECT ?n WHERE {(?p,'email','x@y') (?p,'name',?n)}`))
+	if p.Steps[0].Strat != physical.StratAVLookup || p.Steps[1].Strat != physical.StratOIDLookup {
+		t.Errorf("forced OID lookup: %s", p)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -188,13 +189,20 @@ func checkTopK(got, ref []algebra.Binding, full []string) error {
 	return nil
 }
 
-// TestProbeCapFallback: when a join variable binds many distinct
-// values, the executor must fall back to a range scan rather than
-// issuing unbounded parallel lookups — and stay correct.
+// TestProbeCapFallback: when a subject-bound OID-probe step binds
+// more distinct subjects than the probe cap (64), the stage must
+// escalate to its attribute's region scan instead of issuing a probe
+// per subject — visible in its trace stage label — and stay exact.
 func TestProbeCapFallback(t *testing.T) {
-	tn := buildNet(t, 16, 77, nil)
+	net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 77})
+	cfg := pgrid.DefaultConfig()
+	cfg.Tracing = true
+	tn := &testNet{net: net, peers: pgrid.BuildBalanced(net, 16, 1, cfg)}
+	for _, p := range tn.peers {
+		tn.engines = append(tn.engines, NewEngine(p, nil))
+	}
 	var corpus []triple.Triple
-	for i := 0; i < 150; i++ { // > probeCap (64) distinct ages
+	for i := 0; i < 150; i++ { // > probeCap (64) distinct subjects
 		id := fmt.Sprintf("x%03d", i)
 		corpus = append(corpus,
 			triple.TN(id, "uid", float64(i)),
@@ -203,12 +211,30 @@ func TestProbeCapFallback(t *testing.T) {
 	tn.load(corpus)
 	src := `SELECT ?p,?u,?g WHERE {(?p,'uid',?u) (?p,'tag',?g)}`
 	want := canon(referenceRun(t, src, corpus))
-	got, ex := distributedRun(t, tn, 0, src)
+	q, err := vql.ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := CompileQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Steps[1].Strat = StratOIDLookup // probe the 150 subjects ?p binds
+	got, ex := tn.engines[0].RunPlanCtx(context.Background(), plan)
 	if !ex.Done() {
 		t.Fatal("did not complete")
 	}
 	if !reflect.DeepEqual(canon(got), want) {
 		t.Fatalf("probe-cap path diverged: %d vs %d results", len(got), len(want))
+	}
+	var stages []string
+	for _, sp := range ex.Trace().Spans {
+		if sp.Kind == "stage" {
+			stages = append(stages, sp.Stage)
+		}
+	}
+	if !slices.Contains(stages, "s1:oid-lookup>scan") {
+		t.Errorf("stage spans %v: the OID probes did not escalate to the region scan", stages)
 	}
 }
 

@@ -40,8 +40,11 @@ type AccessStrategy int
 const (
 	// StratAuto defers the choice to the runtime/optimizer.
 	StratAuto AccessStrategy = iota
-	// StratOIDLookup resolves a ground-subject pattern with one OID-key
-	// lookup per subject.
+	// StratOIDLookup resolves a pattern by its subject's OID key: one
+	// lookup for a ground subject, or, for a subject bound upstream,
+	// one probe per distinct subject, batched per responsible peer.
+	// With a constant attribute, a probe set past the engine's probe
+	// cap escalates to that attribute's region scan.
 	StratOIDLookup
 	// StratAVLookup resolves attr+value with one exact A#v-key lookup
 	// (or one per bound value — the DHT index join).
@@ -108,6 +111,14 @@ type Step struct {
 	// executing it (mutant behaviour). Set by the optimizer or forced
 	// by experiments.
 	Ship bool
+}
+
+// Shippable reports whether the step's data lives in one region a
+// mutant plan can migrate to. Probe steps have no such region: their
+// keys scatter over the key space.
+func (st Step) Shippable() bool {
+	_, ok := shipTarget(st)
+	return ok
 }
 
 func (st Step) String() string {

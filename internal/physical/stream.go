@@ -168,7 +168,7 @@ type stage struct {
 	// the peer groups per cached responsible partition — a k-value
 	// index join costs ~peers-touched messages instead of k.
 	probePend []keys.Key
-	capped    bool // AV-range probe set exceeded probeCap; escalated to a scan
+	capped    bool // probe set exceeded probeCap; escalated to the region scan
 	// Scan configuration (modeScan and escalation).
 	scanKind  triple.IndexKind
 	scanRange keys.Range
@@ -240,6 +240,13 @@ func (s *stage) classify() {
 		s.classifyLookup(pat.S, triple.ByOID, func(v triple.Value) keys.Key {
 			return triple.OIDKey(v.Str)
 		}, func() keys.Key { return triple.OIDKey(pat.S.Val.Str) })
+		if s.mode == modeUndecided && !pat.A.IsVar() {
+			// Subjects bound upstream with a constant attribute: the
+			// attribute's region holds every answer, so it backs the
+			// probes past probeCap (and an unbound subject).
+			s.fallback = modeScan
+			s.setRegion(pat.A.Val.Str)
+		}
 	case StratAVLookup:
 		attr := pat.A.Val.Str
 		s.classifyLookup(pat.V, triple.ByAV, func(v triple.Value) keys.Key {
@@ -251,14 +258,7 @@ func (s *stage) classify() {
 		}, func() keys.Key { return triple.ValKey(pat.V.Val) })
 	case StratAVRange:
 		attr := pat.A.Val.Str
-		s.scanKind = triple.ByAV
-		if s.st.ValuePrefix != "" {
-			// Pushed-down startswith: the order-preserving hash makes
-			// the matching values a contiguous key interval.
-			s.scanRange = triple.AVStringPrefixRange(attr, s.st.ValuePrefix)
-		} else {
-			s.scanRange = triple.AVPrefixRange(attr)
-		}
+		s.setRegion(attr)
 		if pat.V.IsVar() && s.hasUp && !s.rank {
 			// A value variable bound upstream turns the scan into
 			// streaming per-value probes (escalating back to the scan
@@ -282,6 +282,18 @@ func (s *stage) classify() {
 		s.mode = modeScan
 		s.scanKind = triple.ByOID
 		s.scanRange = keys.Range{}
+	}
+}
+
+// setRegion points the stage's scan at the attribute's A#v region.
+func (s *stage) setRegion(attr string) {
+	s.scanKind = triple.ByAV
+	if s.st.ValuePrefix != "" {
+		// Pushed-down startswith: the order-preserving hash makes the
+		// matching values a contiguous key interval.
+		s.scanRange = triple.AVStringPrefixRange(attr, s.st.ValuePrefix)
+	} else {
+		s.scanRange = triple.AVPrefixRange(attr)
 	}
 }
 
@@ -401,7 +413,7 @@ func (s *stage) noteLeft(b algebra.Binding) {
 		return
 	}
 	s.probed[lex] = true
-	if s.st.Strat == StratAVRange && len(s.probed) > s.ex.eng.probeCap {
+	if s.fallback == modeScan && len(s.probed) > s.ex.eng.probeCap {
 		// Too many distinct values for per-value probes: one region
 		// scan covers everything (fact dedup absorbs the overlap with
 		// probes already in flight). Buffered probes are dropped — the

@@ -24,12 +24,17 @@ func (ex *Exec) recordTraceQID(qid uint64) {
 
 // stageSpan synthesizes the pipeline-stage span. Srv is the instant
 // the first row left the operator (time-to-first-row against Enq);
-// Rep the downstream EOS. Callers hold pmu.
+// Rep the downstream EOS. A stage whose probes escalated past probeCap
+// says so in its label ("s1:oid-lookup>scan"). Callers hold pmu.
 func (s *stage) stageSpan(started, now int64) trace.Span {
 	ex := s.ex
+	label := fmt.Sprintf("s%d:%s", s.idx, s.st.Strat)
+	if s.capped {
+		label += ">scan"
+	}
 	sp := trace.Span{
 		ID: s.spanID, Parent: ex.rootSpan.ID, TraceID: ex.tc.TraceID,
-		Kind: "stage", Stage: fmt.Sprintf("s%d:%s", s.idx, s.st.Strat),
+		Kind: "stage", Stage: label,
 		Peer: int64(ex.eng.peer.ID()), Path: ex.rootSpan.Path,
 		Depth: ex.tc.Depth,
 		Enq:   started, Srv: started, Rep: now,

@@ -1,5 +1,5 @@
 // Message-budget regression guard: the ranked top-5, warm index-join,
-// paged full-scan, group-by, churn top-k, restart catch-up and
+// star join, paged full-scan, group-by, churn top-k, restart catch-up and
 // flow-control scenarios (internal/benchscen — the one set of
 // constructors every simulated measurement shares) run on the
 // deterministic simnet under plain `go test` and fail two ways: when a
@@ -17,13 +17,16 @@ package unistore_test
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"testing"
 
+	"unistore/internal/algebra"
 	"unistore/internal/benchscen"
 	"unistore/internal/core"
 	"unistore/internal/pgrid"
 	"unistore/internal/physical"
+	"unistore/internal/simnet"
 )
 
 // Checked-in budgets (messages per query, deterministic 64-peer
@@ -39,6 +42,10 @@ import (
 const (
 	budgetTopK          = 40
 	budgetIndexJoinWarm = 16
+	// budgetStarJoinWarm bounds the warm three-pattern star. Measured:
+	// 6 messages (an exact lookup and two single-subject OID probes,
+	// one request and one response each); the region plan sends 12.
+	budgetStarJoinWarm  = 8
 	budgetPagedScan     = 135
 	budgetChurnTopK     = 50
 	budgetGroupByAgg    = 60
@@ -108,7 +115,7 @@ func TestMessageBudgetIndexJoinWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := benchscen.IndexJoin()
+	c, _ := benchscen.IndexJoin()
 	cold := runIndexJoin(t, c, plan)
 	msgs := runIndexJoin(t, c, plan)
 	if msgs > budgetIndexJoinWarm {
@@ -118,6 +125,83 @@ func TestMessageBudgetIndexJoinWarm(t *testing.T) {
 		t.Errorf("warm index join sent %d messages, cold run %d — need at least 30%% fewer", msgs, cold)
 	}
 	t.Logf("warm index join: %d messages (budget %d; cold %d)", msgs, budgetIndexJoinWarm, cold)
+}
+
+// starRun is one measured execution of the star join from peer 0.
+type starRun struct {
+	msgs  int
+	scans int // range and page messages: region scan traffic
+	plan  string
+}
+
+// runStar executes benchscen.StarJoinQuery from peer 0 — as compiled
+// and optimized by the cluster when plan is nil — checks its rows
+// against want, and returns its settled message counts.
+func runStar(t *testing.T, c *core.Cluster, plan *physical.Plan, want []string) starRun {
+	t.Helper()
+	before := c.Net().Stats()
+	var bs []algebra.Binding
+	var desc string
+	if plan == nil {
+		res, err := c.QueryFrom(0, benchscen.StarJoinQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, desc = res.Bindings, res.Plan
+	} else {
+		bs, _ = c.Engine(0).RunPlanCtx(context.Background(), plan)
+		desc = plan.String()
+	}
+	c.Net().Settle()
+	after := c.Net().Stats()
+	if got := aggCanon(bs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: rows %v, want %v", desc, got, want)
+	}
+	scans := func(st simnet.Stats) int { return st.PerKind[pgrid.KindRange] + st.PerKind[pgrid.KindPage] }
+	return starRun{
+		msgs:  after.MessagesSent - before.MessagesSent,
+		scans: scans(after) - scans(before),
+		plan:  desc,
+	}
+}
+
+// TestMessageBudgetStarJoin is the subject-join budget: a star whose
+// selective first pattern binds one subject resolves the two patterns
+// joined on it with OID probes once the routing caches are warm —
+// within the budget, with no region scan at all, and in fewer messages
+// than the region plan (ship to each attribute's region and scan it)
+// on the same warm cluster. On a fresh cluster the optimizer's plan
+// sends no more than the probe plan there.
+func TestMessageBudgetStarJoin(t *testing.T) {
+	probes, err := benchscen.StarJoinPlan(physical.StratOIDLookup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := benchscen.StarJoinPlan(physical.StratAVRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, data := benchscen.IndexJoin()
+	want := aggCanon(aggOracle(t, benchscen.StarJoinQuery, data))
+	cold := runStar(t, c, nil, want)
+	fresh, _ := benchscen.IndexJoin()
+	coldProbes := runStar(t, fresh, probes, want)
+	if cold.msgs > coldProbes.msgs {
+		t.Errorf("cold star join (%s) sent %d messages, the probe plan %d", cold.plan, cold.msgs, coldProbes.msgs)
+	}
+	warm := runStar(t, c, nil, want)
+	if warm.msgs > budgetStarJoinWarm {
+		t.Errorf("warm star join (%s) sent %d messages, budget %d", warm.plan, warm.msgs, budgetStarJoinWarm)
+	}
+	if warm.scans != 0 {
+		t.Errorf("warm star join (%s) sent %d range/page messages, want none", warm.plan, warm.scans)
+	}
+	warmRegion := runStar(t, c, region, want)
+	if warm.msgs >= warmRegion.msgs {
+		t.Errorf("warm star join (%s) sent %d messages, the region plan %d — probes must send fewer", warm.plan, warm.msgs, warmRegion.msgs)
+	}
+	t.Logf("warm star join: %d messages (budget %d; region plan %d), cold %d (probe plan %d); plan %s",
+		warm.msgs, budgetStarJoinWarm, warmRegion.msgs, cold.msgs, coldProbes.msgs, warm.plan)
 }
 
 // TestMessageBudgetPagedScan is the paging budget: the exhaustive scan

@@ -38,6 +38,18 @@ const opWait = 5 * time.Minute
 // scaleProbes is how many routed lookups each curve point averages.
 const scaleProbes = 64
 
+// overlay plans n balanced partitions × replicas peers and
+// instantiates them on net, a fresh network built with seed.
+func overlay(net *simnet.Network, n, replicas int, seed int64) []*pgrid.Peer {
+	cfg := pgrid.DefaultConfig()
+	specs := pgrid.PlanSpecs(0, n, replicas, nil, cfg, seed)
+	peers, err := pgrid.BuildFromSpecs(net, specs, specs, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return peers
+}
+
 // RoutingCurvePoint measures msgs-per-routed-lookup on an n-peer
 // overlay. Every probe comes from a different origin, whose routing
 // cache has never seen the key, so each one takes the prefix-routed
@@ -47,7 +59,7 @@ func RoutingCurvePoint(n int) ScalePoint {
 	net := simnet.New(simnet.Config{
 		Latency: simnet.ConstantLatency(time.Millisecond), Seed: int64(n),
 	})
-	peers := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
+	peers := overlay(net, n, 1, int64(n))
 	ds := workload.Generate(workload.Options{Seed: 31, Persons: 40})
 	load(net, ds.Triples, func(int) *pgrid.Peer { return peers[0] })
 	var ks []keys.Key
@@ -129,7 +141,7 @@ func HotShard(n int, zipfS float64) (maxLoad, groupLoad int) {
 	net := simnet.New(simnet.Config{
 		Latency: simnet.ConstantLatency(time.Millisecond), Seed: 41,
 	})
-	peers := pgrid.BuildBalanced(net, parts, 2, pgrid.DefaultConfig())
+	peers := overlay(net, parts, 2, 41)
 	ts := workload.SkewedValues(42, 1500, zipfS)
 	load(net, ts, func(i int) *pgrid.Peer { return peers[(i*13)%len(peers)] })
 	// Query popularity is itself Zipf over the stored values: the pool's

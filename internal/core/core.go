@@ -83,8 +83,11 @@ type Config struct {
 	// and pull only the differing buckets, in PageSize-bounded pages.
 	// 0 disables the rounds.
 	AntiEntropyInterval time.Duration
-	// AdaptiveSamples, when non-nil, builds the trie adapted to this
-	// key sample (load balancing under skew) instead of peer-balanced.
+	// AdaptiveSamples are the keys pgrid.PlanSpecs plans the trie from:
+	// the leaf holding the most samples splits next (ties to the
+	// shallowest leaf), so hot key regions get more partitions (load
+	// balancing under skew). Without samples every leaf ties and the
+	// trie is peer-balanced.
 	AdaptiveSamples []keys.Key
 	// Concurrent switches the simulated network into concurrent mode
 	// once the overlay is built: messages are delivered by per-node
@@ -249,23 +252,16 @@ func NewCluster(cfg Config) *Cluster {
 		Seed:     cfg.Seed,
 	})
 	pcfg := cfg.pgridConfig()
-	var peers []*pgrid.Peer
-	if cfg.AdaptiveSamples != nil {
-		peers = pgrid.BuildAdaptive(net, cfg.Peers, cfg.Replicas, cfg.AdaptiveSamples, pcfg)
-	} else {
-		// Build from the same seeded spec plan NewNode uses: the ref
-		// tables become a pure function of (peers, replicas, seed), so a
-		// simnet cluster and a multi-process TCP cluster of the same
-		// scenario share routing structure — a traced query assembles a
-		// structurally identical tree on either transport.
-		specs := pgrid.BalancedSpecs(cfg.Peers, cfg.Replicas, pcfg, cfg.Seed)
-		var err error
-		peers, err = pgrid.BuildFromSpecs(net, specs, specs, pcfg)
-		if err != nil {
-			// Unreachable: a fresh simulator hosting every spec assigns
-			// IDs sequentially, exactly as the specs name them.
-			panic(err)
-		}
+	// The ref tables draw from a source seeded like the network, so a
+	// simnet cluster and a multi-process TCP cluster of the same
+	// scenario share routing structure — a traced query assembles a
+	// structurally identical tree on either transport.
+	specs := pgrid.PlanSpecs(0, cfg.Peers, cfg.Replicas, cfg.AdaptiveSamples, pcfg, cfg.Seed)
+	peers, err := pgrid.BuildFromSpecs(net, specs, specs, pcfg)
+	if err != nil {
+		// Unreachable: a fresh simulator hosting every spec assigns
+		// IDs sequentially, exactly as the specs name them.
+		panic(err)
 	}
 	c := newCluster(cfg, pcfg, net, peers, 0)
 	c.net = net

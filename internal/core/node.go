@@ -14,8 +14,9 @@ import (
 // NodeConfig parameterizes one process of a multi-process cluster. The
 // topology fields (Partitions, Replicas, Procs, Seed) must be
 // identical in every process: each daemon independently computes the
-// same overlay plan (pgrid.BalancedSpecs) and instantiates the slice
-// it hosts, so no process ever has to ship topology to another.
+// same overlay plan (pgrid.PlanSpecs, a balanced trie with IDs from 0)
+// and instantiates the slice it hosts, so no process ever has to ship
+// topology to another.
 type NodeConfig struct {
 	// Listen is the TCP address to bind; ":0" picks a free port.
 	Listen string
@@ -97,7 +98,7 @@ func NewNode(cfg NodeConfig) (*Cluster, error) {
 		PageSize: cfg.PageSize, Tracing: cfg.Tracing,
 	}.withDefaults()
 	pcfg := ccfg.pgridConfig()
-	specs := pgrid.BalancedSpecs(cfg.Partitions, cfg.Replicas, pcfg, cfg.Seed)
+	specs := pgrid.PlanSpecs(0, cfg.Partitions, cfg.Replicas, nil, pcfg, cfg.Seed)
 	var hosted []pgrid.NodeSpec
 	for _, s := range specs {
 		if int(s.ID)%cfg.Procs == cfg.ProcIndex {

@@ -35,6 +35,17 @@ import (
 // termination under message loss.
 const opWait = 5 * time.Minute
 
+// overlay plans n balanced partitions × replicas peers whose IDs count
+// from first and instantiates them on net, which was built with seed.
+func overlay(net *simnet.Network, first pgrid.NodeID, n, replicas int, cfg pgrid.Config, seed int64) []*pgrid.Peer {
+	specs := pgrid.PlanSpecs(first, n, replicas, nil, cfg, seed)
+	peers, err := pgrid.BuildFromSpecs(net, specs, specs, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return peers
+}
+
 // Scale trades experiment size for runtime; 1.0 is the full EXPERIMENTS
 // configuration, benchmarks may run smaller.
 type Scale float64
@@ -90,7 +101,7 @@ func E2RoutingHops(scale Scale) *trace.Series {
 		"peers", "avg hops", "max hops", "log2(n)")
 	for _, n := range []int{16, 64, 256, scale.n(1024)} {
 		net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 2})
-		peers := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
+		peers := overlay(net, 0, n, 1, pgrid.DefaultConfig(), 2)
 		peers[0].InsertTripleAcked(triple.T("x", "year", "2006"), 1, nil).Wait(opWait)
 		key := triple.AVKey("year", triple.S("2006"))
 		sum, maxHops, count := 0, 0, 0
@@ -307,7 +318,7 @@ func E8Updates(scale Scale) *trace.Series {
 		cfg.AntiEntropyEvery = int64(2 * time.Second)
 		net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond),
 			Seed: 12, LossRate: loss})
-		peers := pgrid.BuildBalanced(net, n, 3, cfg)
+		peers := overlay(net, 0, n, 3, cfg, 12)
 		tr := triple.T("p1", "phone", "111")
 		key := triple.AVKey("phone", triple.S("222"))
 		// Each write waits out its retries (not the operation deadline,
@@ -344,7 +355,7 @@ func E9RangeVsChord(scale Scale) *trace.Series {
 		for _, width := range []int{5, 20} {
 			// P-Grid.
 			netP := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 13})
-			peersP := pgrid.BuildBalanced(netP, n, 1, pgrid.DefaultConfig())
+			peersP := overlay(netP, 0, n, 1, pgrid.DefaultConfig(), 13)
 			for y := 1950; y < 2010; y++ {
 				peersP[y%n].InsertTripleAcked(triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)), 1, nil).Wait(opWait)
 			}
@@ -408,8 +419,8 @@ func E11Merge(scale Scale) *trace.Series {
 		"sizes", "merge msgs", "reachability A-data", "reachability B-data")
 	n := scale.n(16)
 	net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 16})
-	a := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
-	b := pgrid.BuildBalanced(net, n, 1, pgrid.DefaultConfig())
+	a := overlay(net, 0, n, 1, pgrid.DefaultConfig(), 16)
+	b := overlay(net, pgrid.NodeID(n), n, 1, pgrid.DefaultConfig(), 16)
 	a[0].InsertTripleAcked(triple.T("fromA", "name", "alice"), 1, nil).Wait(opWait)
 	b[0].InsertTripleAcked(triple.T("fromB", "name", "bob"), 1, nil).Wait(opWait)
 	net.Settle()

@@ -26,7 +26,7 @@ const opWait = 5 * time.Minute
 
 func startNetxCluster(t *testing.T, procs, parts, replicas int, cfg pgrid.Config) *netxCluster {
 	t.Helper()
-	specs := pgrid.BalancedSpecs(parts, replicas, cfg, 99)
+	specs := pgrid.PlanSpecs(0, parts, replicas, nil, cfg, 99)
 	c := &netxCluster{}
 	for pi := 0; pi < procs; pi++ {
 		var seeds []string

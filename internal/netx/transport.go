@@ -167,9 +167,9 @@ func (t *Transport) logf(format string, args ...any) {
 
 // Reserve pre-assigns the NodeIDs the next AddNode calls will return,
 // in order. Multi-process assembly computes every node's global ID
-// deterministically (pgrid.BalancedSpecs) and reserves the locally
-// hosted ones before building peers, so AddNode hands out addresses
-// consistent across the whole cluster.
+// deterministically (pgrid.PlanSpecs) and reserves the locally hosted
+// ones before building peers (pgrid.BuildFromSpecs), so AddNode hands
+// out addresses consistent across the whole cluster.
 func (t *Transport) Reserve(ids ...simnet.NodeID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -31,7 +31,7 @@ func buildAggOverlay(t *testing.T, n, replicas, pageSize int, seed int64) (*simn
 	net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: seed})
 	cfg := DefaultConfig()
 	cfg.PageSize = pageSize
-	peers := BuildBalanced(net, n, replicas, cfg)
+	peers := build(net, seed, n, replicas, cfg)
 	return net, peers
 }
 

@@ -31,6 +31,9 @@ import (
 //     since split (bootstrap, merge, late join);
 //   - learning a different responder for the same path ADDS it to the
 //     set (it is a sibling replica, not a contradiction);
+//   - an owner whose direct probe is answered by a peer outside its
+//     replica group forwarded it, so it no longer holds the partition
+//     and leaves the set;
 //   - a peer whose OWN path changes clears its whole cache, since a
 //     local split/merge means the trie it learned is suspect.
 

@@ -215,23 +215,6 @@ func (p *Peer) rehomeEntries() {
 	}
 }
 
-// RunBootstrap drives decentralized construction: `rounds` rounds of
-// random pairwise exchanges over all peers, advancing the network
-// between rounds. It returns the number of simulated exchange rounds
-// executed.
-func RunBootstrap(net *simnet.Network, peers []*Peer, rounds int) int {
-	for r := 0; r < rounds; r++ {
-		perm := net.Perm(len(peers))
-		for i := 0; i+1 < len(perm); i += 2 {
-			peers[perm[i]].startExchange(peers[perm[i+1]].id)
-		}
-		// Let the exchanges (and any re-homing traffic) settle.
-		net.RunFor(5 * time.Second)
-		net.Settle()
-	}
-	return rounds
-}
-
 // RunMerge connects two formerly independent overlays living in the
 // same network: each peer of one exchanges with random peers of the
 // other over `rounds` rounds (in parallel, as the paper highlights),

@@ -161,7 +161,7 @@ func TestSiblingResumeWithDivergentBucketOrder(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.PageSize = 2
 	net := newNet(93)
-	peers := BuildBalanced(net, 2, 2, cfg)
+	peers := build(net, 93, 2, 2, cfg)
 	k := triple.AVKey("age", triple.N(7))
 	var owners []*Peer
 	var q *Peer

@@ -194,7 +194,7 @@ func TestFlowTablePenalty(t *testing.T) {
 // otherwise two replicas can converge to different winners.
 func TestGossipCoalescingKeepsStoreWinner(t *testing.T) {
 	net := newNet(11)
-	peers := BuildBalanced(net, 2, 1, DefaultConfig())
+	peers := build(net, 11, 2, 1, DefaultConfig())
 	p := peers[0]
 
 	a := store.Entry{Kind: triple.ByOID, Triple: triple.T("p1", "pub", "Paper A"), Version: 1}
@@ -236,7 +236,7 @@ func TestGossipPendingDrainsOnCredit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FlowWindowBytes = 600 // a couple of entries per credit grant
 	cfg.FlowWindowMsgs = 1
-	peers := BuildBalanced(net, 4, 2, cfg)
+	peers := build(net, 12, 4, 2, cfg)
 
 	origin := peers[0]
 	for i := 0; i < 40; i++ {
@@ -300,7 +300,7 @@ func (r *gossipRecorder) HandleMessage(m simnet.Message) {
 // same on every run.
 func TestGossipPendingDrainsInArrivalOrder(t *testing.T) {
 	net := newNet(13)
-	p := BuildBalanced(net, 2, 1, DefaultConfig())[0]
+	p := build(net, 13, 2, 1, DefaultConfig())[0]
 	rec := &gossipRecorder{net: net, winBytes: 600}
 	rec.id = net.AddNode(rec)
 	p.runFlow(p.flow.window(rec.id, rec.winBytes, 1))
@@ -338,7 +338,7 @@ func TestGossipPendingDrainsInArrivalOrder(t *testing.T) {
 // budget changes — the memo is what keeps a refused flush O(1), and a
 // stale one would send the wrong batch.
 func TestGossipCutMemoMatchesFreshCut(t *testing.T) {
-	p := BuildBalanced(newNet(14), 2, 1, DefaultConfig())[0]
+	p := build(newNet(14), 14, 2, 1, DefaultConfig())[0]
 	const to = simnet.NodeID(99)
 	rng := rand.New(rand.NewSource(1))
 	budgets := []int{200, 600, 2000}

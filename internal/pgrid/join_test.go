@@ -14,7 +14,7 @@ import (
 // people to include their own machines into a running P-Grid overlay").
 func TestLateJoinIntegrates(t *testing.T) {
 	net := newNet(41)
-	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	peers := build(net, 41, 16, 1, DefaultConfig())
 	var ts []triple.Triple
 	for i := 0; i < 40; i++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("d%d", i), "age", float64(i)))
@@ -51,7 +51,7 @@ func TestLateJoinIntegrates(t *testing.T) {
 // counted as a failure rather than looping.
 func TestRouteFailureCounting(t *testing.T) {
 	net := newNet(42)
-	peers := BuildBalanced(net, 8, 1, DefaultConfig())
+	peers := build(net, 42, 8, 1, DefaultConfig())
 	// Kill everything except peer 0.
 	for _, p := range peers[1:] {
 		net.Kill(p.ID())
@@ -78,7 +78,7 @@ func TestRouteFailureCounting(t *testing.T) {
 // to TotalShare on a healthy network, whatever the range.
 func TestShowerShareConservation(t *testing.T) {
 	net := newNet(43)
-	peers := BuildBalanced(net, 24, 1, DefaultConfig())
+	peers := build(net, 43, 24, 1, DefaultConfig())
 	var ts []triple.Triple
 	for i := 0; i < 60; i++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("s%d", i), "age", float64(i%50)))
@@ -102,7 +102,7 @@ func TestShowerShareConservation(t *testing.T) {
 // not cross-contaminate responses (QID correlation).
 func TestConcurrentQueriesInterleave(t *testing.T) {
 	net := newNet(44)
-	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	peers := build(net, 44, 16, 1, DefaultConfig())
 	var ts []triple.Triple
 	for i := 0; i < 30; i++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("c%d", i), "age", float64(i)))

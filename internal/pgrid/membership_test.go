@@ -325,7 +325,7 @@ func TestSplitTransfersInPages(t *testing.T) {
 	net := &xferTap{Network: newNet(97)}
 	cfg := DefaultConfig()
 	cfg.PageSize = 8
-	peers := BuildBalanced(net, 1, 2, cfg)
+	peers := build(net, 97, 1, 2, cfg)
 	const facts = 40
 	var ts []triple.Triple
 	for i := 0; i < facts; i++ {

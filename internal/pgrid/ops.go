@@ -333,7 +333,7 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 			r.Count = len(kept)
 		}
 		op.responses += newly
-		p.settleGroupsLocked(op, r.From)
+		p.settleGroupsLocked(op, r.From, r.Replicas)
 	}
 	// A key-tracked response without ProbeKeys is trace-only (a probe
 	// batch whose keys all re-routed): its rider was absorbed above; it

@@ -25,11 +25,11 @@ func entryKeys(es []store.Entry) []string {
 // entries of the monolithic one, release all shares (Complete), and
 // actually serve pages.
 func TestPagedRangeEquivalence(t *testing.T) {
-	build := func(pageSize int) ([]*Peer, func()) {
+	load := func(pageSize int) ([]*Peer, func()) {
 		net := newNet(61)
 		cfg := DefaultConfig()
 		cfg.PageSize = pageSize
-		peers := BuildBalanced(net, 16, 1, cfg)
+		peers := build(net, 61, 16, 1, cfg)
 		var ts []triple.Triple
 		for i := 0; i < 50; i++ {
 			ts = append(ts, triple.TN(fmt.Sprintf("pg%02d", i), "age", float64(i%25)))
@@ -38,13 +38,13 @@ func TestPagedRangeEquivalence(t *testing.T) {
 		return peers, func() {}
 	}
 
-	ref, _ := build(0)
+	ref, _ := load(0)
 	want := entryKeys(ref[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait).Entries)
 	if len(want) == 0 {
 		t.Fatal("reference scan returned nothing")
 	}
 	for _, ps := range []int{1, 3, 7} {
-		peers, _ := build(ps)
+		peers, _ := load(ps)
 		res := peers[0].RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil).Wait(opWait)
 		if !res.Complete {
 			t.Fatalf("PageSize=%d: shares lost, scan incomplete", ps)
@@ -75,7 +75,7 @@ func TestPagedResponseBounded(t *testing.T) {
 	net := newNet(62)
 	cfg := DefaultConfig()
 	cfg.PageSize = 1
-	peers := BuildBalanced(net, 4, 1, cfg) // few peers → fat partitions
+	peers := build(net, 62, 4, 1, cfg) // few peers → fat partitions
 	var ts []triple.Triple
 	for i := 0; i < 30; i++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("pb%02d", i), "age", float64(i)))
@@ -102,7 +102,7 @@ func TestPagedScanStableUnderMutation(t *testing.T) {
 	net := newNet(65)
 	cfg := DefaultConfig()
 	cfg.PageSize = 2
-	peers := BuildBalanced(net, 4, 1, cfg)
+	peers := build(net, 65, 4, 1, cfg)
 	var ts []triple.Triple
 	for i := 0; i < 12; i++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("mu%02d", i), "age", float64(10+i)))
@@ -148,7 +148,7 @@ func TestPagedScanStableUnderMutation(t *testing.T) {
 // must return exactly the union of per-key lookups, cold and warm.
 func TestMultiLookupMatchesIndividualLookups(t *testing.T) {
 	net := newNet(63)
-	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	peers := build(net, 63, 16, 1, DefaultConfig())
 	var ks []keys.Key
 	var ts []triple.Triple
 	for i := 0; i < 20; i++ {
@@ -187,7 +187,7 @@ func TestMultiLookupMatchesIndividualLookups(t *testing.T) {
 // fewer messages than k individually routed probes.
 func TestMultiLookupBatchesMessages(t *testing.T) {
 	net := newNet(64)
-	peers := BuildBalanced(net, 32, 1, DefaultConfig())
+	peers := build(net, 64, 32, 1, DefaultConfig())
 	var ks []keys.Key
 	var ts []triple.Triple
 	for i := 0; i < 24; i++ {

@@ -3,6 +3,8 @@ package pgrid
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -33,22 +35,90 @@ func write(net *simnet.Network, peers []*Peer, ts ...triple.Triple) {
 	net.Settle()
 }
 
-func TestBuildBalancedTrieInvariant(t *testing.T) {
+// build plans a balanced overlay of n partitions × replicas peers with
+// IDs from 0 and instantiates all of it on net, which must be fresh
+// and built with seed.
+func build(net Transport, seed int64, n, replicas int, cfg Config) []*Peer {
+	return buildSpecs(net, PlanSpecs(0, n, replicas, nil, cfg, seed), cfg)
+}
+
+// buildSpecs instantiates every spec of a planned overlay on net.
+func buildSpecs(net Transport, specs []NodeSpec, cfg Config) []*Peer {
+	peers, err := BuildFromSpecs(net, specs, specs, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return peers
+}
+
+// pathsOf returns the peers' trie paths.
+func pathsOf(peers []*Peer) []keys.Key {
+	out := make([]keys.Key, len(peers))
+	for i, p := range peers {
+		out[i] = p.Path()
+	}
+	return out
+}
+
+// checkTrie validates that the distinct paths among paths form a
+// complete prefix-free cover of the key space: no path is a prefix of
+// another, and Σ 2^-depth == 1. It returns an error describing the
+// first violation.
+func checkTrie(paths []keys.Key) error {
+	parts := append([]keys.Key(nil), paths...)
+	sort.Slice(parts, func(i, j int) bool { return parts[i].Compare(parts[j]) < 0 })
+	parts = slices.CompactFunc(parts, keys.Key.Equal)
+	for i := 0; i < len(parts)-1; i++ {
+		if parts[i+1].HasPrefix(parts[i]) {
+			return fmt.Errorf("partition %s is a prefix of %s", parts[i], parts[i+1])
+		}
+	}
+	// Σ 2^(maxDepth - depth) must equal 2^maxDepth.
+	maxDepth := 0
+	for _, p := range parts {
+		maxDepth = max(maxDepth, p.Len())
+	}
+	var sum uint64
+	for _, p := range parts {
+		sum += 1 << uint(maxDepth-p.Len())
+	}
+	if full := uint64(1) << uint(maxDepth); sum != full {
+		return fmt.Errorf("partitions cover %d/%d of the key space", sum, full)
+	}
+	return nil
+}
+
+// runBootstrap drives decentralized construction: `rounds` rounds of
+// random pairwise exchanges over all peers, advancing the network
+// between rounds.
+func runBootstrap(net *simnet.Network, peers []*Peer, rounds int) {
+	for r := 0; r < rounds; r++ {
+		perm := net.Perm(len(peers))
+		for i := 0; i+1 < len(perm); i += 2 {
+			peers[perm[i]].startExchange(peers[perm[i+1]].id)
+		}
+		// Let the exchanges (and any re-homing traffic) settle.
+		net.RunFor(5 * time.Second)
+		net.Settle()
+	}
+}
+
+func TestPlannedTrieInvariant(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 17, 64, 100} {
 		net := newNet(1)
-		peers := BuildBalanced(net, n, 1, DefaultConfig())
+		peers := build(net, 1, n, 1, DefaultConfig())
 		if len(peers) != n {
 			t.Fatalf("n=%d: built %d peers", n, len(peers))
 		}
-		if err := CheckTrie(peers); err != nil {
+		if err := checkTrie(pathsOf(peers)); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
 
-func TestBuildBalancedDepths(t *testing.T) {
+func TestPlannedBalancedDepths(t *testing.T) {
 	net := newNet(2)
-	peers := BuildBalanced(net, 8, 1, DefaultConfig())
+	peers := build(net, 2, 8, 1, DefaultConfig())
 	for _, p := range peers {
 		if p.Path().Len() != 3 {
 			t.Errorf("8 peers must sit at depth 3, got %s", p.Path())
@@ -58,7 +128,7 @@ func TestBuildBalancedDepths(t *testing.T) {
 
 func TestRoutingReachesResponsiblePeer(t *testing.T) {
 	net := newNet(3)
-	peers := BuildBalanced(net, 32, 1, DefaultConfig())
+	peers := build(net, 3, 32, 1, DefaultConfig())
 	// Insert from an arbitrary peer, then look up from every peer.
 	origin := peers[7]
 	tr := triple.T("a12", "confname", "ICDE 2006 - Workshops")
@@ -76,7 +146,7 @@ func TestRoutingReachesResponsiblePeer(t *testing.T) {
 
 func TestDataPlacementMatchesPartition(t *testing.T) {
 	net := newNet(4)
-	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	peers := build(net, 4, 16, 1, DefaultConfig())
 	var ts []triple.Triple
 	for i := 0; i < 200; i++ {
 		tp := triple.NewTuple(triple.GenerateOID("pl")).
@@ -107,7 +177,7 @@ func TestRoutingHopsLogarithmic(t *testing.T) {
 	// E2's invariant: average hops ≈ log2(n)/2..log2(n), max ≤ depth.
 	for _, n := range []int{16, 64, 256} {
 		net := newNet(5)
-		peers := BuildBalanced(net, n, 1, DefaultConfig())
+		peers := build(net, 5, n, 1, DefaultConfig())
 		tr := triple.T("x", "year", "2006")
 		peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 		depth := int(math.Ceil(math.Log2(float64(n))))
@@ -132,7 +202,7 @@ func TestRoutingHopsLogarithmic(t *testing.T) {
 
 func TestRangeQueryShower(t *testing.T) {
 	net := newNet(6)
-	peers := BuildBalanced(net, 32, 1, DefaultConfig())
+	peers := build(net, 6, 32, 1, DefaultConfig())
 	var ts []triple.Triple
 	for y := 1990; y < 2010; y++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("pub%d", y), "year", float64(y)))
@@ -155,7 +225,7 @@ func TestRangeQueryShower(t *testing.T) {
 
 func TestRangeQueryUnboundedAndEmpty(t *testing.T) {
 	net := newNet(7)
-	peers := BuildBalanced(net, 8, 1, DefaultConfig())
+	peers := build(net, 7, 8, 1, DefaultConfig())
 	var ts []triple.Triple
 	for y := 2000; y < 2006; y++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)))
@@ -173,7 +243,7 @@ func TestRangeQueryUnboundedAndEmpty(t *testing.T) {
 
 func TestBroadcastReachesAllPartitions(t *testing.T) {
 	net := newNet(8)
-	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	peers := build(net, 8, 16, 1, DefaultConfig())
 	var ts []triple.Triple
 	for i := 0; i < 64; i++ {
 		ts = append(ts, triple.T(fmt.Sprintf("o%d", i), "name", fmt.Sprintf("n%02d", i)))
@@ -193,7 +263,7 @@ func TestBroadcastReachesAllPartitions(t *testing.T) {
 
 func TestReplicationAndFailover(t *testing.T) {
 	net := newNet(10)
-	peers := BuildBalanced(net, 8, 3, DefaultConfig()) // 8 partitions × 3 replicas
+	peers := build(net, 10, 8, 3, DefaultConfig()) // 8 partitions × 3 replicas
 	tr := triple.T("a12", "title", "Similarity...")
 	peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	net.Run() // drain replica pushes
@@ -228,7 +298,7 @@ func TestReplicationAndFailover(t *testing.T) {
 
 func TestUpdatePropagationToReplicas(t *testing.T) {
 	net := newNet(11)
-	peers := BuildBalanced(net, 4, 3, DefaultConfig())
+	peers := build(net, 11, 4, 3, DefaultConfig())
 	tr := triple.T("p1", "phone", "111")
 	peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	net.Run()
@@ -252,7 +322,7 @@ func TestAntiEntropyConvergenceAfterPartition(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AntiEntropyEvery = int64(2 * time.Second)
 	net := newNet(12)
-	peers := BuildBalanced(net, 4, 3, cfg)
+	peers := build(net, 12, 4, 3, cfg)
 	// Find the replica group holding this entry.
 	tr := triple.T("p9", "email", "a@b")
 	key := triple.AVKey("email", triple.S("a@b"))
@@ -282,7 +352,7 @@ func TestAntiEntropyConvergenceAfterPartition(t *testing.T) {
 
 func TestDeleteTombstonePropagates(t *testing.T) {
 	net := newNet(13)
-	peers := BuildBalanced(net, 8, 1, DefaultConfig())
+	peers := build(net, 13, 8, 1, DefaultConfig())
 	tr := triple.T("doomed", "name", "x")
 	peers[0].InsertTripleAcked(tr, 1, nil).Wait(opWait)
 	dead := triple.Triple{OID: "doomed", Attr: "name"}
@@ -307,11 +377,11 @@ func TestBootstrapConvergence(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		peers = append(peers, NewPeer(net, cfg))
 	}
-	RunBootstrap(net, peers, 40)
+	runBootstrap(net, peers, 40)
 	// All partitions must be prefix-free and cover the key space.
-	if err := CheckTrie(peers); err != nil {
-		// Replica groups are allowed: dedupe by path first (CheckTrie
-		// uses Partitions internally, so an error is structural).
+	if err := checkTrie(pathsOf(peers)); err != nil {
+		// Replica groups are allowed: checkTrie dedupes paths first,
+		// so an error is structural.
 		t.Fatalf("bootstrap trie invalid: %v", err)
 	}
 	// Paths must have differentiated (no peer stuck at the root).
@@ -340,8 +410,8 @@ func TestBootstrapConvergence(t *testing.T) {
 
 func TestMergeTwoOverlays(t *testing.T) {
 	net := newNet(15)
-	a := BuildBalanced(net, 8, 1, DefaultConfig())
-	b := BuildBalanced(net, 8, 1, DefaultConfig())
+	a := build(net, 15, 8, 1, DefaultConfig())
+	b := buildSpecs(net, PlanSpecs(8, 8, 1, nil, DefaultConfig(), 15), DefaultConfig())
 	// Each overlay holds distinct data.
 	a[0].InsertTripleAcked(triple.T("fromA", "name", "alice"), 1, nil).Wait(opWait)
 	b[0].InsertTripleAcked(triple.T("fromB", "name", "bob"), 1, nil).Wait(opWait)
@@ -403,10 +473,10 @@ func TestAdaptiveBuildBalancesSkew(t *testing.T) {
 	}
 	ks := mkKeys()
 	netA := newNet(16)
-	balanced := BuildBalanced(netA, 16, 1, DefaultConfig())
+	balanced := build(netA, 16, 16, 1, DefaultConfig())
 	netB := newNet(16)
-	adaptive := BuildAdaptive(netB, 16, 1, ks, DefaultConfig())
-	if err := CheckTrie(adaptive); err != nil {
+	adaptive := buildSpecs(netB, PlanSpecs(0, 16, 1, ks, DefaultConfig(), 16), DefaultConfig())
+	if err := checkTrie(pathsOf(adaptive)); err != nil {
 		t.Fatalf("adaptive trie invalid: %v", err)
 	}
 	maxBal, avg := load(balanced, ks)
@@ -419,7 +489,7 @@ func TestAdaptiveBuildBalancesSkew(t *testing.T) {
 
 func TestChurnLookupsSurvive(t *testing.T) {
 	net := newNet(17)
-	peers := BuildBalanced(net, 32, 2, DefaultConfig())
+	peers := build(net, 17, 32, 2, DefaultConfig())
 	var ts []triple.Triple
 	for i := 0; i < 50; i++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("c%d", i), "age", float64(i)))
@@ -447,23 +517,23 @@ func TestChurnLookupsSurvive(t *testing.T) {
 
 func TestCheckTrieDetectsViolations(t *testing.T) {
 	net := newNet(18)
-	peers := BuildBalanced(net, 4, 1, DefaultConfig())
+	peers := build(net, 18, 4, 1, DefaultConfig())
 	// Corrupt one path to be a prefix of another.
 	peers[0].setPath(peers[1].Path().Prefix(1))
-	if err := CheckTrie(peers); err == nil {
-		t.Error("CheckTrie must detect prefix violations")
+	if err := checkTrie(pathsOf(peers)); err == nil {
+		t.Error("checkTrie must detect prefix violations")
 	}
 	net2 := newNet(18)
-	peers2 := BuildBalanced(net2, 4, 1, DefaultConfig())
+	peers2 := build(net2, 18, 4, 1, DefaultConfig())
 	peers2[0].setPath(keys.FromBits("11111"))
-	if err := CheckTrie(peers2); err == nil {
-		t.Error("CheckTrie must detect coverage gaps")
+	if err := checkTrie(pathsOf(peers2)); err == nil {
+		t.Error("checkTrie must detect coverage gaps")
 	}
 }
 
 func TestAppPayloadRouting(t *testing.T) {
 	net := newNet(19)
-	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	peers := build(net, 19, 16, 1, DefaultConfig())
 	var gotPayload any
 	var gotHops int
 	for _, p := range peers {
@@ -491,7 +561,7 @@ func TestAppPayloadRouting(t *testing.T) {
 
 func TestRefsInspection(t *testing.T) {
 	net := newNet(20)
-	peers := BuildBalanced(net, 16, 1, DefaultConfig())
+	peers := build(net, 20, 16, 1, DefaultConfig())
 	p := peers[0]
 	if p.Levels() != 4 {
 		t.Fatalf("levels = %d, want 4", p.Levels())
@@ -515,7 +585,7 @@ func TestRefsInspection(t *testing.T) {
 
 func TestSinglePeerOverlay(t *testing.T) {
 	net := newNet(21)
-	peers := BuildBalanced(net, 1, 1, DefaultConfig())
+	peers := build(net, 21, 1, 1, DefaultConfig())
 	p := peers[0]
 	tr := triple.T("solo", "name", "only")
 	res := p.InsertTripleAcked(tr, 1, nil).Wait(opWait)
@@ -534,7 +604,7 @@ func TestSinglePeerOverlay(t *testing.T) {
 
 func BenchmarkLookup64(b *testing.B) {
 	net := newNet(22)
-	peers := BuildBalanced(net, 64, 1, DefaultConfig())
+	peers := build(net, 22, 64, 1, DefaultConfig())
 	peers[0].InsertTripleAcked(triple.T("x", "year", "2006"), 1, nil).Wait(opWait)
 	key := triple.AVKey("year", triple.S("2006"))
 	b.ResetTimer()
@@ -545,7 +615,7 @@ func BenchmarkLookup64(b *testing.B) {
 
 func BenchmarkRangeQuery64(b *testing.B) {
 	net := newNet(23)
-	peers := BuildBalanced(net, 64, 1, DefaultConfig())
+	peers := build(net, 23, 64, 1, DefaultConfig())
 	var ts []triple.Triple
 	for y := 1950; y < 2010; y++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("p%d", y), "year", float64(y)))

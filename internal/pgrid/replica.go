@@ -244,9 +244,14 @@ func (p *Peer) hedgeProbeGroup(qid, gid uint64) {
 }
 
 // settleGroupsLocked dissolves probe groups whose keys have all been
-// answered, folding the winner's round trip into its cached latency
-// EWMA. Callers hold p.mu.
-func (p *Peer) settleGroupsLocked(op *pendingOp, from simnet.NodeID) {
+// answered by the response from `from` (whose replica group is
+// replicas), folding the winner's round trip into its cached latency
+// EWMA. A group whose target forwarded the probe to a peer outside the
+// target's replica group proves the target stale: it leaves the
+// partition's owner set, or — never sampled — it would keep winning the
+// chooser's latency tie-break and detour later probes. Callers hold
+// p.mu.
+func (p *Peer) settleGroupsLocked(op *pendingOp, from simnet.NodeID, replicas []Ref) {
 	if len(op.groups) == 0 {
 		return
 	}
@@ -259,12 +264,18 @@ func (p *Peer) settleGroupsLocked(op *pendingOp, from simnet.NodeID) {
 				break
 			}
 		}
-		if satisfied {
-			if g.target == from {
-				p.observeOwnerLocked(g.path, from, now-g.sentAt)
-			}
-			delete(op.groups, gid)
+		if !satisfied {
+			continue
 		}
+		switch {
+		case g.target == from:
+			p.observeOwnerLocked(g.path, from, now-g.sentAt)
+		case !slices.ContainsFunc(replicas, func(r Ref) bool { return r.ID == g.target }):
+			if p.cache.dropOwnerLocked(g.path, g.target) {
+				p.stats.cacheInvalidations.Add(1)
+			}
+		}
+		delete(op.groups, gid)
 	}
 }
 

@@ -28,7 +28,7 @@ func inflightTarget(net *simnet.Network, peers []*Peer, q *Peer) (simnet.NodeID,
 // "age" fact per i in [0, facts).
 func loadReplicated(seed int64, n, replicas, facts int, cfg Config) (*simnet.Network, []*Peer) {
 	net := newNet(seed)
-	peers := BuildBalanced(net, n, replicas, cfg)
+	peers := build(net, seed, n, replicas, cfg)
 	var ts []triple.Triple
 	for i := 0; i < facts; i++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("rp%02d", i), "age", float64(i)))
@@ -100,7 +100,7 @@ func TestProbeServingPathsAgree(t *testing.T) {
 	net := &respTap{Network: newNet(72)}
 	cfg := DefaultConfig()
 	cfg.Tracing = true
-	peers := BuildBalanced(net, 8, 1, cfg)
+	peers := build(net, 72, 8, 1, cfg)
 	var ts []triple.Triple
 	for i := 0; i < 5; i++ {
 		ts = append(ts, triple.T(fmt.Sprintf("sp%d", i), "group", "db"))
@@ -261,7 +261,7 @@ func TestScanCoverageRetryUnderChurn(t *testing.T) {
 // must be dropped whole — pages included — so rows never duplicate.
 func TestScanStreamClaimDropsDuplicateStream(t *testing.T) {
 	net := newNet(69)
-	peers := BuildBalanced(net, 4, 1, DefaultConfig())
+	peers := build(net, 69, 4, 1, DefaultConfig())
 	q := peers[0]
 	r := triple.AVPrefixRange("age")
 	op := &pendingOp{needShares: TotalShare, scan: &scanState{kind: uint8(triple.ByAV), r: r}}
@@ -299,7 +299,7 @@ func TestScanStreamClaimDropsDuplicateStream(t *testing.T) {
 // partitions keep the operation open.
 func TestScanDropsPagesAfterFinal(t *testing.T) {
 	net := newNet(71)
-	peers := BuildBalanced(net, 4, 1, DefaultConfig())
+	peers := build(net, 71, 4, 1, DefaultConfig())
 	q, server := peers[0], peers[1]
 	op := &pendingOp{needShares: TotalShare, scan: &scanState{kind: uint8(triple.ByAV), r: triple.AVPrefixRange("age")}}
 	qid := q.newOp(op, trace.OpRange, nil, opSettings{})
@@ -453,7 +453,7 @@ func TestDigestAntiEntropyConverges(t *testing.T) {
 	net := newNet(65)
 	cfg := DefaultConfig()
 	cfg.PageSize = 4
-	peers := BuildBalanced(net, 2, 2, cfg)
+	peers := build(net, 65, 2, 2, cfg)
 	var a, b *Peer
 	for _, p := range peers {
 		if p.Path().Bit(0) == 0 {
@@ -506,7 +506,7 @@ func TestDigestAntiEntropyConverges(t *testing.T) {
 // back to the peer the entries came from, counting every suppression.
 func TestGossipPushDedupesAndSkipsSender(t *testing.T) {
 	net := newNet(66)
-	peers := BuildBalanced(net, 2, 3, DefaultConfig())
+	peers := build(net, 66, 2, 3, DefaultConfig())
 	var group []*Peer
 	for _, p := range peers {
 		if p.Path().Bit(0) == 0 {
@@ -542,7 +542,7 @@ func TestDescPagedScanStreamsInOrder(t *testing.T) {
 	net := newNet(67)
 	cfg := DefaultConfig()
 	cfg.PageSize = 3
-	peers := BuildBalanced(net, 4, 1, cfg)
+	peers := build(net, 67, 4, 1, cfg)
 	var ts []triple.Triple
 	for i := 0; i < 30; i++ {
 		ts = append(ts, triple.TN(fmt.Sprintf("ds%02d", i), "age", float64(i)))

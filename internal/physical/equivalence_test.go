@@ -197,7 +197,7 @@ func TestProbeCapFallback(t *testing.T) {
 	net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 77})
 	cfg := pgrid.DefaultConfig()
 	cfg.Tracing = true
-	tn := &testNet{net: net, peers: pgrid.BuildBalanced(net, 16, 1, cfg)}
+	tn := &testNet{net: net, peers: overlay(net, 16, 1, nil, cfg, 77)}
 	for _, p := range tn.peers {
 		tn.engines = append(tn.engines, NewEngine(p, nil))
 	}
@@ -283,7 +283,7 @@ func TestPrefixPushdownCorrectAndCheaper(t *testing.T) {
 		samples = append(samples, triple.IndexKey(tr, triple.ByAV))
 	}
 	net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: 88})
-	peers := pgrid.BuildAdaptive(net, 64, 1, samples, pgrid.DefaultConfig())
+	peers := overlay(net, 64, 1, samples, pgrid.DefaultConfig(), 88)
 	tn := &testNet{net: net, peers: peers}
 	for _, p := range peers {
 		tn.engines = append(tn.engines, NewEngine(p, opt))

@@ -10,6 +10,7 @@ import (
 
 	"unistore/internal/algebra"
 	"unistore/internal/cost"
+	"unistore/internal/keys"
 	"unistore/internal/optimizer"
 	"unistore/internal/pgrid"
 	. "unistore/internal/physical"
@@ -37,7 +38,7 @@ func buildNetPaged(t testing.TB, n int, seed int64, reopt Reoptimizer, pageSize 
 	net := simnet.New(simnet.Config{Latency: simnet.ConstantLatency(time.Millisecond), Seed: seed})
 	cfg := pgrid.DefaultConfig()
 	cfg.PageSize = pageSize
-	peers := pgrid.BuildBalanced(net, n, 1, cfg)
+	peers := overlay(net, n, 1, nil, cfg, seed)
 	tn := &testNet{net: net, peers: peers}
 	for _, p := range peers {
 		tn.engines = append(tn.engines, NewEngine(p, reopt))
@@ -45,12 +46,23 @@ func buildNetPaged(t testing.TB, n int, seed int64, reopt Reoptimizer, pageSize 
 	return tn
 }
 
+// overlay plans n partitions × replicas peers (adapted to samples, if
+// any) and instantiates them on net, a fresh network built with seed.
+func overlay(net *simnet.Network, n, replicas int, samples []keys.Key, cfg pgrid.Config, seed int64) []*pgrid.Peer {
+	specs := pgrid.PlanSpecs(0, n, replicas, samples, cfg, seed)
+	peers, err := pgrid.BuildFromSpecs(net, specs, specs, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return peers
+}
+
 // buildNetLossy builds an overlay with replicated partitions over a
 // lossy network, for best-effort behaviour tests.
 func buildNetLossy(t testing.TB, n int, seed int64, loss float64) *testNet {
 	net := simnet.New(simnet.Config{
 		Latency: simnet.ConstantLatency(time.Millisecond), Seed: seed, LossRate: loss})
-	peers := pgrid.BuildBalanced(net, n, 2, pgrid.DefaultConfig())
+	peers := overlay(net, n, 2, nil, pgrid.DefaultConfig(), seed)
 	tn := &testNet{net: net, peers: peers}
 	for _, p := range peers {
 		tn.engines = append(tn.engines, NewEngine(p, nil))

@@ -1,6 +1,7 @@
-// Surface check: every exported method of *pgrid.Peer must be called
+// Surface check: every exported method of *pgrid.Peer and every
+// exported package-level function of internal/pgrid must be called
 // from production code outside internal/pgrid, so the overlay's API
-// cannot grow methods only its own package or its tests use.
+// cannot grow entry points only its own package or its tests use.
 package unistore_test
 
 import (
@@ -16,17 +17,18 @@ import (
 
 // peerInterfaceMethods are exported because an interface requires them
 // (simnet.Handler, fmt.Stringer), not because a caller names them.
-var peerInterfaceMethods = map[string]bool{"HandleMessage": true, "String": true}
+var peerInterfaceMethods = map[string]bool{"(*pgrid.Peer).HandleMessage": true, "(*pgrid.Peer).String": true}
 
 // TestPeerSurfaceCalledOutsidePgrid: each exported *pgrid.Peer method
-// declared in internal/pgrid's non-test files is called, by name, from
-// some non-test .go file outside internal/pgrid (bench/ included). The
-// match is by selector name, not by type, so it can only miss a dead
-// method whose name another type also uses — it never flags a live one.
+// and each exported package-level function declared in internal/pgrid's
+// non-test files is called, by name, from some non-test .go file
+// outside internal/pgrid (bench/ included). The match is by selector
+// name, not by type, so it can only miss a dead entry point whose name
+// another type or package also uses — it never flags a live one.
 func TestPeerSurfaceCalledOutsidePgrid(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgDir := filepath.Join("internal", "pgrid")
-	methods := map[string]bool{}
+	exported := map[string]bool{} // "pgrid.Name" or "(*pgrid.Peer).Name"
 	called := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -47,8 +49,15 @@ func TestPeerSurfaceCalledOutsidePgrid(t *testing.T) {
 		}
 		if filepath.Dir(path) == pkgDir {
 			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.IsExported() && isPeerReceiver(fd) {
-					methods[fd.Name.Name] = true
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				switch {
+				case fd.Recv == nil:
+					exported["pgrid."+fd.Name.Name] = true
+				case isPeerReceiver(fd):
+					exported["(*pgrid.Peer)."+fd.Name.Name] = true
 				}
 			}
 			return nil
@@ -66,18 +75,19 @@ func TestPeerSurfaceCalledOutsidePgrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(methods) == 0 {
-		t.Fatal("found no exported *Peer methods in internal/pgrid")
+	if len(exported) == 0 {
+		t.Fatal("found no exported functions or *Peer methods in internal/pgrid")
 	}
 	var unused []string
-	for m := range methods {
-		if !called[m] && !peerInterfaceMethods[m] {
+	for m := range exported {
+		name := m[strings.LastIndexByte(m, '.')+1:]
+		if !called[name] && !peerInterfaceMethods[m] {
 			unused = append(unused, m)
 		}
 	}
 	sort.Strings(unused)
 	for _, m := range unused {
-		t.Errorf("(*pgrid.Peer).%s has no caller outside internal/pgrid: unexport it, move it to a test file, or delete it", m)
+		t.Errorf("%s has no caller outside internal/pgrid: unexport it, move it to a test file, or delete it", m)
 	}
 }
 

@@ -76,8 +76,8 @@ func aggEqCluster(pageSize int, push, concurrent bool) (*unistore.Cluster, []uni
 		opt.Agg = optimizer.AggCentralized
 	}
 	c := unistore.New(unistore.Config{
-		Peers: 32, Seed: 51, PageSize: pageSize, RangeShards: 4,
-		ProbeParallelism: 2, Optimizer: opt, Concurrent: concurrent,
+		Peers: 32, Seed: 51, PageSize: pageSize, Optimizer: opt,
+		Concurrent: concurrent,
 	})
 	ds := workload.Generate(workload.Options{Seed: 52, Persons: 120})
 	c.BulkInsert(ds.Triples...)

@@ -203,32 +203,23 @@ func BenchmarkTwoPatternJoinQuery(b *testing.B) {
 //
 // These measure wall clock, not simulated time: the concurrent simnet
 // paces deliveries at simulated/TimeDilation, so a query's ns/op
-// reflects how its DHT round trips overlap. The Sequential variants
-// bound the fan-out window to 1 (probe, wait, probe, ...); the
-// Parallel variants fan out the whole probe set at once. Same 64-peer
-// overlay, same data, same queries.
-
-// lookupBenchCluster builds a 64-peer concurrent cluster loaded with
-// 60 persons; the self-join query's second step grounds its value
-// variable with the 60 names bound by the first, resolving them as 60
-// exact A#v probes — the multi-key DHT index join.
-func lookupBenchCluster(b *testing.B, parallelism int) *unistore.Cluster {
-	b.Helper()
-	c := unistore.New(unistore.Config{
-		Peers: 64, Seed: 8,
-		Concurrent:       true,
-		TimeDilation:     20, // 1ms simulated link = 50µs wall
-		ProbeParallelism: parallelism,
-	})
-	ds := workload.Generate(workload.Options{Seed: 9, Persons: 60})
-	c.BulkInsert(ds.Triples...)
-	return c
-}
+// reflects how its DHT round trips overlap.
 
 const multiLookupQuery = `SELECT ?p,?q WHERE {(?p,'name',?n) (?q,'name',?n)}`
 
-func benchMultiLookup(b *testing.B, parallelism int) {
-	c := lookupBenchCluster(b, parallelism)
+// BenchmarkMultiLookup runs the multi-key DHT index join on a 64-peer
+// concurrent cluster loaded with 60 persons: the self-join query's
+// second step grounds its value variable with the 60 names bound by
+// the first and issues them as one batch of exact A#v probes, all in
+// flight at once.
+func BenchmarkMultiLookup(b *testing.B) {
+	c := unistore.New(unistore.Config{
+		Peers: 64, Seed: 8,
+		Concurrent:   true,
+		TimeDilation: 20, // 1ms simulated link = 50µs wall
+	})
+	ds := workload.Generate(workload.Options{Seed: 9, Persons: 60})
+	c.BulkInsert(ds.Triples...)
 	defer c.Close()
 	b.ResetTimer()
 	results := 0
@@ -241,9 +232,6 @@ func benchMultiLookup(b *testing.B, parallelism int) {
 	}
 	b.ReportMetric(float64(results), "results")
 }
-
-func BenchmarkMultiLookupSequential(b *testing.B) { benchMultiLookup(b, 1) }
-func BenchmarkMultiLookupParallel(b *testing.B)   { benchMultiLookup(b, 0) }
 
 // Insert throughput: per-triple Insert awaits its acks and settles the
 // network after every call (round trips serialize), while BulkInsert
@@ -284,7 +272,7 @@ func BenchmarkInsertBulk(b *testing.B)       { benchInsert(b, true) }
 // --- Streaming top-k benchmark -------------------------------------------------
 //
 // The streaming executor's early termination on a 64-peer simnet: a
-// ranked top-k query with ordered shard release and a threshold stop.
+// ranked top-k query whose scan streams in key order to a threshold stop.
 // Metrics are simulated: total messages, end-to-end simulated
 // milliseconds, and time-to-first-result milliseconds.
 
@@ -293,8 +281,6 @@ const topKQuery = `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 5`
 func BenchmarkTopKStreaming(b *testing.B) {
 	c := unistore.New(unistore.Config{
 		Peers: 64, Seed: 12,
-		RangeShards:      8,
-		ProbeParallelism: 2,
 	})
 	ds := workload.Generate(workload.Options{Seed: 13, Persons: 300})
 	c.BulkInsert(ds.Triples...)
@@ -434,13 +420,11 @@ func BenchmarkGroupByAggPushdown(b *testing.B)    { benchGroupByAgg(b, true) }
 func BenchmarkGroupByAggCentralized(b *testing.B) { benchGroupByAgg(b, false) }
 
 // BenchmarkTimeToFirstResult reports how soon the streaming pipeline
-// surfaces its first row on an exhaustive (unlimited) scan, against
-// the query's full completion time.
+// surfaces its first row on an exhaustive (unlimited) paged scan,
+// against the query's full completion time.
 func BenchmarkTimeToFirstResult(b *testing.B) {
 	c := unistore.New(unistore.Config{
-		Peers: 64, Seed: 14,
-		RangeShards:      8,
-		ProbeParallelism: 1,
+		Peers: 64, Seed: 14, PageSize: benchscen.ScanPageSize,
 	})
 	ds := workload.Generate(workload.Options{Seed: 15, Persons: 300})
 	c.BulkInsert(ds.Triples...)

@@ -88,7 +88,7 @@ var churnQueries = []string{
 func TestChurnQueriesConcurrent(t *testing.T) {
 	ds := workload.Generate(workload.Options{Seed: 31, Persons: 80})
 
-	ref := unistore.New(unistore.Config{Peers: 32, Replicas: 2, Seed: 33, PageSize: 8, RangeShards: 4})
+	ref := unistore.New(unistore.Config{Peers: 32, Replicas: 2, Seed: 33, PageSize: 8})
 	ref.Insert(ds.Triples...)
 	want := make(map[string][]string)
 	for _, q := range churnQueries {
@@ -96,8 +96,7 @@ func TestChurnQueriesConcurrent(t *testing.T) {
 	}
 
 	c := unistore.New(unistore.Config{
-		Peers: 32, Replicas: 2, Seed: 33, PageSize: 8, RangeShards: 4,
-		ProbeParallelism: 2, Concurrent: true,
+		Peers: 32, Replicas: 2, Seed: 33, PageSize: 8, Concurrent: true,
 	})
 	defer c.Close()
 	c.BulkInsert(ds.Triples...)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"unistore"
+	"unistore/internal/benchscen"
 	"unistore/internal/workload"
 )
 
@@ -190,10 +191,11 @@ func TestConcurrentInsertDuringQueries(t *testing.T) {
 	}
 }
 
-// TestParallelismWindows checks the fan-out window settings (the
-// sequential baseline and a small bounded pool) still produce the
+// TestPagedFanOutMatchesReference: the fan-out every cluster runs —
+// one shower per scan, every derivable probe issued at once — with
+// scans paged as the scenarios page them must produce the unpaged
 // reference result set.
-func TestParallelismWindows(t *testing.T) {
+func TestPagedFanOutMatchesReference(t *testing.T) {
 	ds := workload.Generate(workload.Options{Seed: 7, Persons: 50})
 	q := concurrencyQueries[1]
 
@@ -201,16 +203,9 @@ func TestParallelismWindows(t *testing.T) {
 	ref.Insert(ds.Triples...)
 	want := queryRows(t, ref, 0, q)
 
-	for _, par := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
-			c := unistore.New(unistore.Config{
-				Peers: 32, Seed: 3,
-				ProbeParallelism: par, RangeShards: shards,
-			})
-			c.Insert(ds.Triples...)
-			if got := queryRows(t, c, 0, q); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("parallelism=%d shards=%d diverged:\ngot  %v\nwant %v", par, shards, got, want)
-			}
-		}
+	c := unistore.New(unistore.Config{Peers: 32, Seed: 3, PageSize: benchscen.ScanPageSize})
+	c.Insert(ds.Triples...)
+	if got := queryRows(t, c, 0, q); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("paged fan-out diverged:\ngot  %v\nwant %v", got, want)
 	}
 }

@@ -8,17 +8,15 @@ import (
 )
 
 // ExampleConfig shows the knobs a cluster is built with: overlay size,
-// replication, the similarity index, and the streaming executor's
-// fan-out window and range sharding (which give LIMIT/top-k queries
-// shards to skip when they terminate early).
+// replication, the similarity index, and paged range scans (which give
+// LIMIT/top-k queries pages never to pull when they terminate early).
 func ExampleConfig() {
 	c := unistore.New(unistore.Config{
-		Peers:            32,   // key-space partitions
-		Replicas:         2,    // replica group per partition
-		Seed:             7,    // all randomness flows from here
-		EnableQGram:      true, // maintain the similarity index
-		ProbeParallelism: 4,    // at most 4 overlay ops in flight per query
-		RangeShards:      8,    // split each range scan into 8 showers
+		Peers:       32,   // key-space partitions
+		Replicas:    2,    // replica group per partition
+		Seed:        7,    // all randomness flows from here
+		EnableQGram: true, // maintain the similarity index
+		PageSize:    64,   // answer range scans 64 entries at a time
 	})
 	c.Insert(unistore.NewTuple("a12").
 		Set("title", unistore.S("Similarity Queries")).
@@ -33,10 +31,10 @@ func ExampleConfig() {
 
 // ExampleCluster_QueryStream runs a ranked top-k query through the
 // streaming pipeline: rows arrive through the cursor in ranking order
-// as shards of the ordered scan are released, and the query's remote
-// probes stop as soon as the bound proves no better name can arrive.
+// as pages of the ordered scan arrive, and the scan stops pulling pages
+// as soon as the bound proves no better name can arrive.
 func ExampleCluster_QueryStream() {
-	c := unistore.New(unistore.Config{Peers: 32, Seed: 1, RangeShards: 8})
+	c := unistore.New(unistore.Config{Peers: 32, Seed: 1, PageSize: 2})
 	for i, name := range []string{"carol", "alice", "dave", "bob", "erin"} {
 		c.Insert(unistore.NewTuple(fmt.Sprintf("p%d", i)).
 			Set("name", unistore.S(name)).Triples()...)

@@ -43,7 +43,6 @@ var flowQueries = []string{
 func flowConfig(pageSize, winBytes, winMsgs int) unistore.Config {
 	return unistore.Config{
 		Peers: 32, Replicas: 2, Seed: 91,
-		RangeShards: 4, ProbeParallelism: 2,
 		PageSize:        pageSize,
 		FlowWindowBytes: winBytes,
 		FlowWindowMsgs:  winMsgs,

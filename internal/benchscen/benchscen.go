@@ -40,10 +40,10 @@ const (
 )
 
 // TopK builds the ranked top-5 scenario: deterministic 64-peer
-// cluster, sharded scans, bounded window, 300 persons loaded.
+// cluster, 300 persons loaded.
 func TopK() *core.Cluster {
 	c := core.NewCluster(core.Config{
-		Peers: Peers, Seed: 12, RangeShards: 8, ProbeParallelism: 2,
+		Peers: Peers, Seed: 12,
 	})
 	ds := workload.Generate(workload.Options{Seed: 13, Persons: 300})
 	c.BulkInsert(ds.Triples...)
@@ -125,7 +125,7 @@ const (
 func ChurnTopK() *core.Cluster {
 	c := core.NewCluster(core.Config{
 		Peers: ChurnPeers, Replicas: ChurnReplicas, Seed: 21,
-		RangeShards: 8, ProbeParallelism: 2, PageSize: ScanPageSize,
+		PageSize: ScanPageSize,
 	})
 	ds := workload.Generate(workload.Options{Seed: 22, Persons: 300})
 	c.BulkInsert(ds.Triples...)
@@ -235,13 +235,13 @@ func aggOptions(pushdown bool) optimizer.Options {
 }
 
 // GroupByAgg builds the aggregation scenario cluster: deterministic
-// 64-peer simnet, paged responses, sharded scans, 300 persons (≈600
+// 64-peer simnet, paged responses, 300 persons (≈600
 // publication rows over ~40 venues), with the strategy pinned to
 // pushdown or the centralized fallback. The dataset is returned for
 // reference-equivalence checks.
 func GroupByAgg(pushdown bool) (*core.Cluster, []triple.Triple) {
 	c := core.NewCluster(core.Config{
-		Peers: Peers, Seed: 17, RangeShards: 4, PageSize: ScanPageSize,
+		Peers: Peers, Seed: 17, PageSize: ScanPageSize,
 		Optimizer: aggOptions(pushdown),
 	})
 	ds := workload.Generate(workload.Options{Seed: 18, Persons: 300})
@@ -255,7 +255,7 @@ func GroupByAgg(pushdown bool) (*core.Cluster, []triple.Triple) {
 func GroupByAggChurn(pushdown bool) (*core.Cluster, []triple.Triple) {
 	c := core.NewCluster(core.Config{
 		Peers: ChurnPeers, Replicas: ChurnReplicas, Seed: 19,
-		RangeShards: 4, PageSize: ScanPageSize, ProbeParallelism: 2,
+		PageSize:  ScanPageSize,
 		Optimizer: aggOptions(pushdown),
 	})
 	ds := workload.Generate(workload.Options{Seed: 18, Persons: 300})
@@ -283,7 +283,7 @@ func GroupByAggPlan(pushdown bool) (*physical.Plan, error) {
 // computation.
 func Scan() (*core.Cluster, []triple.Triple) {
 	c := core.NewCluster(core.Config{
-		Peers: Peers, Seed: 14, RangeShards: 4, PageSize: ScanPageSize,
+		Peers: Peers, Seed: 14, PageSize: ScanPageSize,
 	})
 	ds := workload.Generate(workload.Options{Seed: 15, Persons: 300})
 	c.BulkInsert(ds.Triples...)

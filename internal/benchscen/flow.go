@@ -86,7 +86,7 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 	}
 	c := core.NewCluster(core.Config{
 		Peers: FlowPeers, Replicas: FlowReplicas, Seed: 41,
-		RangeShards: 4, PageSize: ScanPageSize, ProbeParallelism: 2,
+		PageSize:        ScanPageSize,
 		FlowWindowBytes: winBytes, FlowWindowMsgs: winMsgs,
 	})
 	ds := workload.Generate(workload.Options{Seed: 42, Persons: FlowBasePersons})
@@ -168,7 +168,7 @@ func FlowRun(controlled bool) (FlowVariant, error) {
 	slowID := rejoined.ID()
 
 	// Then the sustained mix with the slow member serving: each round
-	// starts a full scan (its shard envelopes queue), then fires a
+	// starts a full scan (its page envelopes queue), then fires a
 	// replicated acked write batch behind it.
 	plan, err := physical.CompileQuery(mustParse(ScanQuery))
 	if err != nil {

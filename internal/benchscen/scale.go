@@ -200,7 +200,7 @@ type ChurnScaleResult struct {
 func ChurnScale(n int) ChurnScaleResult {
 	c := core.NewCluster(core.Config{
 		Peers: n / 2, Replicas: 2, Seed: 61,
-		RangeShards: 4, PageSize: ScanPageSize, ProbeParallelism: 2,
+		PageSize: ScanPageSize,
 	})
 	ds := workload.Generate(workload.Options{Seed: 62, Persons: 120})
 	c.BulkInsert(ds.Triples...)

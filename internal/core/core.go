@@ -102,15 +102,6 @@ type Config struct {
 	// Lower values make the simulation more faithful to real latency;
 	// 1 runs in real time. Ignored in deterministic mode.
 	TimeDilation float64
-	// ProbeParallelism bounds each query's in-flight fan-out window:
-	// at most this many overlay probes or range shards in flight at
-	// once across the query's whole streaming pipeline. 0 = unbounded
-	// full fan-out (default), 1 = strictly sequential probing (the
-	// benchmarks' baseline).
-	ProbeParallelism int
-	// RangeShards splits every range scan into this many key-space
-	// shards showered independently (<= 1 disables sharding).
-	RangeShards int
 	// PageSize bounds every range-scan response to this many entries:
 	// a responsible peer with more rows answers in pages, and the
 	// query origin pulls continuations only while its pipeline still
@@ -314,11 +305,8 @@ func newCluster(cfg Config, pcfg pgrid.Config, tr pgrid.Transport, peers []*pgri
 
 // addPeer hosts p: it gets a query engine wired to the shared optimizer.
 func (c *Cluster) addPeer(p *pgrid.Peer) int {
-	eng := physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt})
-	eng.SetParallelism(c.cfg.ProbeParallelism)
-	eng.SetRangeShards(c.cfg.RangeShards)
 	c.peers = append(c.peers, p)
-	c.engines = append(c.engines, eng)
+	c.engines = append(c.engines, physical.NewEngine(p, lockedReopt{&c.statsMu, c.opt}))
 	return len(c.peers) - 1
 }
 
@@ -332,7 +320,7 @@ func (c *Cluster) addPeer(p *pgrid.Peer) int {
 func (c *Cluster) Close() error { return c.close() }
 
 // Engine exposes the query engine attached to one peer (benchmarks and
-// tests tune fan-out windows through it).
+// tests open compiled plans on it directly).
 func (c *Cluster) Engine(peerIdx int) *physical.Engine {
 	return c.engines[peerIdx%len(c.engines)]
 }
@@ -593,8 +581,8 @@ func (c *Cluster) QueryFrom(peerIdx int, src string) (*Result, error) {
 
 // QueryStream parses VQL and opens it as a pull stream over its
 // results, from a random hosted peer unless From says otherwise.
-// Canceling ctx terminates the query early — unissued probes and
-// shards are never sent, pending overlay operations are released,
+// Canceling ctx terminates the query early — pending overlay
+// operations are released (a paged scan pulls no further page),
 // migrated plan remainders are chased down — and the stream ends with
 // the rows produced so far. The caller must exhaust or Close it.
 func (c *Cluster) QueryStream(ctx context.Context, src string, opts ...QueryOption) (*Stream, error) {

@@ -23,8 +23,7 @@ const rankedTopK = `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 5`
 func tracedTopKCluster(t *testing.T) *Cluster {
 	t.Helper()
 	c := NewCluster(Config{
-		Peers: 64, Seed: 12, RangeShards: 8, ProbeParallelism: 2,
-		Tracing: true,
+		Peers: 64, Seed: 12, Tracing: true,
 	})
 	ds := workload.Generate(workload.Options{Seed: 13, Persons: 300})
 	c.BulkInsert(ds.Triples...)
@@ -48,7 +47,7 @@ func TestQueryTraceReconcilesExactly(t *testing.T) {
 	}
 	before := c.net.Stats()
 	bs, ex := c.engines[0].RunPlanCtx(context.Background(), plan)
-	// Drain stragglers (late shard pages, cancels): their riders fold
+	// Drain stragglers (late pages, cancels): their riders fold
 	// into a repeated Trace() call, their cost into the stats delta.
 	c.net.Settle()
 	after := c.net.Stats()
@@ -145,8 +144,8 @@ func TestUntracedQueriesCarryNoTrace(t *testing.T) {
 func TestTraceCompleteUnderPeerKills(t *testing.T) {
 	build := func(tracing bool) *Cluster {
 		c := NewCluster(Config{
-			Peers: 32, Replicas: 2, Seed: 21, RangeShards: 8,
-			ProbeParallelism: 2, PageSize: 8, Tracing: tracing,
+			Peers: 32, Replicas: 2, Seed: 21, PageSize: 8,
+			Tracing: tracing,
 		})
 		ds := workload.Generate(workload.Options{Seed: 22, Persons: 300})
 		c.BulkInsert(ds.Triples...)

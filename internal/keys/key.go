@@ -304,6 +304,31 @@ func (r Range) OverlapsPrefix(p Key) bool {
 	return p.Compare(r.Lo) >= 0
 }
 
+// WithinPrefix reports whether every full-depth key in r has prefix p:
+// whether the partition at trie path p alone holds all of r. Bounds
+// are read as padded with zero bits, as full-depth keys see them.
+func (r Range) WithinPrefix(p Key) bool {
+	lo := r.Lo
+	for lo.Len() < p.Len() {
+		lo = lo.Append(0)
+	}
+	if lo.Compare(p) < 0 {
+		return false
+	}
+	end, ok := p.Successor()
+	if !ok {
+		return true
+	}
+	if !r.HiOpen {
+		return false
+	}
+	hi := r.Hi
+	for hi.Len() > end.Len() && hi.Bit(hi.Len()-1) == 0 {
+		hi = hi.Prefix(hi.Len() - 1)
+	}
+	return hi.Compare(end) <= 0
+}
+
 // PrefixRange returns the range covering exactly the keys with prefix p.
 func PrefixRange(p Key) Range {
 	hi, ok := p.Successor()

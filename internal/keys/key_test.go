@@ -301,6 +301,55 @@ func TestOverlapsPrefixSoundProperty(t *testing.T) {
 	}
 }
 
+// TestRangeWithinPrefixExhaustive: with 5-bit keys as the full depth,
+// for every range between bounds of 1–5 bits (or open to the end of
+// the key space) and every prefix of up to 5 bits, WithinPrefix(p)
+// holds exactly when each full-depth key the range contains has
+// prefix p.
+func TestRangeWithinPrefixExhaustive(t *testing.T) {
+	const w = 5
+	key := func(v, n int) Key {
+		k := Empty
+		for i := n - 1; i >= 0; i-- {
+			k = k.Append(v >> i & 1)
+		}
+		return k
+	}
+	var all []Key // every key of 0..w bits
+	for n := 0; n <= w; n++ {
+		for v := 0; v < 1<<n; v++ {
+			all = append(all, key(v, n))
+		}
+	}
+	check := func(r Range) {
+		n := 0
+		for v := 0; v < 1<<w; v++ {
+			if r.Contains(key(v, w)) {
+				n++
+			}
+		}
+		if n == 0 {
+			return
+		}
+		for _, p := range all {
+			want := true
+			for v := 0; v < 1<<w && want; v++ {
+				k := key(v, w)
+				want = !r.Contains(k) || k.HasPrefix(p)
+			}
+			if got := r.WithinPrefix(p); got != want {
+				t.Fatalf("[%s,%s open=%v).WithinPrefix(%q) = %v, want %v", r.Lo, r.Hi, r.HiOpen, p, got, want)
+			}
+		}
+	}
+	for _, lo := range all[1:] {
+		check(Range{Lo: lo})
+		for _, hi := range all[1:] {
+			check(Range{Lo: lo, Hi: hi, HiOpen: true})
+		}
+	}
+}
+
 func TestStringRange(t *testing.T) {
 	r := StringRange("ICDE", "ICDF")
 	if !r.Contains(HashString("ICDE 2006")) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unistore/internal/keys"
 	"unistore/internal/netx"
 	"unistore/internal/pgrid"
 	"unistore/internal/store"
@@ -163,7 +164,7 @@ func TestPGridOverNetxMidScanTransportDeath(t *testing.T) {
 		streamed []store.Entry
 		kill     sync.Once
 	)
-	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, pgrid.WithPages(func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, pgrid.WithPages(func(_ keys.Key, es []store.Entry) {
 		mu.Lock()
 		streamed = append(streamed, es...)
 		mu.Unlock()

@@ -483,7 +483,7 @@ func walkOperand(o vql.Operand, fn func(string)) {
 // streamable limit in effect for this step, candidate costs are scaled
 // to what the early-terminating executor will actually pay — which
 // penalizes the q-gram path (its gram phase is pure startup) relative
-// to the shard-by-shard range scan.
+// to the page-by-page range scan.
 //
 // A step joined on its subject alone (its value unbound) runs either
 // as batched OID probes, one per upstream subject, or as a scan of the

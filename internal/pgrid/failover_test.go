@@ -35,7 +35,7 @@ func TestPagePullHedgeRecoversFastMidPaginationDeath(t *testing.T) {
 	}
 	var streamed []store.Entry
 	start := net.Now()
-	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(_ keys.Key, es []store.Entry) {
 		streamed = append(streamed, es...)
 	}))
 	// Step until the first remote page landed — the pull for the next
@@ -132,7 +132,7 @@ func TestRowPullHedgeForkDeliversOnce(t *testing.T) {
 			r := triple.AVPrefixRange("age")
 			origin := slowServersFor(t, net, peers, r)
 			var streamed []store.Entry
-			h := origin.RangeQuery(triple.ByAV, r, nil, WithPages(func(es []store.Entry) {
+			h := origin.RangeQuery(triple.ByAV, r, nil, WithPages(func(_ keys.Key, es []store.Entry) {
 				streamed = append(streamed, es...)
 			}))
 			// The first page's pull left under the pull window.
@@ -187,7 +187,7 @@ func TestSiblingResumeWithDivergentBucketOrder(t *testing.T) {
 	}
 	var streamed []store.Entry
 	start := net.Now()
-	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(_ keys.Key, es []store.Entry) {
 		streamed = append(streamed, es...)
 	}))
 	// The first page (dv0, dv1) landed and its pull is in flight.

@@ -34,7 +34,7 @@ func scanAge(t *testing.T, peers []*Peer) (*Peer, *Handle, *[]store.Entry) {
 		t.Fatal("no peer outside the age region")
 	}
 	streamed := &[]store.Entry{}
-	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, triple.AVPrefixRange("age"), nil, WithPages(func(_ keys.Key, es []store.Entry) {
 		*streamed = append(*streamed, es...)
 	}))
 	return q, h, streamed

@@ -145,7 +145,7 @@ type rangeMsg struct {
 	PageSize int
 	// Desc serves (and pages) each partition's overlap in descending
 	// key order, so a descending ranked scan streams pages instead of
-	// buffering whole shards for reversal.
+	// buffering a whole partition for reversal.
 	Desc bool
 	// Agg, when set, turns the scan into peer-side aggregation: each
 	// overlapping partition matches its stored entries against the

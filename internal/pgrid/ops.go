@@ -32,7 +32,7 @@ type opSettings struct {
 	tc     trace.Ctx
 	agg    *agg.Spec
 	onAgg  func([]agg.State)
-	onPage func([]store.Entry)
+	onPage func(keys.Key, []store.Entry)
 	desc   bool
 }
 
@@ -66,18 +66,21 @@ func WithAgg(spec *agg.Spec, onGroups func([]agg.State)) OpOption {
 // WithPages streams every response's entries (each page of a paged
 // scan, each partition's or key batch's answer) to onPage the moment it
 // arrives, in key order per partition, instead of accumulating them in
-// the final OpResult, which then carries counts only. Canceling the
-// handle between pages stops the pull loop: remaining pages are never
-// requested. onPage runs outside the peer lock, always before the
-// completion callback.
-func WithPages(onPage func([]store.Entry)) OpOption {
+// the final OpResult, which then carries counts only. part is the
+// partition that served the entries: the path a paged scan's stream is
+// filed under, else the responder's path. Pages of different
+// partitions interleave, so a consumer that needs one global key order
+// has it only while part covers the whole scanned range. Canceling the handle between pages stops the pull loop:
+// remaining pages are never requested. onPage runs outside the peer
+// lock, always before the completion callback.
+func WithPages(onPage func(part keys.Key, es []store.Entry)) OpOption {
 	return func(s *opSettings) { s.onPage = onPage }
 }
 
 // WithDesc sets a range scan's direction: desc serves (and pages) every
 // partition's overlap from the top of the key range down, so descending
-// ranked scans stream pages in ranking order instead of buffering whole
-// shards for reversal. Exact-key lookups ignore it.
+// ranked scans stream pages in ranking order instead of buffering a
+// whole partition for reversal. Exact-key lookups ignore it.
 func WithDesc(desc bool) OpOption {
 	return func(s *opSettings) { s.desc = desc }
 }
@@ -440,7 +443,7 @@ func (p *Peer) handleResponse(r queryResp, size int) {
 	}
 	p.mu.Unlock()
 	if len(partial) > 0 {
-		onPartial(partial)
+		onPartial(spath, partial)
 	}
 	if len(aggStates) > 0 && onAgg != nil {
 		onAgg(aggStates)

@@ -254,12 +254,13 @@ type pendingOp struct {
 	complete      bool // all expected responses arrived (vs. expired)
 	onDone        func(*pendingOp)
 	// onPartial, when set, receives each response's entries the moment
-	// it arrives (pages of a paged scan, shard responses) instead of
-	// accumulating them for the final result — the streaming delivery
-	// that lets a consumer's early-out stop the page pull loop
-	// mid-scan. It is invoked outside the peer lock, strictly before
-	// the completion callback, and never after it.
-	onPartial func([]store.Entry)
+	// it arrives (pages of a paged scan, partition responses), with the
+	// answering partition's path, instead of accumulating them for the
+	// final result — the streaming delivery that lets a consumer's
+	// early-out stop the page pull loop mid-scan. It is invoked outside
+	// the peer lock, strictly before the completion callback, and never
+	// after it.
+	onPartial func(keys.Key, []store.Entry)
 	// aggSpec/onAgg mark a pushed-down aggregation: responses carry
 	// encoded partial group states, decoded and streamed to onAgg with
 	// the same ordering guarantees onPartial has.

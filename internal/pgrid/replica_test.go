@@ -344,7 +344,7 @@ func TestPagedScanResumesAtCursorAfterMidPaginationDeath(t *testing.T) {
 	r := triple.AVPrefixRange("age")
 
 	var streamed []store.Entry
-	h := q.RangeQuery(triple.ByAV, r, nil, WithPages(func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, r, nil, WithPages(func(_ keys.Key, es []store.Entry) {
 		streamed = append(streamed, es...)
 	}))
 	// Step until at least one REMOTE page has streamed in (the origin
@@ -558,7 +558,7 @@ func TestDescPagedScanStreamsInOrder(t *testing.T) {
 
 	perSource := map[string][]keys.Key{}
 	var pages [][]store.Entry
-	h := q.RangeQuery(triple.ByAV, r, nil, WithDesc(true), WithPages(func(es []store.Entry) {
+	h := q.RangeQuery(triple.ByAV, r, nil, WithDesc(true), WithPages(func(_ keys.Key, es []store.Entry) {
 		pages = append(pages, es)
 		for _, e := range es {
 			src := e.Key.Prefix(2).String()

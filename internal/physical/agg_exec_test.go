@@ -126,10 +126,6 @@ func TestAggGroupKeyRankEarlyOut(t *testing.T) {
 	topk := `SELECT ?s, count(*) AS ?n WHERE {(?p,'score',?s)} GROUP BY ?s ORDER BY ?s LIMIT 3`
 
 	tn := buildNetPaged(t, 32, 501, nil, 4)
-	for _, e := range tn.engines {
-		e.SetRangeShards(8)
-		e.SetParallelism(2)
-	}
 	tn.load(corpus)
 
 	wantFull := referenceRun(t, full, corpus)

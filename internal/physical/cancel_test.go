@@ -44,15 +44,6 @@ func cancelCorpus() []triple.Triple {
 	return ts
 }
 
-// throttle bounds every engine's in-flight window so a hosted plan's
-// probe fan-out streams instead of bursting — giving an in-flight
-// cancel something to stop.
-func throttle(tn *testNet) {
-	for _, e := range tn.engines {
-		e.SetParallelism(2)
-	}
-}
-
 // totalPending sums pending overlay operations across the overlay.
 func totalPending(tn *testNet) int {
 	n := 0
@@ -81,7 +72,6 @@ func TestCancelPropagatesToMigratedHost(t *testing.T) {
 	// Reference: the same shipped query run to completion.
 	ref := buildNet(t, 32, 211, nil)
 	ref.load(corpus)
-	throttle(ref)
 	ref.net.ResetStats()
 	_, ex := ref.engines[0].RunPlanCtx(context.Background(), shipPlan(t))
 	if !ex.Done() {
@@ -93,7 +83,6 @@ func TestCancelPropagatesToMigratedHost(t *testing.T) {
 	// plan migrates.
 	tn := buildNet(t, 32, 211, nil)
 	tn.load(corpus)
-	throttle(tn)
 	tn.net.ResetStats()
 	cx := tn.engines[0].Open(context.Background(), shipPlan(t)).Exec()
 	for !cx.Migrated() && tn.net.Step() {

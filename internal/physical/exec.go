@@ -63,15 +63,6 @@ type Engine struct {
 	// step resolves with streaming exact lookups before escalating to a
 	// range scan.
 	probeCap int
-	// parallelism bounds the per-query in-flight window: the pipeline
-	// issues at most this many overlay operations at once across all
-	// its stages, topping the window up as completions arrive. 0 =
-	// issue everything as soon as it is derivable (full fan-out);
-	// 1 = strictly sequential.
-	parallelism int
-	// rangeShards splits each range scan into this many key-space
-	// shards showered independently. 1 = a single shower (default).
-	rangeShards int
 }
 
 // planMsg carries a mutant plan to its next host. TC is the trace
@@ -162,52 +153,13 @@ func init() {
 func NewEngine(p *pgrid.Peer, reopt Reoptimizer) *Engine {
 	e := &Engine{peer: p, reopt: reopt, queries: make(map[uint64]*Exec),
 		hosted: make(map[hostKey]*Exec), canceledHosts: make(map[hostKey]time.Duration),
-		probeCap: 64, parallelism: 0, rangeShards: 1}
+		probeCap: 64}
 	p.SetAppHandler(e.handleApp)
 	return e
 }
 
 // Peer returns the engine's peer.
 func (e *Engine) Peer() *pgrid.Peer { return e.peer }
-
-// SetParallelism bounds the per-query fan-out window: at most n
-// overlay operations (probes, range shards, gram queries) in flight at
-// once across the whole pipeline. n == 0 restores the unbounded full
-// fan-out; n == 1 degrades to the strictly sequential
-// probe-wait-probe path (the baseline the benchmarks compare against).
-func (e *Engine) SetParallelism(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	e.parallelism = n
-}
-
-// SetRangeShards makes every range scan fan out as n key-space shards
-// showered independently (n <= 1 disables sharding). Sharding is also
-// what gives top-k queries something to skip: an early-out cancels the
-// shards not yet issued.
-func (e *Engine) SetRangeShards(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	e.rangeShards = n
-}
-
-func (e *Engine) window() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.parallelism
-}
-
-func (e *Engine) shards() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.rangeShards
-}
 
 func (e *Engine) handleApp(_ *pgrid.Peer, payload any, from simnet.NodeID, hops int) {
 	switch m := payload.(type) {
@@ -379,12 +331,13 @@ func (e *Engine) HostedPlans() int {
 // Exec drives one query (or the hosted remainder of one) at one peer.
 //
 // Execution is a streaming pipeline: one stage per plan step, results
-// flowing between stages as soon as overlay responses arrive, all
-// overlay operations scheduled through a single bounded in-flight
-// window, and the tail sink stopping the whole pipeline the moment a
-// LIMIT or top-k bound proves no further traffic can change the
-// result. Pipeline state is guarded by pmu and mutated only through
-// the window's completion path; externally visible state (done,
+// flowing between stages as soon as overlay responses arrive, every
+// overlay operation issued the moment it is derivable and tracked in
+// one set the query can cancel, and the tail sink stopping the whole
+// pipeline the moment a LIMIT or top-k bound proves no further traffic
+// (no further page pull) can change the result. Pipeline state is
+// guarded by pmu and mutated only through the operations' completion
+// path; externally visible state (done,
 // result, counters) is guarded by mu, with the completion channel
 // ordering the final result for waiters.
 type Exec struct {
@@ -399,7 +352,7 @@ type Exec struct {
 
 	// Pipeline state (guarded by pmu).
 	pmu    sync.Mutex
-	win    *opWindow
+	ops    *opSet
 	stages []*stage
 	sink   *tailSink
 	// agg is the aggregation coordinator (nil for non-aggregating
@@ -605,7 +558,7 @@ func (ex *Exec) noteFirstResult() {
 
 // startPipeline builds and opens the stage pipeline. Callers hold pmu.
 func (ex *Exec) startPipeline() {
-	ex.win = newOpWindow(ex, ex.eng.window())
+	ex.ops = newOpSet(ex)
 	if ex.tail.HasAgg() {
 		// The pushdown choice made at compile time is re-validated
 		// against this execution: a hosted remainder (seeded rows) or a
@@ -696,7 +649,7 @@ func (ex *Exec) migrateFrom(idx int) {
 	}
 	ex.migrated = true
 	ex.migratedTo = target
-	ex.win.close()
+	ex.ops.close()
 	ex.eng.peer.SendApp(target, m)
 	// This Exec's role ends here; the result flows to ex.origin.
 	if ex.origin == ex.eng.peer.ID() {
@@ -707,15 +660,15 @@ func (ex *Exec) migrateFrom(idx int) {
 }
 
 // earlyOut stops the pipeline once the sink has proven the result
-// cannot improve: queued operations are dropped, in-flight ones
-// canceled, and the query completes with the rows at hand. Callers
+// cannot improve: in-flight operations are canceled (a canceled scan
+// pulls no further page), and the query completes with the rows at hand. Callers
 // hold pmu.
 func (ex *Exec) earlyOut() {
 	if ex.stopped {
 		return
 	}
 	ex.stopped = true
-	ex.win.close()
+	ex.ops.close()
 	ex.finishPipeline(ex.sink.rows)
 }
 
@@ -725,7 +678,7 @@ func (ex *Exec) earlyOut() {
 // unflushed), so only the post-aggregation clauses re-apply —
 // re-aggregating group rows would count groups instead of rows.
 func (ex *Exec) finishPipeline(rows []algebra.Binding) {
-	ex.win.close()
+	ex.ops.close()
 	if ex.sink.mode == sinkRank {
 		// The cursor may still be reading the streamed rows, which the
 		// tail's ORDER BY would sort in place; at most LIMIT rows.
@@ -738,9 +691,8 @@ func (ex *Exec) finishPipeline(rows []algebra.Binding) {
 	ex.finishWith(ex.tail.Apply(rows))
 }
 
-// Cancel terminates the query early: the pipeline stops, queued
-// operations are dropped, pending overlay operations are canceled at
-// the peer, and the Exec completes with the rows produced so far. If
+// Cancel terminates the query early: the pipeline stops, pending
+// overlay operations are canceled at the peer, and the Exec completes with the rows produced so far. If
 // the plan migrated, a cancel message chases it to the hosting peer
 // (and onward along any further migrations) so the remote remainder
 // stops too instead of running to completion. Canceling a completed
@@ -766,7 +718,7 @@ func (ex *Exec) Cancel() {
 		return
 	}
 	ex.stopped = true
-	ex.win.close()
+	ex.ops.close()
 	var rows []algebra.Binding
 	if ex.sink != nil {
 		rows = ex.sink.rows
@@ -799,8 +751,8 @@ func shipTarget(st Step) (keys.Key, bool) {
 }
 
 // cancelHosted stops a hosted (migrated-in) plan without shipping any
-// result home: the pipeline halts, queued operations are dropped and
-// pending overlay operations released. If this host already re-shipped
+// result home: the pipeline halts and pending overlay operations are
+// released. If this host already re-shipped
 // the plan onward, it reports the next region so the caller can
 // forward the cancel along the chain.
 func (ex *Exec) cancelHosted() (next keys.Key, forward bool) {
@@ -813,7 +765,7 @@ func (ex *Exec) cancelHosted() (next keys.Key, forward bool) {
 		return keys.Key{}, false
 	}
 	ex.stopped = true
-	ex.win.close()
+	ex.ops.close()
 	ex.markDone()
 	return keys.Key{}, false
 }

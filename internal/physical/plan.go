@@ -11,11 +11,11 @@
 // materialize-then-advance: each plan step runs as a stage whose
 // overlay responses flow into an incremental symmetric hash join the
 // moment they arrive, stages overlap (a later stage's independent scan
-// opens while earlier stages still stream), every operation of a query
-// shares one bounded in-flight window, and the tail sink terminates
-// the pipeline early when a LIMIT or ranked top-k bound proves no
-// further response can change the result — canceling pending overlay
-// operations and never issuing the queued ones. Blocking tails
+// opens while earlier stages still stream), every operation issues as
+// soon as it is derivable, and the tail sink terminates the pipeline
+// early when a LIMIT or ranked top-k bound proves no further response
+// can change the result — canceling pending overlay operations, whose
+// paged scans then pull no further page. Blocking tails
 // (skyline, multi-key orderings) still materialize before the tail
 // applies; everything else streams, and Engine.Open exposes the
 // pipeline as a pull cursor (Open/Next/Close).

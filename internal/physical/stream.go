@@ -1,13 +1,14 @@
 package physical
 
-// This file implements the streaming side of the executor: the shared
-// bounded operation window, the per-step pipeline stages (incremental
-// symmetric joins fed by overlay operations), the tail sink with its
-// LIMIT/top-k early-termination rules, and the pull cursor handed to
-// callers. Exec (exec.go) owns the lifecycle; everything here runs
+// This file implements the streaming side of the executor: the query's
+// set of outstanding overlay operations, the per-step pipeline stages
+// (incremental symmetric joins fed by overlay operations), the tail
+// sink with its LIMIT/top-k early-termination rules, and the pull
+// cursor handed to callers. Exec (exec.go) owns the lifecycle; everything here runs
 // under Exec.pmu, the single pipeline lock.
 
 import (
+	"slices"
 	"sync"
 
 	"unistore/internal/agg"
@@ -21,97 +22,69 @@ import (
 	"unistore/internal/vql"
 )
 
-// --- Bounded in-flight window -------------------------------------------------
+// --- Outstanding operations ---------------------------------------------------
 
-// windowOp is one overlay operation scheduled through the window.
-type windowOp struct {
-	issue    func(cb func(pgrid.OpResult)) *pgrid.Handle
+// overlayOp is one overlay operation the query issued.
+type overlayOp struct {
 	complete func(pgrid.OpResult)
 }
 
-// opWindow drives every overlay operation of one query — probes, range
-// shards, gram fan-outs, across all pipeline stages — through a single
-// bounded in-flight window: at most `limit` operations outstanding at
-// once (0 = unbounded), excess operations queued FIFO and issued as
-// completions free slots. Closing the window drops the queue and
-// cancels the outstanding operations, which is how an early-out stops
-// traffic that has not been sent yet. All methods require Exec.pmu.
-type opWindow struct {
-	ex       *Exec
-	limit    int
-	inFlight int
-	queue    []*windowOp
-	handles  map[*windowOp]*pgrid.Handle
-	closed   bool
+// opSet tracks every overlay operation of one query — probes, scans,
+// gram fan-outs, across all pipeline stages. An operation issues the
+// moment a stage can derive it (a scan is one shower over every
+// partition it covers); closing the set cancels the outstanding ones,
+// which is how an early-out stops traffic not sent yet: a canceled
+// paged scan pulls no further page. All methods require Exec.pmu.
+type opSet struct {
+	ex      *Exec
+	handles map[*overlayOp]*pgrid.Handle
+	closed  bool
 }
 
-func newOpWindow(ex *Exec, limit int) *opWindow {
-	return &opWindow{ex: ex, limit: limit, handles: make(map[*windowOp]*pgrid.Handle)}
+func newOpSet(ex *Exec) *opSet {
+	return &opSet{ex: ex, handles: make(map[*overlayOp]*pgrid.Handle)}
 }
 
-func (w *opWindow) submit(issue func(cb func(pgrid.OpResult)) *pgrid.Handle, complete func(pgrid.OpResult)) {
-	if w.closed {
-		return
-	}
-	op := &windowOp{issue: issue, complete: complete}
-	if w.limit <= 0 || w.inFlight < w.limit {
-		w.fire(op)
-		return
-	}
-	w.queue = append(w.queue, op)
-}
-
-// fire issues one operation. The completion callback arrives on a
+// submit issues one operation. The completion callback arrives on a
 // network goroutine (or the event loop) and re-enters through
 // Exec.opDone, which serializes on pmu — so the handle is recorded
 // before the callback body can observe the map.
-func (w *opWindow) fire(op *windowOp) {
-	w.inFlight++
-	w.ex.noteOp()
-	h := op.issue(func(res pgrid.OpResult) { w.ex.opDone(op, res) })
-	w.handles[op] = h
-	if h != nil && w.ex.tc.Active() {
-		w.ex.recordTraceQID(h.QID())
-	}
-}
-
-// pump tops the window up after a completion.
-func (w *opWindow) pump() {
-	for !w.closed && len(w.queue) > 0 && (w.limit <= 0 || w.inFlight < w.limit) {
-		op := w.queue[0]
-		w.queue = w.queue[1:]
-		w.fire(op)
-	}
-}
-
-// close drops queued operations and cancels outstanding ones.
-func (w *opWindow) close() {
-	if w.closed {
+func (o *opSet) submit(issue func(cb func(pgrid.OpResult)) *pgrid.Handle, complete func(pgrid.OpResult)) {
+	if o.closed {
 		return
 	}
-	w.closed = true
-	w.queue = nil
-	for op, h := range w.handles {
+	op := &overlayOp{complete: complete}
+	o.ex.noteOp()
+	h := issue(func(res pgrid.OpResult) { o.ex.opDone(op, res) })
+	o.handles[op] = h
+	if h != nil && o.ex.tc.Active() {
+		o.ex.recordTraceQID(h.QID())
+	}
+}
+
+// close cancels the outstanding operations.
+func (o *opSet) close() {
+	if o.closed {
+		return
+	}
+	o.closed = true
+	for op, h := range o.handles {
 		h.Cancel()
-		delete(w.handles, op)
+		delete(o.handles, op)
 	}
 }
 
 // opDone is the single re-entry point from the overlay into the
-// pipeline: it serializes on pmu, runs the operation's stage logic and
-// tops the window up.
-func (ex *Exec) opDone(op *windowOp, res pgrid.OpResult) {
+// pipeline: it serializes on pmu and runs the operation's stage logic.
+func (ex *Exec) opDone(op *overlayOp, res pgrid.OpResult) {
 	ex.pmu.Lock()
 	defer ex.pmu.Unlock()
-	w := ex.win
-	delete(w.handles, op)
-	w.inFlight--
-	if w.closed {
+	if ex.ops.closed {
 		return
 	}
+	delete(ex.ops.handles, op)
 	ex.noteHops(res.Hops)
 	op.complete(res)
-	w.pump()
 }
 
 // --- Pipeline stages ----------------------------------------------------------
@@ -126,7 +99,7 @@ const (
 	// modeProbes issues one exact lookup per distinct upstream value —
 	// the streaming DHT index join.
 	modeProbes
-	// modeScan showers a key range (sharded when configured).
+	// modeScan showers a key range.
 	modeScan
 	// modeFixed issues lookups for statically known keys.
 	modeFixed
@@ -183,18 +156,12 @@ type stage struct {
 	gramsLeft   int
 	verified    bool
 
-	// Ordered shard release for the final stage of a streaming top-k:
-	// shards are issued with a small lookahead and their results are
-	// released strictly in key order, so rows leave the stage in
-	// ranking order and the sink can stop the scan early.
-	rank      bool
-	rankDesc  bool
-	rankAhead int
-	shards    []keys.Range
-	shardBuf  [][]store.Entry
-	shardOK   []bool
-	nextIssue int
-	nextRel   int
+	// rank marks the final stage of a streaming top-k: its scan serves
+	// every partition in ranking order (top-down when rankDesc), so
+	// while one partition answers, rows leave the stage in ranking
+	// order and the sink can stop the scan early.
+	rank     bool
+	rankDesc bool
 
 	// aggPush runs the stage's access path in aggregated form: overlay
 	// operations carry the query's aggregation spec and deliver partial
@@ -321,7 +288,7 @@ func (s *stage) classifyLookup(term vql.Term, kind triple.IndexKind, key func(tr
 // barrier reports whether the stage must wait for its complete
 // upstream before doing any right-side work: mutant (ship) steps may
 // migrate the plan away, and an ordered top-k scan must not interleave
-// late upstream rows with released shards.
+// late upstream rows with its ordered pages.
 func (s *stage) barrier() bool {
 	return (s.st.Ship && s.idx > 0) || s.rank
 }
@@ -362,7 +329,7 @@ func (s *stage) open() {
 func (ex *Exec) opAggStates(states []agg.State) {
 	ex.pmu.Lock()
 	defer ex.pmu.Unlock()
-	if ex.stopped || ex.migrated || ex.win.closed || ex.agg == nil {
+	if ex.stopped || ex.migrated || ex.ops.closed || ex.agg == nil {
 		return
 	}
 	ex.agg.merge(states)
@@ -440,124 +407,40 @@ func (s *stage) flushProbes() {
 	}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
 }
 
-// openScan showers the stage's key range, split into the engine's
-// shard count. Responses stream page by page into the join (the
-// overlay's paged scans deliver partial pages as they arrive) — or, with
-// the aggregation pushed down, as batches of group states into the
-// coordinator's merge table. The rank stage instead issues shards with
-// a bounded lookahead and releases results strictly in key order.
+// openScan showers the stage's key range as one overlay scan, which
+// reaches every partition the range covers in parallel. Responses
+// stream page by page into the join (the overlay's paged scans deliver
+// partial pages as they arrive) — or, with the aggregation pushed
+// down, as batches of group states into the coordinator's merge table.
+// The rank stage scans in ranking order.
 func (s *stage) openScan() {
-	if s.issuedAll || len(s.shards) > 0 {
-		return
-	}
-	shards := []keys.Range{s.scanRange}
-	if n := s.ex.eng.shards(); n > 1 {
-		shards = keys.SplitRange(s.scanRange, n)
-	}
-	if s.rank {
-		if s.rankDesc {
-			for i, j := 0, len(shards)-1; i < j; i, j = i+1, j-1 {
-				shards[i], shards[j] = shards[j], shards[i]
-			}
-		}
-		s.shards = shards
-		s.shardBuf = make([][]store.Entry, len(shards))
-		s.shardOK = make([]bool, len(shards))
-		s.rankAhead = s.ex.eng.window()
-		if s.rankAhead <= 0 {
-			// An unbounded window would defeat the early-out; keep a
-			// small ordered lookahead instead.
-			s.rankAhead = 2
-		}
-		s.issueRank()
+	if s.issuedAll {
 		return
 	}
 	s.issuedAll = true
-	for _, r := range shards {
-		r := r
-		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-			return s.ex.eng.peer.RangeQuery(s.scanKind, r, cb, s.opts(
-				pgrid.WithPages(func(es []store.Entry) { s.ex.opPage(s, -1, es) }))...)
-		}, func(res pgrid.OpResult) { s.onEntries(res.Entries) })
-	}
-}
-
-// issueRank keeps at most rankAhead ordered shards beyond the release
-// frontier in flight. Descending ranks issue shards high-to-low (the
-// shard list was reversed at openScan) and ask the overlay to serve
-// each partition's pages top-down, so pages arrive in ranking order
-// for both directions.
-func (s *stage) issueRank() {
-	for s.nextIssue < len(s.shards) && s.nextIssue < s.nextRel+s.rankAhead {
-		slot := s.nextIssue
-		s.nextIssue++
-		r := s.shards[slot]
-		s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
-			return s.ex.eng.peer.RangeQuery(s.scanKind, r, cb, s.opts(pgrid.WithDesc(s.rankDesc),
-				pgrid.WithPages(func(es []store.Entry) { s.ex.opPage(s, slot, es) }))...)
-		}, func(pgrid.OpResult) { s.onRankShard(slot) })
-	}
+	s.submitOp(func(cb func(pgrid.OpResult)) *pgrid.Handle {
+		return s.ex.eng.peer.RangeQuery(s.scanKind, s.scanRange, cb, s.opts(pgrid.WithDesc(s.rankDesc),
+			pgrid.WithPages(func(part keys.Key, es []store.Entry) { s.ex.opPage(s, part, es) }))...)
+	}, func(pgrid.OpResult) {})
 }
 
 // opPage is the streaming re-entry point from the overlay: one page
-// (or one partition's shard answer) enters the pipeline under pmu.
-// slot < 0 marks an unordered scan; otherwise the page belongs to the
-// rank stage's ordered shard at that slot.
-func (ex *Exec) opPage(s *stage, slot int, entries []store.Entry) {
+// (or one partition's whole answer) enters the pipeline under pmu.
+// part is the partition that served it. Each partition pages in
+// ranking order, but pages of different partitions interleave, so the
+// rank stage's order holds only while the serving partition covers the
+// whole scanned range; the first page from a partition that does not
+// drops the sink to sort-at-end before its rows enter.
+func (ex *Exec) opPage(s *stage, part keys.Key, entries []store.Entry) {
 	ex.pmu.Lock()
 	defer ex.pmu.Unlock()
-	if ex.stopped || ex.migrated || ex.win.closed {
+	if ex.stopped || ex.migrated || ex.ops.closed {
 		return
 	}
-	if slot < 0 {
-		s.onEntries(entries)
-		return
+	if s.rank && !s.scanRange.WithinPrefix(part) {
+		ex.sink.unorder()
 	}
-	s.onRankPage(slot, entries)
-}
-
-// onRankPage handles one page of an ordered shard. Pages arrive in
-// ranking order within a shard for BOTH directions (descending ranks
-// ask the overlay to page each partition top-down), so when the shard
-// sits exactly at the release frontier, its pages flow straight into
-// the join — which is what lets a top-k threshold stop fire mid-shard
-// and cancel the remaining page pulls. Pages of shards beyond the
-// frontier are buffered until release.
-func (s *stage) onRankPage(slot int, entries []store.Entry) {
-	if len(entries) == 0 {
-		return
-	}
-	if slot == s.nextRel {
-		s.onEntries(entries)
-		return
-	}
-	s.shardBuf[slot] = append(s.shardBuf[slot], entries...)
-}
-
-// onRankShard marks an ordered shard complete and releases the
-// contiguous prefix of completed shards in ranking order, then flushes
-// the buffered pages of the shard now sitting at the frontier so its
-// remaining pages can stream directly.
-func (s *stage) onRankShard(slot int) {
-	s.shardOK[slot] = true
-	for s.nextRel < len(s.shards) && s.shardOK[s.nextRel] {
-		entries := s.shardBuf[s.nextRel]
-		s.shardBuf[s.nextRel] = nil
-		s.nextRel++
-		s.onEntries(entries)
-		if s.ex.stopped || s.ex.migrated {
-			return
-		}
-	}
-	if s.nextRel < len(s.shards) && len(s.shardBuf[s.nextRel]) > 0 {
-		entries := s.shardBuf[s.nextRel]
-		s.shardBuf[s.nextRel] = nil
-		s.onEntries(entries)
-		if s.ex.stopped || s.ex.migrated {
-			return
-		}
-	}
-	s.issueRank()
+	s.onEntries(entries)
 }
 
 // onEntries turns fetched entries into bindings, joins them against
@@ -651,12 +534,7 @@ func (s *stage) rightDone() bool {
 		return true
 	case modeProbes:
 		return s.upDone && s.opsOut == 0
-	case modeScan:
-		if s.rank {
-			return s.nextRel == len(s.shards) && s.opsOut == 0
-		}
-		return s.issuedAll && s.opsOut == 0
-	case modeFixed:
+	case modeScan, modeFixed:
 		return s.issuedAll && s.opsOut == 0
 	case modeQGram:
 		return s.gramsLeft == 0 && s.verified && s.opsOut == 0
@@ -696,11 +574,11 @@ func (s *stage) opts(more ...pgrid.OpOption) []pgrid.OpOption {
 	return more
 }
 
-// submitOp routes one overlay operation through the query's window,
-// tracking the stage's outstanding count for EOS detection.
+// submitOp issues one overlay operation for the stage, tracking the
+// stage's outstanding count for EOS detection.
 func (s *stage) submitOp(issue func(cb func(pgrid.OpResult)) *pgrid.Handle, complete func(pgrid.OpResult)) {
 	s.opsOut++
-	s.ex.win.submit(issue, func(res pgrid.OpResult) {
+	s.ex.ops.submit(issue, func(res pgrid.OpResult) {
 		s.opsOut--
 		complete(res)
 		s.checkDone()
@@ -721,7 +599,9 @@ const (
 	// set — stops the pipeline as soon as that many rows exist.
 	sinkLimit
 	// sinkRank consumes an order-emitting final stage and stops once
-	// the threshold test proves no better row can arrive.
+	// the threshold test proves no better row can arrive. It drops to
+	// sinkAll (unorder) once the final stage's rows stop arriving in
+	// ranking order.
 	sinkRank
 )
 
@@ -822,6 +702,24 @@ func (k *tailSink) push(rows []algebra.Binding) {
 				return
 			}
 		}
+	}
+}
+
+// unorder drops the rank discipline once the final stage's rows stop
+// arriving in ranking order: the sink keeps the rows it holds (a row
+// the threshold turned away already had LIMIT better rows ahead of it),
+// materializes the rest and orders them at EOS. A rank-fed aggregation
+// stops finalizing groups early for the same reason. The rows move to a
+// fresh slice, so the final sort cannot reorder the prefix the cursor
+// already streamed.
+func (k *tailSink) unorder() {
+	if k.mode != sinkRank {
+		return
+	}
+	k.mode = sinkAll
+	k.rows = slices.Clone(k.rows)
+	if a := k.ex.agg; a != nil {
+		a.stream = false
 	}
 }
 

@@ -41,17 +41,13 @@ func runCounted(t *testing.T, tn *testNet, src string) ([]map[string]triple.Valu
 	return rows, tn.net.Stats().MessagesSent
 }
 
-// TestLimitEarlyTerminationFewerMessages: with the range scan sharded,
-// a LIMIT query must stop issuing shards once enough rows exist —
+// TestLimitEarlyTerminationFewerMessages: with the range scan paged,
+// a LIMIT query must stop pulling pages once enough rows exist —
 // strictly fewer messages than the exhaustive scan, rows a subset of
 // the full result.
 func TestLimitEarlyTerminationFewerMessages(t *testing.T) {
-	tn := buildNet(t, 64, 21, nil)
+	tn := buildNetPaged(t, 64, 21, nil, 8)
 	tn.load(namesCorpus(200))
-	for _, e := range tn.engines {
-		e.SetRangeShards(8)
-		e.SetParallelism(2)
-	}
 	full, fullMsgs := runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)}`)
 	limited, limMsgs := runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)} LIMIT 3`)
 	if len(limited) != 3 {
@@ -75,14 +71,10 @@ func TestLimitEarlyTerminationFewerMessages(t *testing.T) {
 // TestTopKStreamingOrderedAndCheaper: an ORDER BY + LIMIT over the
 // scanned value variable streams in ranking order (order-preserving
 // hash), so the executor must return exactly the reference top-k while
-// skipping the tail of the shard sequence.
+// never pulling the scan's later pages.
 func TestTopKStreamingOrderedAndCheaper(t *testing.T) {
-	tn := buildNet(t, 64, 22, nil)
+	tn := buildNetPaged(t, 64, 22, nil, 8)
 	tn.load(namesCorpus(200))
-	for _, e := range tn.engines {
-		e.SetRangeShards(8)
-		e.SetParallelism(2)
-	}
 	_, fullMsgs := runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n`)
 
 	src := `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 5`
@@ -108,7 +100,7 @@ func TestTopKStreamingOrderedAndCheaper(t *testing.T) {
 	}
 	t.Logf("messages: top-k=%d full=%d", topMsgs, fullMsgs)
 
-	// DESC streams the shard sequence in reverse key order.
+	// DESC pages the partition from the top of the key range down.
 	desc, _ := runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n DESC LIMIT 4`)
 	if len(desc) != 4 || desc[0]["n"].Str != "name199" || desc[3]["n"].Str != "name196" {
 		t.Fatalf("DESC top-4 = %v", desc)
@@ -134,12 +126,8 @@ func canonMaps(rows []map[string]triple.Value) []string {
 // TestEarlyOutReleasesPendingOps: after an early-terminated query and
 // a settled network, no pending operation may linger at any peer.
 func TestEarlyOutReleasesPendingOps(t *testing.T) {
-	tn := buildNet(t, 32, 23, nil)
+	tn := buildNetPaged(t, 32, 23, nil, 8)
 	tn.load(namesCorpus(100))
-	for _, e := range tn.engines {
-		e.SetRangeShards(8)
-		e.SetParallelism(2)
-	}
 	_, _ = runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)} LIMIT 2`)
 	for i, p := range tn.peers {
 		if n := p.PendingOps(); n != 0 {
@@ -186,16 +174,13 @@ func TestContextCancelStopsQuery(t *testing.T) {
 }
 
 // TestRankedTailFewerMessagesThanBlockingTail: a ranked top-k streams
-// its shards in rank order and stops once the threshold proves no
+// its pages in rank order and stops once the threshold proves no
 // better row can arrive, so it must send fewer messages than the same
 // ordering without LIMIT, which takes the blocking tail and reads every
-// shard — and its rows must be that ordering's first k.
+// page — and its rows must be that ordering's first k.
 func TestRankedTailFewerMessagesThanBlockingTail(t *testing.T) {
-	tn := buildNet(t, 64, 25, nil)
+	tn := buildNetPaged(t, 64, 25, nil, 8)
 	tn.load(namesCorpus(120))
-	for _, e := range tn.engines {
-		e.SetRangeShards(8)
-	}
 	ranked, rankedMsgs := runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 6`)
 	full, fullMsgs := runCounted(t, tn, `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n`)
 	if len(full) < 6 || !reflect.DeepEqual(ranked, full[:6]) {
@@ -208,14 +193,12 @@ func TestRankedTailFewerMessagesThanBlockingTail(t *testing.T) {
 }
 
 // TestCursorStreamsBeforeCompletion: the pull cursor must yield the
-// first rows of a sharded scan while later shards are still unissued,
+// first rows of a paged scan while later pages are still unpulled,
 // and Close must cancel the remainder.
 func TestCursorStreamsBeforeCompletion(t *testing.T) {
-	tn := buildNet(t, 64, 26, nil)
+	tn := buildNetPaged(t, 64, 26, nil, 8)
 	tn.load(namesCorpus(150))
 	eng := tn.engines[0]
-	eng.SetRangeShards(8)
-	eng.SetParallelism(1)
 	q, err := vql.ParseQuery(`SELECT ?n WHERE {(?p,'name',?n)}`)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +213,7 @@ func TestCursorStreamsBeforeCompletion(t *testing.T) {
 		t.Fatalf("cursor yielded no first row: %v ok=%v", row, ok)
 	}
 	if cur.Exec().Done() {
-		t.Error("query must still be running after the first row of a sequential sharded scan")
+		t.Error("query must still be running after the first row of a paged scan")
 	}
 	cur.Close()
 	if !cur.Exec().Done() {

@@ -149,7 +149,8 @@ func TopN(n int, count int, score func(i int) float64) []int {
 // worst, so the consumer may stop the producer early. This is the
 // termination rule the streaming executor applies to LIMIT/TOP queries
 // whose final access path emits rows in ranking order (the
-// order-preserving hash makes range-scan shards arrive sorted).
+// order-preserving hash makes a partition's range-scan pages arrive
+// sorted).
 //
 // Ties are resolved first-come: a row equal to the current worst does
 // not displace it, which reproduces the stable sort-then-truncate

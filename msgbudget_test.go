@@ -39,19 +39,23 @@ import (
 // Re-measured at PR 10 (deterministic spec-seeded routing + shortest-
 // path reference choice): topk 25, index-join warm 13, paged scan 94,
 // group-by 38, churn top-k 39, rejoin catch-up 41 — budgets kept.
+// Re-measured with every scan one shower and every derivable probe
+// issued at once (the fan-out the daemon runs): topk 5, paged scan 79,
+// group-by 23, churn top-k 9. Those four budgets keep their old
+// budget-to-measured ratio, rounded up.
 const (
-	budgetTopK          = 40
+	budgetTopK          = 8
 	budgetIndexJoinWarm = 16
 	// budgetStarJoinWarm bounds the warm three-pattern star. Measured:
 	// 6 messages (an exact lookup and two single-subject OID probes,
 	// one request and one response each); the region plan sends 12.
 	budgetStarJoinWarm  = 8
-	budgetPagedScan     = 135
-	budgetChurnTopK     = 50
-	budgetGroupByAgg    = 60
+	budgetPagedScan     = 114
+	budgetChurnTopK     = 12
+	budgetGroupByAgg    = 37
 	budgetRejoinCatchup = 60
 	// budgetChurnTopKSimMS bounds the churn top-5's simulated time.
-	// Measured: 1008 ms — the scan-level re-shower at ten hedge
+	// Measured: 1004 ms — the scan-level re-shower at ten hedge
 	// deadlines recovers the swallowed branches in one round. A read
 	// path that stops failing over waits out the 120 s operation
 	// deadline instead.

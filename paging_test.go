@@ -18,9 +18,7 @@ import (
 func pagedCluster(seed int64, pageSize int) *unistore.Cluster {
 	return unistore.New(unistore.Config{
 		Peers: 32, Seed: seed,
-		RangeShards:      4,
-		ProbeParallelism: 2,
-		PageSize:         pageSize,
+		PageSize: pageSize,
 	})
 }
 
@@ -109,7 +107,7 @@ func TestEarlyTerminationStopsPagePulls(t *testing.T) {
 }
 
 // TestPagedScanConcurrentMatchesDeterministic: paging must stay
-// invisible when shard completions and page pulls race in concurrent
+// invisible when partition responses and page pulls race in concurrent
 // mode (CI runs this under -race).
 func TestPagedScanConcurrentMatchesDeterministic(t *testing.T) {
 	const q = `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 6`
@@ -123,7 +121,6 @@ func TestPagedScanConcurrentMatchesDeterministic(t *testing.T) {
 
 	c := unistore.New(unistore.Config{
 		Peers: 32, Seed: 75,
-		RangeShards: 4, ProbeParallelism: 2,
 		PageSize:   2,
 		Concurrent: true,
 	})

@@ -77,7 +77,7 @@ func mergeIdx(c *unistore.Cluster) int {
 func runEqScale(t *testing.T, cs eqScale) {
 	c := unistore.New(unistore.Config{
 		Peers: cs.parts, Replicas: cs.replicas, Seed: cs.seed,
-		PageSize: cs.pageSize, RangeShards: 4, ProbeParallelism: 2,
+		PageSize: cs.pageSize,
 	})
 	ds := workload.Generate(workload.Options{Seed: cs.seed + 1, Persons: 60, ZipfS: cs.zipfS})
 	c.BulkInsert(ds.Triples...)
@@ -149,9 +149,10 @@ func TestScaleEquivalenceMatrix(t *testing.T) {
 }
 
 // ranked1024MsgBudget bounds a cold ranked top-k on a 1024-peer
-// overlay. Measured 55 messages (range shower over the name region
-// plus per-shard cutoffs); the budget leaves ~35% headroom so a
-// super-logarithmic regression fails while scheduling jitter passes.
+// overlay. Measured 7 messages: one paged shower over the name
+// region, which sits on one partition, stopped after its first page.
+// The budget is a logarithmic-style bound, so a super-logarithmic
+// regression fails while scheduling jitter passes.
 const ranked1024MsgBudget = 75
 
 // TestRanked1024PeersWithinBudget: the flagship scale point — a ranked
@@ -165,7 +166,6 @@ func TestRanked1024PeersWithinBudget(t *testing.T) {
 	}
 	c := unistore.New(unistore.Config{
 		Peers: 1024, Seed: 71, PageSize: benchscen.ScanPageSize,
-		RangeShards: 8, ProbeParallelism: 2,
 	})
 	ds := workload.Generate(workload.Options{Seed: 72, Persons: 150})
 	c.BulkInsert(ds.Triples...)

@@ -14,17 +14,18 @@ import (
 	"time"
 
 	"unistore"
+	"unistore/internal/benchscen"
+	"unistore/internal/optimizer"
+	"unistore/internal/triple"
 	"unistore/internal/workload"
 )
 
 // streamCluster builds the deterministic 64-peer cluster the
-// message-count assertions run on: sharded range scans give the
-// early-out shards to skip, and a small window keeps them unissued.
+// message-count assertions run on: paged range scans give the early-out
+// pages never to pull.
 func streamCluster(seed int64) *unistore.Cluster {
 	return unistore.New(unistore.Config{
-		Peers: 64, Seed: seed,
-		RangeShards:      8,
-		ProbeParallelism: 2,
+		Peers: 64, Seed: seed, PageSize: benchscen.ScanPageSize,
 	})
 }
 
@@ -65,60 +66,140 @@ func TestLimitAndTopKSendFewerMessages(t *testing.T) {
 	}
 }
 
-// TestRankedTopKMatchesFullSort: over ten seeded 64-peer clusters, the
-// ranked top-5 must be exactly the first five rows of the exhaustive
-// ORDER BY — with the default single shard, where the entries of one
-// shower arrive in peer-arrival order rather than key order, and with
-// eight shards, where a shard still spans several partitions.
+// nameRegionCluster builds a 64-peer cluster whose trie is planned
+// from the A#v keys of 400 (pNNN,'name',nNNN) triples alone, perName
+// persons to a name, so the name region spreads over many partitions,
+// and loads those triples. cfg supplies the rest of the configuration.
+func nameRegionCluster(t *testing.T, cfg unistore.Config, perName int) *unistore.Cluster {
+	t.Helper()
+	var ts []unistore.Triple
+	for i := 0; i < 400; i++ {
+		tr := unistore.T(fmt.Sprintf("p%03d", i), "name", fmt.Sprintf("n%03d", i/perName))
+		ts = append(ts, tr)
+		cfg.AdaptiveSamples = append(cfg.AdaptiveSamples, triple.IndexKey(tr, triple.ByAV))
+	}
+	cfg.Peers = 64
+	c := unistore.New(cfg)
+	c.BulkInsert(ts...)
+	if n := regionPartitions(c, "name"); n < 2 {
+		t.Fatalf("name region on %d partition(s); the test needs several", n)
+	}
+	return c
+}
+
+// regionPartitions counts the distinct partitions the attribute's A#v
+// region overlaps.
+func regionPartitions(c *unistore.Cluster, attr string) int {
+	r := triple.AVPrefixRange(attr)
+	parts := map[string]bool{}
+	for _, p := range c.Peers() {
+		if r.OverlapsPrefix(p.Path()) {
+			parts[p.Path().String()] = true
+		}
+	}
+	return len(parts)
+}
+
+// TestRankedTopKMatchesFullSort: the ranked top-5, ascending and
+// descending, unpaged and paged at 4, must be exactly the first five
+// rows of the exhaustive ordering, from every origin checked. The
+// default layout (default_shards: one shower per scan, as every
+// cluster runs) holds the name region on one partition, whose pages
+// arrive in key order; the adaptive layout spreads it over several
+// partitions, whose pages interleave.
 func TestRankedTopKMatchesFullSort(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  unistore.Config
+		name    string
+		seeds   []int64
+		origins []int
+		build   func(seed int64, pageSize int) *unistore.Cluster
 	}{
-		{"default_shards", unistore.Config{Peers: 64}},
-		{"eight_shards", unistore.Config{Peers: 64, RangeShards: 8, ProbeParallelism: 2}},
+		{"default_shards", []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, []int{0}, func(seed int64, pageSize int) *unistore.Cluster {
+			c := unistore.New(unistore.Config{Peers: 64, Seed: seed, PageSize: pageSize})
+			loadPersons(c, seed+100, 150)
+			return c
+		}},
+		{"adaptive", []int64{8}, []int{0, 9, 18, 27, 36, 45, 54, 63}, func(seed int64, pageSize int) *unistore.Cluster {
+			return nameRegionCluster(t, unistore.Config{Seed: seed, PageSize: pageSize}, 1)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 10; seed++ {
-				cfg := tc.cfg
-				cfg.Seed = seed
-				c := unistore.New(cfg)
-				loadPersons(c, seed+100, 150)
-				c.Net().Settle()
-
-				names := func(src string) []string {
-					res, err := c.QueryFrom(0, src)
-					if err != nil {
-						t.Fatal(err)
-					}
+			for _, seed := range tc.seeds {
+				for _, pageSize := range []int{0, 4} {
+					c := tc.build(seed, pageSize)
 					c.Net().Settle()
-					var out []string
-					for _, b := range res.Bindings {
-						out = append(out, b["n"].Lexical())
+					names := func(origin int, src string) []string {
+						res, err := c.QueryFrom(origin, src)
+						if err != nil {
+							t.Fatal(err)
+						}
+						c.Net().Settle()
+						var out []string
+						for _, b := range res.Bindings {
+							out = append(out, b["n"].Lexical())
+						}
+						return out
 					}
-					return out
-				}
-				want := names(`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n`)
-				want = want[:min(5, len(want))]
-				got := names(`SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 5`)
-				sort.Strings(got)
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("seed %d: top-5 mismatch\n got %v\nwant %v", seed, got, want)
+					for _, dir := range []string{"", " DESC"} {
+						want := names(0, `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n`+dir)
+						want = want[:min(5, len(want))]
+						for _, origin := range tc.origins {
+							got := names(origin, `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n`+dir+` LIMIT 5`)
+							if fmt.Sprint(got) != fmt.Sprint(want) {
+								t.Errorf("seed %d page %d origin %d%s: top-5 mismatch\n got %v\nwant %v",
+									seed, pageSize, origin, dir, got, want)
+							}
+						}
+					}
 				}
 			}
 		})
 	}
 }
 
+// TestRankedGroupByOverSpreadRegion: the rank-fed centralized
+// aggregation (GROUP BY ?n ORDER BY ?n LIMIT 5) finalizes a group when
+// the ranking value moves on, which holds only while one partition
+// serves the region. Over a name region spread across partitions,
+// three persons to a name, every group must still count all three,
+// ascending and descending, unpaged and paged at 4.
+func TestRankedGroupByOverSpreadRegion(t *testing.T) {
+	opt := optimizer.DefaultOptions()
+	opt.Agg = optimizer.AggCentralized
+	for _, pageSize := range []int{0, 4} {
+		c := nameRegionCluster(t, unistore.Config{Seed: 8, PageSize: pageSize, Optimizer: opt}, 3)
+		c.Net().Settle()
+		for _, dir := range []string{"", " DESC"} {
+			src := `SELECT ?n, count(*) AS ?c WHERE {(?p,'name',?n)} GROUP BY ?n ORDER BY ?n` + dir
+			full, err := c.QueryFrom(0, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Net().Settle()
+			want := fmt.Sprint(full.Rows()[:5])
+			for _, origin := range []int{0, 21, 42, 63} {
+				res, err := c.QueryFrom(origin, src+` LIMIT 5`)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Net().Settle()
+				if got := fmt.Sprint(res.Rows()); got != want {
+					t.Errorf("page %d origin %d%s: got %s, want %s", pageSize, origin, dir, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestDescendingTopKStreamsPages: a DESCENDING ranked top-k on a
-// paged, sharded cluster must return the exact reverse-order result
-// while sending strictly fewer messages than the exhaustive scan —
-// the reverse-scan page order lets the rank frontier stream pages
-// top-down and stop mid-shard instead of buffering whole shards.
+// paged cluster must return the exact reverse-order result while
+// sending strictly fewer messages than the exhaustive scan — the
+// reverse-scan page order lets the rank frontier stream pages top-down
+// and stop before the last page is pulled.
 func TestDescendingTopKStreamsPages(t *testing.T) {
 	build := func() *unistore.Cluster {
 		c := unistore.New(unistore.Config{
-			Peers: 64, Seed: 41, RangeShards: 8, ProbeParallelism: 2, PageSize: 4,
+			Peers: 64, Seed: 41, PageSize: 4,
 		})
 		loadPersons(c, 42, 150)
 		return c
@@ -158,13 +239,10 @@ func TestDescendingTopKStreamsPages(t *testing.T) {
 }
 
 // TestTimeToFirstResultBeatsCompletion: a streaming scan must have its
-// first row strictly before the last shard lands.
+// first row strictly before the last page lands.
 func TestTimeToFirstResultBeatsCompletion(t *testing.T) {
 	c := streamCluster(33)
 	loadPersons(c, 34, 150)
-	// Sequential shard processing guarantees a gap between the first
-	// and last response.
-	c.Engine(0).SetParallelism(1)
 	res, err := c.QueryFrom(0, `SELECT ?n WHERE {(?p,'name',?n)}`)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +289,7 @@ func TestCancellationReleasesEverything(t *testing.T) {
 	before := runtime.NumGoroutine()
 	func() {
 		c := unistore.New(unistore.Config{
-			Peers: 64, Seed: 37,
-			RangeShards: 8, ProbeParallelism: 1,
+			Peers: 64, Seed: 37, PageSize: benchscen.ScanPageSize,
 			Concurrent:   true,
 			TimeDilation: 20, // slow enough that cancellation races real work
 		})
@@ -254,9 +331,9 @@ func TestCancellationReleasesEverything(t *testing.T) {
 	t.Errorf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
-// TestConcurrentTopKMatchesDeterministic: the ordered shard release
+// TestConcurrentTopKMatchesDeterministic: the ordered page stream
 // must make concurrent-mode top-k results identical to the
-// deterministic reference even though shard completions race.
+// deterministic reference even though responses race.
 func TestConcurrentTopKMatchesDeterministic(t *testing.T) {
 	ds := workload.Generate(workload.Options{Seed: 40, Persons: 60})
 	q := `SELECT ?n WHERE {(?p,'name',?n)} ORDER BY ?n LIMIT 7`
@@ -269,8 +346,7 @@ func TestConcurrentTopKMatchesDeterministic(t *testing.T) {
 	}
 
 	c := unistore.New(unistore.Config{
-		Peers: 64, Seed: 41,
-		RangeShards: 8, ProbeParallelism: 2,
+		Peers: 64, Seed: 41, PageSize: benchscen.ScanPageSize,
 		Concurrent: true,
 	})
 	defer c.Close()

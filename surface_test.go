@@ -1,7 +1,10 @@
-// Surface check: every exported method of *pgrid.Peer and every
+// Surface checks: every exported method of *pgrid.Peer and every
 // exported package-level function of internal/pgrid must be called
 // from production code outside internal/pgrid, so the overlay's API
-// cannot grow entry points only its own package or its tests use.
+// cannot grow entry points only its own package or its tests use; and
+// every core.Config and core.NodeConfig field must be set by
+// production code outside internal/core, so neither grows knobs only
+// tests turn.
 package unistore_test
 
 import (
@@ -102,4 +105,99 @@ func isPeerReceiver(fd *ast.FuncDecl) bool {
 	}
 	id, ok := star.X.(*ast.Ident)
 	return ok && id.Name == "Peer"
+}
+
+// configFieldsTestOnly are core.Config fields only the -race suites
+// set: simnet's concurrent mode, which ROADMAP M retires once those
+// suites run on in-memory netx hosts.
+var configFieldsTestOnly = map[string]bool{"Config.Concurrent": true, "Config.TimeDilation": true}
+
+// TestConfigFieldsSetOutsideTests: every field of core.Config and
+// core.NodeConfig is set — as a composite-literal key or an assignment
+// target — by some non-test .go file outside internal/core (bench/
+// included; internal/benchscen excluded, since only tests import it),
+// so neither struct carries a knob that nothing shipped turns. Like
+// TestPeerSurfaceCalledOutsidePgrid the match is by name, so it can
+// only miss a dead field whose name another struct also uses.
+func TestConfigFieldsSetOutsideTests(t *testing.T) {
+	fset := token.NewFileSet()
+	coreDir := filepath.Join("internal", "core")
+	skipDir := filepath.Join("internal", "benchscen")
+	fields := map[string]bool{} // "Config.Name" or "NodeConfig.Name"
+	set := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if (strings.HasPrefix(d.Name(), ".") && path != ".") || path == skipDir {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if filepath.Dir(path) == coreDir {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "NodeConfig") {
+						continue
+					}
+					for _, fl := range st.Fields.List {
+						for _, n := range fl.Names {
+							fields[ts.Name.Name+"."+n.Name] = true
+						}
+					}
+				}
+			}
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fields["Config.Peers"] || !fields["NodeConfig.Listen"] {
+		t.Fatal("found no core.Config or core.NodeConfig fields in internal/core")
+	}
+	var unset []string
+	for f := range fields {
+		if !set[f[strings.IndexByte(f, '.')+1:]] && !configFieldsTestOnly[f] {
+			unset = append(unset, f)
+		}
+	}
+	sort.Strings(unset)
+	for _, f := range unset {
+		t.Errorf("core.%s is set by no non-test code outside internal/core: delete it, or make a shipped caller set it", f)
+	}
 }

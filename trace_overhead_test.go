@@ -22,8 +22,7 @@ import (
 // come from.
 func tracedTopK(tracing bool) *unistore.Cluster {
 	c := unistore.New(unistore.Config{
-		Peers: 64, Seed: 12, RangeShards: 8, ProbeParallelism: 2,
-		Tracing: tracing,
+		Peers: 64, Seed: 12, Tracing: tracing,
 	})
 	ds := workload.Generate(workload.Options{Seed: 13, Persons: 300})
 	c.BulkInsert(ds.Triples...)
